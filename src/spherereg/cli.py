@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 EXIT_OK = 0
@@ -102,7 +103,7 @@ def cmd_train(args) -> int:
     for k, stage in enumerate(cfg.stages, 1):
         print(f"stage {k}: control_order={stage.control_order} "
               f"n_labels={stage.n_labels} crf={stage.use_crf} "
-              f"lam_sm={stage.lam_sm} r={stage.r}")
+              f"lam_sm={stage.lam_sm}")
 
     def log(rec):
         print(f"epoch {rec.epoch}: train_loss={rec.train_loss:.6f} "
@@ -119,32 +120,38 @@ def cmd_train(args) -> int:
 
 
 def _load_stages(ckpt_dir):
+    """(StageConfig, ParamStore) of the checkpoints stage1 ... stageK in
+    ``ckpt_dir``: architecture from ``.arch``, weights from ``.gmw`` and
+    the remaining settings from ``.cfg`` when present."""
+    from dataclasses import asdict
+
     from .conv import read_arch
     from .optim import read_gmw
-    from .pipeline import StageConfig, apply_stage_cfg
+    from .pipeline import StageConfig, StageModel, read_stage_cfg
 
-    stages = []
-    for k in (1, 2):
-        arch_path = os.path.join(ckpt_dir, f"stage{k}.arch")
-        gmw_path = os.path.join(ckpt_dir, f"stage{k}.gmw")
-        if not os.path.exists(arch_path):
-            continue
-        net = read_arch(arch_path)
-        store = read_gmw(gmw_path)
-        stage = StageConfig(
-            input_order=net.input_order, control_order=net.control_order,
-            label_order=net.label_order, n_labels=net.n_labels,
-            fcb_channels=net.fcb_channels, res_channels=net.res_channels,
-            in_channels=net.in_channels, n_kernels=net.n_kernels,
-            shared_fcbs=net.shared_fcbs,
-            use_crf="crf.omega" in store,
-        )
-        cfg_path = os.path.join(ckpt_dir, f"stage{k}.cfg")
-        if os.path.exists(cfg_path):
-            stage = apply_stage_cfg(cfg_path, stage)
-        stages.append((stage, store))
-    if not stages:
+    names = os.listdir(ckpt_dir) if os.path.isdir(ckpt_dir) else []
+    found = sorted(int(m[1]) for m in
+                   (re.fullmatch(r"stage([1-9][0-9]*)\.arch", n) for n in names)
+                   if m)
+    if not found:
         raise ValueError(f"no stage checkpoints in {ckpt_dir}")
+    if found != list(range(1, len(found) + 1)):
+        gap = min(set(range(1, found[-1] + 1)) - set(found))
+        raise ValueError(f"{ckpt_dir}: stage{found[-1]}.arch without "
+                         f"stage{gap}.arch")
+    stages = []
+    for k in found:
+        base = os.path.join(ckpt_dir, f"stage{k}")
+        settings = asdict(read_arch(base + ".arch"))
+        store = read_gmw(base + ".gmw")
+        if os.path.exists(base + ".cfg"):
+            settings.update(read_stage_cfg(base + ".cfg"))
+        stage = StageConfig(**settings, use_crf="crf.omega" in store)
+        try:
+            StageModel(stage, store)  # the store holds every block it needs
+        except ValueError as exc:
+            raise ValueError(f"{base}.gmw: {exc}") from None
+        stages.append((stage, store))
     return stages
 
 

@@ -122,27 +122,11 @@ def _gaussian_weights(coords: PseudoCoords, mu: Tensor, lraw: Tensor) -> Tensor:
                   requires_grad=mu.requires_grad or lraw.requires_grad)
 
 
-def _gaussian_weights_reference(coords: PseudoCoords, mu: Tensor,
-                                lraw: Tensor) -> Tensor:
-    """Same computation built from generic tape primitives; kept as the
-    oracle for the fused op."""
-    lraw_t = ad.transpose(lraw)  # (3, J)
-    l11 = ad.exp(ad.gather(lraw_t, 0))
-    l21 = ad.gather(lraw_t, 1)
-    l22 = ad.exp(ad.gather(lraw_t, 2))
-    a = l11 * l11
-    b = l11 * l21
-    c = l21 * l21 + l22 * l22
-    det = a * c - b * b
-    i_a, i_b, i_c = c / det, (-1.0) * b / det, a / det
-    mu_t = ad.transpose(mu)  # (2, J)
-    dx = ad.sub(coords.offsets[:, :, 0:1],
-                ad.reshape(ad.gather(mu_t, 0), (1, 1, -1)))
-    dy = ad.sub(coords.offsets[:, :, 1:2],
-                ad.reshape(ad.gather(mu_t, 1), (1, 1, -1)))
-    quad = i_a * dx * dx + 2.0 * (i_b * dx * dy) + i_c * dy * dy
-    w = ad.exp(-0.5 * quad)
-    return ad.where_const(coords.mask[:, :, None], w, 0.0)
+def _initial_lraw(n_kernels: int) -> np.ndarray:
+    # covariance 0.1*I by construction: L = sqrt(0.1)*I, diag stored as log
+    lraw = np.zeros((n_kernels, 3))
+    lraw[:, 0] = lraw[:, 2] = 0.5 * np.log(0.1)
+    return lraw
 
 
 class MoNetLayer:
@@ -154,17 +138,17 @@ class MoNetLayer:
         self.c_in = c_in
         self.c_out = c_out
         self.n_kernels = n_kernels
-        if f"{prefix}.mu" not in store:
-            mu = rng.uniform(-coord_box, coord_box, size=(n_kernels, 2))
-            # covariance 0.1*I by construction: L = sqrt(0.1)*I, diag stored as log
-            lraw = np.zeros((n_kernels, 3))
-            lraw[:, 0] = lraw[:, 2] = 0.5 * np.log(0.1)
-            bound = np.sqrt(6.0 / (c_in * n_kernels + c_out))
-            g = rng.uniform(-bound, bound, size=(n_kernels, c_in, c_out))
-            store.add(f"{prefix}.mu", mu)
-            store.add(f"{prefix}.lraw", lraw)
-            store.add(f"{prefix}.g", g)
-            store.add(f"{prefix}.b", np.zeros(c_out))
+        # blocks a trained store holds are kept; the rest are drawn from rng
+        box = coord_box
+        store.ensure(f"{prefix}.mu", (n_kernels, 2),
+                     lambda: rng.uniform(-box, box, (n_kernels, 2)))
+        store.ensure(f"{prefix}.lraw", (n_kernels, 3),
+                     lambda: _initial_lraw(n_kernels))
+        bound = np.sqrt(6.0 / (c_in * n_kernels + c_out))
+        g_shape = (n_kernels, c_in, c_out)
+        store.ensure(f"{prefix}.g", g_shape,
+                     lambda: rng.uniform(-bound, bound, g_shape))
+        store.ensure(f"{prefix}.b", (c_out,), lambda: np.zeros(c_out))
         self.store = store
 
     def covariances(self) -> np.ndarray:
@@ -273,9 +257,9 @@ class ResBlock:
         self.proj_name = None
         if c_in != c_out:
             self.proj_name = f"{prefix}.proj"
-            if self.proj_name not in store:
-                bound = np.sqrt(6.0 / (c_in + c_out))
-                store.add(self.proj_name, rng.uniform(-bound, bound, (c_in, c_out)))
+            bound = np.sqrt(6.0 / (c_in + c_out))
+            store.ensure(self.proj_name, (c_in, c_out),
+                         lambda: rng.uniform(-bound, bound, (c_in, c_out)))
 
     def forward(self, features: Tensor) -> Tensor:
         coords = pseudo_coords(self.order)

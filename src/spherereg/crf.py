@@ -54,7 +54,8 @@ class CrfConfig:
 
 def init_crf_params(store: ParamStore, control_order: int, n_labels: int,
                     prefix: str = "crf") -> None:
-    """Add the filter-weight and label-compatibility blocks to the store.
+    """Add the filter-weight and label-compatibility blocks to the store,
+    or check the shapes of those it holds.
 
     Filter weights start from a geodesic Gaussian falloff; compatibility
     starts Potts-like (no cost for agreement, uniform otherwise).
@@ -62,9 +63,9 @@ def init_crf_params(store: ParamStore, control_order: int, n_labels: int,
     points = build_icosphere(control_order).vertices
     geo = np.arccos(np.clip(points @ points.T, -1.0, 1.0))
     omega = np.exp(-(geo**2) / OMEGA_INIT_SCALE)
-    mu = 1.0 - np.eye(n_labels)
-    store.add(f"{prefix}.omega", omega)
-    store.add(f"{prefix}.mu", mu)
+    store.ensure(f"{prefix}.omega", omega.shape, lambda: omega)
+    store.ensure(f"{prefix}.mu", (n_labels, n_labels),
+                 lambda: 1.0 - np.eye(n_labels))
 
 
 def _normalized_filter(omega: Tensor) -> Tensor:

@@ -29,10 +29,6 @@ def face_count(order: int) -> int:
     return 20 * 4**order
 
 
-def edge_count(order: int) -> int:
-    return 30 * 4**order
-
-
 @dataclass(frozen=True)
 class Icosphere:
     """Immutable subdivided icosahedron projected onto the unit sphere.

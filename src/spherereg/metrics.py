@@ -100,10 +100,6 @@ def smoothness_loss(endpoints, order: int) -> Tensor:
     return ad.mean_(ad.sum_(mag, axis=1))
 
 
-def smoothness_loss_field(field: DeformationField) -> float:
-    return float(smoothness_loss(field.endpoints, field.order).value)
-
-
 def total_loss(fixed: SphericalFeatureMap, warped, endpoints, order: int,
                weights: LossWeights, moving_mask=None) -> Tensor:
     loss = weights.sim * similarity_loss(fixed, warped, moving_mask)

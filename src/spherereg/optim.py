@@ -51,9 +51,6 @@ class ParamStore:
         for t in self._blocks.values():
             t.grad = None
 
-    def n_scalars(self) -> int:
-        return sum(t.value.size for t in self._blocks.values())
-
     def copy(self) -> "ParamStore":
         """Deep copy of values only; gradients and Adam state start fresh."""
         out = ParamStore()
@@ -62,13 +59,16 @@ class ParamStore:
         out._frozen = set(self._frozen)
         return out
 
-    def load_values(self, other: "ParamStore") -> None:
-        for name in self.names():
-            if name in other:
-                src = other[name].value
-                if src.shape != self._blocks[name].value.shape:
-                    raise ValueError(f"shape mismatch loading block {name!r}")
-                self._blocks[name].value = src.copy()
+    def ensure(self, name: str, shape: tuple, init) -> Tensor:
+        """The block ``name``, added as ``init()`` when the store lacks it;
+        a held block of another shape raises ValueError."""
+        if name not in self._blocks:
+            return self.add(name, init())
+        held = self._blocks[name].value.shape
+        if held != tuple(shape):
+            raise ValueError(f"parameter block {name!r} has shape {held}, "
+                             f"expected {tuple(shape)}")
+        return self._blocks[name]
 
     # -- Adam --------------------------------------------------------------
     def adam_step(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,

@@ -1,75 +1,31 @@
-"""End-to-end orchestration: feature preprocessing, synthetic pair
-generation, autoencoder pretraining, per-stage training with best-validation
-checkpointing, and serial coarse-to-fine registration."""
+"""End-to-end orchestration: synthetic pair generation, per-stage training
+with best-validation checkpointing, and serial coarse-to-fine
+registration."""
 
 from __future__ import annotations
 
 import configparser
-import warnings
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .conv import DEFAULT_KERNELS, FcbBlock, MoNetLayer, NetConfig, \
-    RegistrationNet, pseudo_coords, tape_upsample
+from .conv import DEFAULT_KERNELS, NetConfig, RegistrationNet
 from .crf import CrfConfig, crf_forward_tensor, init_crf_params
-from .mesh import SphericalFeatureMap, build_icosphere, read_sfm, vertex_count
+from .mesh import SphericalFeatureMap, build_icosphere, read_sfm
 from .metrics import LossWeights, cc_similarity, total_loss
 from .optim import ParamStore
 from .warp import DeformationField, build_label_space, compose, control_grid, \
     read_def, resample_moving, resample_tensor, soft_deform_tensor, \
     upsample_deformation_tensor
 
-CLIP_SD = 2.0
 # refine steps per stage that run through the CRF decode (the last ones).
 # On the acceptance cohort 20 steps bring the CRF decode's similarity back
 # to that of the plain decode and lower areal distortion below it; running
 # every step through the CRF costs about 3.6 s more per order-4 pair.
 CRF_REFINE_STEPS = 20
-
-
-# -- preprocessing ---------------------------------------------------------
-
-def normalize_features(fmap: SphericalFeatureMap) -> SphericalFeatureMap:
-    """Per-channel standardization over unmasked vertices, clipped to
-    +-2 standard deviations; masked vertices are zeroed."""
-    valid = fmap.valid_mask()
-    if valid.sum() < 2:
-        raise ValueError("need at least 2 unmasked vertices to normalize")
-    out = np.zeros_like(fmap.values)
-    for ch in range(fmap.channels):
-        col = fmap.values[valid, ch]
-        sd = col.std()
-        if sd < 1e-12:
-            warnings.warn(f"constant channel {ch} left at zero")
-            continue
-        out[valid, ch] = np.clip((col - col.mean()) / sd, -CLIP_SD, CLIP_SD)
-    return SphericalFeatureMap(fmap.sphere_order, out,
-                               None if fmap.mask is None else fmap.mask.copy())
-
-
-def histogram_match(source: SphericalFeatureMap,
-                    reference: SphericalFeatureMap) -> SphericalFeatureMap:
-    """Monotone rank-based remap of each source channel onto the reference
-    empirical distribution (linear interpolation between order statistics)."""
-    if source.channels != reference.channels:
-        raise ValueError("channel count mismatch")
-    src_valid = source.valid_mask()
-    ref_valid = reference.valid_mask()
-    out = source.values.copy()
-    for ch in range(source.channels):
-        s = source.values[src_valid, ch]
-        r = np.sort(reference.values[ref_valid, ch])
-        ranks = np.argsort(np.argsort(s, kind="stable"), kind="stable")
-        # rank i of n maps onto the reference order statistics so that
-        # equal-sized identical distributions are reproduced exactly
-        pos = ranks * (len(r) - 1) / max(len(s) - 1, 1)
-        out[src_valid, ch] = np.interp(pos, np.arange(len(r)), r)
-    return SphericalFeatureMap(source.sphere_order, out,
-                               None if source.mask is None
-                               else source.mask.copy())
 
 
 # -- synthetic data --------------------------------------------------------
@@ -92,14 +48,6 @@ class SyntheticWarpSpec:
             raise ValueError("bad warp amplitude or smoothness")
         if self.n_components < 0 or self.max_retries < 1:
             raise ValueError("bad component or retry count")
-
-
-def _rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    axis = axis / np.linalg.norm(axis)
-    k = np.array([[0, -axis[2], axis[1]],
-                  [axis[2], 0, -axis[0]],
-                  [-axis[1], axis[0], 0]])
-    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
 
 
 def _random_field(points: np.ndarray, rng: np.random.Generator,
@@ -180,103 +128,6 @@ def generate_synthetic_pair(spec: SyntheticWarpSpec, order: int):
     return moving, fixed, truth
 
 
-# -- autoencoder pretraining -----------------------------------------------
-
-class Autoencoder:
-    """Encoder of stacked feature convolution blocks with a mirrored
-    decoder (upsample + convolution per stage, reversed channel widths)."""
-
-    def __init__(self, store: ParamStore, cfg: NetConfig, rng,
-                 prefix: str = "ae"):
-        self.cfg = cfg
-        self.prefix = prefix
-        self.enc = []
-        c_in = cfg.in_channels
-        order = cfg.input_order
-        for i, c_blk in enumerate(cfg.fcb_channels):
-            self.enc.append(FcbBlock(store, f"{prefix}.b{i}", order, c_in,
-                                     c_blk, cfg.in_channels, c_blk, "A",
-                                     cfg.n_kernels, rng))
-            c_in = c_blk
-            order -= 1
-        self.dec = []
-        widths = (list(cfg.fcb_channels[:-1])[::-1] + [cfg.in_channels])
-        for i, c_out in enumerate(widths):
-            order += 1
-            self.dec.append(MoNetLayer(store, f"{prefix}.d{i}", c_in, c_out,
-                                       cfg.n_kernels,
-                                       pseudo_coords(order).box, rng))
-            c_in = c_out
-
-    def encode(self, values: np.ndarray) -> Tensor:
-        from .mesh import downsample_features
-
-        raw = SphericalFeatureMap(self.cfg.input_order, np.asarray(values))
-        out = ad.constant(raw.values)
-        for block in self.enc:
-            raw = downsample_features(raw)
-            out = block.forward(out, ad.constant(raw.values))
-        return out
-
-    def forward(self, values: np.ndarray) -> Tensor:
-        x = self.encode(values)
-        order = self.cfg.latent_order
-        for i, layer in enumerate(self.dec):
-            x = tape_upsample(x, order)
-            order += 1
-            x = layer.forward(pseudo_coords(order), x)
-            if i < len(self.dec) - 1:
-                x = ad.leaky_relu(x)
-        return x
-
-
-def pretrain_autoencoder(values_list, cfg: NetConfig, seed: int,
-                         epochs: int = 5, lr: float = 1e-3):
-    """Train the mirrored autoencoder on raw feature maps.
-
-    Returns the parameter store and the per-epoch mean reconstruction MSE.
-    """
-    rng = np.random.Generator(np.random.Philox(seed))
-    store = ParamStore()
-    ae = Autoencoder(store, cfg, rng)
-    trace = []
-    order_rng = np.random.Generator(np.random.Philox(seed + 1))
-    for _ in range(epochs):
-        losses = []
-        for i in order_rng.permutation(len(values_list)):
-            vals = values_list[i]
-            recon = ae.forward(vals)
-            diff = recon - vals
-            loss = ad.mean_(diff * diff)
-            if not np.isfinite(loss.value):
-                raise FloatingPointError("autoencoder reconstruction diverged")
-            store.zero_grad()
-            loss.backward()
-            store.adam_step(lr)
-            losses.append(float(loss.value))
-        trace.append(float(np.mean(losses)))
-    return store, trace
-
-
-def transfer_encoder(ae_store: ParamStore, net_store: ParamStore,
-                     cfg: NetConfig, prefix: str = "fx") -> int:
-    """Copy pretrained encoder blocks into every extractor path; returns
-    the number of parameter blocks transferred."""
-    n = len(cfg.fcb_channels)
-    moved = 0
-    for i in range(n):
-        tags = ["s"] if i >= n - cfg.shared_fcbs else ["m", "f"]
-        for tag in tags:
-            for suffix in ("conv1", "conv2", "gate"):
-                for leaf in ("mu", "lraw", "g", "b"):
-                    src = f"ae.b{i}.{suffix}.{leaf}"
-                    dst = f"{prefix}.{tag}.b{i}.{suffix}.{leaf}"
-                    if src in ae_store and dst in net_store:
-                        net_store[dst].value = ae_store[src].value.copy()
-                        moved += 1
-    return moved
-
-
 # -- stage configuration ---------------------------------------------------
 
 @dataclass
@@ -296,30 +147,17 @@ class StageConfig:
     lam_sm: float = 0.1
     lr: float = 1e-3
     epochs: int = 20
-    deform_mode: str = "soft"
     use_crf: bool = True
     crf_iterations: int = 5
     refine_steps: int = 0
     refine_lr: float = 1e-2
-    r: int = 0  # opaque; stored and logged only
 
     def __post_init__(self):
-        if self.deform_mode not in ("soft", "argmax"):
-            raise ValueError(f"unknown deform_mode {self.deform_mode!r}")
         self.net_config()  # validate architecture consistency
 
     def net_config(self) -> NetConfig:
-        return NetConfig(
-            input_order=self.input_order,
-            in_channels=self.in_channels,
-            fcb_channels=tuple(self.fcb_channels),
-            res_channels=tuple(self.res_channels),
-            control_order=self.control_order,
-            label_order=self.label_order,
-            n_labels=self.n_labels,
-            n_kernels=self.n_kernels,
-            shared_fcbs=self.shared_fcbs,
-        )
+        return NetConfig(**{f.name: getattr(self, f.name)
+                            for f in fields(NetConfig)})
 
     def crf_config(self) -> CrfConfig:
         return CrfConfig(iterations=self.crf_iterations, gamma=self.gamma)
@@ -352,49 +190,48 @@ def desk_scale_stages(in_channels: int = 1, use_crf: bool = True):
 
 class StageModel:
     """A registration network plus label space and optional CRF, bound to
-    one parameter store."""
+    one parameter store.
+
+    Without ``store`` the blocks are initialized from ``seed``.  With a
+    trained ``store`` the model works on a copy of it, so the caller's store
+    gains no blocks and no frozen marks; ``seed`` is then unused, and a
+    block the stage needs but the store lacks raises ValueError.
+    """
 
     def __init__(self, stage: StageConfig, store: ParamStore | None = None,
                  seed: int = 0):
         self.stage = stage
-        self.store = store if store is not None else ParamStore()
+        self.store = ParamStore() if store is None else store.copy()
+        held = set(self.store.names())
         rng = np.random.Generator(np.random.Philox(seed))
         self.net = RegistrationNet(self.store, stage.net_config(), rng)
         self.labels = build_label_space(control_grid(stage.control_order),
                                         stage.label_order, stage.n_labels)
-        self._refined_logits = None
-        if stage.use_crf and "crf.omega" not in self.store:
-            init_crf_params(self.store, stage.control_order, stage.n_labels)
         if stage.use_crf:
+            init_crf_params(self.store, stage.control_order, stage.n_labels)
             # the head stays a genuine smoother: jointly trained filter
             # weights and compatibilities drift until the classifier cancels
             # the regularization
             self.store.freeze("crf.omega", "crf.mu")
+        added = sorted(set(self.store.names()) - held)
+        if store is not None and added:
+            raise ValueError(f"missing parameter block {added[0]!r}")
 
-    def _endpoints_from_logits(self, logits: Tensor) -> Tensor:
+    def _full_endpoints(self, logits: Tensor) -> Tensor:
+        """Label scores decoded to endpoints at the input order."""
         if self.stage.use_crf:
-            _, endpoints = crf_forward_tensor(
+            _, coarse = crf_forward_tensor(
                 logits, self.labels, self.store["crf.omega"],
                 self.store["crf.mu"], self.stage.crf_config())
-            return endpoints
-        q = ad.softmax_rows(logits)
-        return soft_deform_tensor(self.labels, q)
-
-    def control_endpoints(self, moving_vals, fixed_vals) -> Tensor:
-        if self._refined_logits is not None:
-            logits = ad.constant(self._refined_logits)
         else:
-            logits = self.net.logits(moving_vals, fixed_vals)
-        return self._endpoints_from_logits(logits)
-
-    def full_endpoints(self, moving_vals, fixed_vals) -> Tensor:
-        coarse = self.control_endpoints(moving_vals, fixed_vals)
+            coarse = soft_deform_tensor(self.labels, ad.softmax_rows(logits))
         return upsample_deformation_tensor(coarse, self.stage.control_order,
                                            self.stage.input_order)
 
     def pair_loss(self, moving: SphericalFeatureMap,
                   fixed: SphericalFeatureMap) -> Tensor:
-        endpoints = self.full_endpoints(moving.values, fixed.values)
+        endpoints = self._full_endpoints(
+            self.net.logits(moving.values, fixed.values))
         warped = resample_tensor(moving.values, endpoints,
                                  self.stage.input_order)
         weights = LossWeights(sim=1.0, smooth=self.stage.lam_sm)
@@ -402,18 +239,26 @@ class StageModel:
                           weights, moving.mask)
 
     def register(self, moving: SphericalFeatureMap,
-                 fixed: SphericalFeatureMap):
-        """Deformation field and warped moving map (no tape)."""
-        endpoints = self.full_endpoints(moving.values, fixed.values)
+                 fixed: SphericalFeatureMap, logits: np.ndarray | None = None):
+        """Deformation field and warped moving map (no tape), decoded from
+        ``logits`` (the label scores ``refine`` returns) or, when None,
+        from the network's prediction."""
+        if logits is None:
+            scores = self.net.logits(moving.values, fixed.values)
+        else:
+            scores = ad.constant(logits)
+        endpoints = self._full_endpoints(scores)
         field_ = DeformationField(self.stage.input_order, endpoints.value)
         sphere = build_icosphere(self.stage.input_order)
         warped = resample_moving(moving, field_, sphere)
         return field_, warped
 
     def refine(self, moving: SphericalFeatureMap,
-               fixed: SphericalFeatureMap) -> None:
+               fixed: SphericalFeatureMap) -> np.ndarray | None:
         """Instance refinement: optimize this pair's control-point label
-        scores directly, starting from the network's prediction.
+        scores directly, starting from the network's prediction.  Returns
+        the refined scores for ``register``, or None when the stage has no
+        refine steps.
 
         Only the logits move; the networks and the pairwise regularizer
         stay frozen, so the regularization is not optimized away and no
@@ -424,7 +269,7 @@ class StageModel:
         the earlier steps use the cheaper plain softmax decode.
         """
         if self.stage.refine_steps <= 0:
-            return
+            return None
         init = self.net.logits(moving.values, fixed.values).value
         # keep the network's label ranking but reset its confidence: a
         # saturated softmax leaves the optimizer with vanishing gradients
@@ -461,7 +306,7 @@ class StageModel:
                 raise FloatingPointError("non-finite refinement loss")
             loss.backward()
             opt.adam_step(self.stage.refine_lr)
-        self._refined_logits = logits.value.copy()
+        return logits.value
 
 
 # -- dataset plumbing ------------------------------------------------------
@@ -533,12 +378,10 @@ def _validation_cc(model: StageModel, pairs) -> float:
 
 
 def train_stage(stage: StageConfig, train_pairs, val_pairs, seed: int,
-                init_store: ParamStore | None = None, log=None):
+                log=None):
     """Train one stage with per-epoch shuffling and best-validation
     checkpointing.  Returns (best parameter store, epoch trace)."""
     model = StageModel(stage, seed=seed)
-    if init_store is not None:
-        model.store.load_values(init_store)
     shuffle_rng = np.random.Generator(np.random.Philox(seed + 1))
     best_store = model.store.copy()
     best_cc = -np.inf
@@ -568,9 +411,9 @@ def train_stage(stage: StageConfig, train_pairs, val_pairs, seed: int,
 
 def warp_pairs(stage: StageConfig, store: ParamStore, pairs, seed: int = 0):
     """Replace each pair's moving map by its registration through a trained
-    stage (the hand-off between serial stages)."""
-    model = StageModel(stage, seed=seed)
-    model.store.load_values(store)
+    stage (the hand-off between serial stages).  The model is built from
+    ``store``, so ``seed`` does not affect the result."""
+    model = StageModel(stage, store)
     out = []
     for moving, fixed in pairs:
         _, warped = model.register(moving, fixed)
@@ -596,11 +439,9 @@ def register_pair(stages, moving: SphericalFeatureMap,
             raise ValueError(
                 f"stage expects order {stage.input_order}, "
                 f"data is order {moving.sphere_order}")
-        model = StageModel(stage, seed=0)
-        model.store.load_values(store)
-        if stage.refine_steps > 0:
-            model.refine(current, fixed)
-        step_field, current = model.register(current, fixed)
+        model = StageModel(stage, store)
+        logits = model.refine(current, fixed)
+        step_field, current = model.register(current, fixed, logits)
         field_ = step_field if field_ is None else compose(field_, step_field)
     sphere = build_icosphere(moving.sphere_order)
     stats = distortion_stats(sphere, field_)
@@ -616,110 +457,144 @@ class RunConfig:
     seed: int
     stages: list = field(default_factory=list)
     ratios: tuple = (0.8, 0.1, 0.1)
-    pretrain_epochs: int = 0
 
 
 def _parse_int_tuple(text: str) -> tuple:
     return tuple(int(x) for x in text.split(","))
 
 
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool,
+            "tuple": _parse_int_tuple}
+_STAGE_TYPES = {f.name: f.type for f in fields(StageConfig)}
+# [stage.N] keys of the run INI: every setting, with the CRF switch as crf
+_STAGE_KEYS = {name: name for name in _STAGE_TYPES if name != "use_crf"}
+_STAGE_KEYS["crf"] = "use_crf"
+# [crf] of the run INI: defaults for every stage
+_CRF_KEYS = {"enabled": "use_crf", "iterations": "crf_iterations",
+             "gamma": "gamma"}
+_DATA_KEYS = ("manifest", "seed", "split")
+# the settings a checkpoint's .cfg carries: what the .arch file does not,
+# except the CRF switch, which follows from the .gmw holding CRF blocks
+_CFG_FIELDS = tuple(name for name in _STAGE_TYPES if name != "use_crf"
+                    and name not in {f.name for f in fields(NetConfig)})
+_STAGE_SECTION = re.compile(r"stage\.([1-9][0-9]*)")
+
+
+def _read_ini(path, cp: configparser.ConfigParser) -> None:
+    try:
+        if not cp.read(path):
+            raise ValueError(f"cannot read {path}")
+    except configparser.Error as exc:
+        raise ValueError(" ".join(str(exc).split())) from None
+
+
+def _stage_settings(section, where: str, keys: dict) -> dict:
+    """``StageConfig`` keyword arguments parsed from an INI section.
+
+    ``keys`` maps each key the section may hold to the field it sets; any
+    other key raises ValueError naming ``where`` and the key.
+    """
+    out = {}
+    for key, text in section.items():
+        if key not in keys:
+            raise ValueError(f"{where}: unknown key {key!r}")
+        name = keys[key]
+        try:
+            out[name] = _PARSERS[_STAGE_TYPES[name]](text)
+        except ValueError:
+            raise ValueError(f"{where}: bad value {text!r} for key {key!r}") \
+                from None
+    return out
+
+
 def read_run_config(path) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = cp.read(path)
-    if not read:
-        raise ValueError(f"cannot read run config {path}")
+    """The run INI: [data], optional [crf] defaults and [stage.1] ...
+    [stage.K].  An unknown section or key, or a gap in the stage numbers,
+    raises ValueError."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                   interpolation=None)
+    _read_ini(path, cp)
+    numbered = {}
+    for name in cp.sections():
+        match = _STAGE_SECTION.fullmatch(name)
+        if match:
+            numbered[int(match[1])] = name
+        elif name not in ("data", "crf"):
+            raise ValueError(f"{path}: unknown section [{name}]")
     if "data" not in cp:
         raise ValueError(f"{path}: missing [data] section")
     data = cp["data"]
+    for key in data:
+        if key not in _DATA_KEYS:
+            raise ValueError(f"{path} [data]: unknown key {key!r}")
     for key in ("manifest", "seed"):
         if key not in data:
             raise ValueError(f"{path}: missing data.{key}")
-    crf_defaults = cp["crf"] if "crf" in cp else {}
-    stages = []
-    for n in (1, 2):
-        name = f"stage.{n}"
-        if name not in cp:
-            continue
-        s = cp[name]
-        try:
-            stages.append(StageConfig(
-                input_order=s.getint("input_order"),
-                control_order=s.getint("control_order"),
-                label_order=s.getint("label_order"),
-                n_labels=s.getint("n_labels"),
-                fcb_channels=_parse_int_tuple(s["fcb_channels"]),
-                res_channels=_parse_int_tuple(s["res_channels"]),
-                in_channels=s.getint("in_channels", 1),
-                n_kernels=s.getint("n_kernels", DEFAULT_KERNELS),
-                shared_fcbs=s.getint("shared_fcbs", 2),
-                gamma=s.getfloat("gamma",
-                                 float(crf_defaults.get("gamma", 0.2))),
-                lam_sm=s.getfloat("lam_sm", 0.1),
-                lr=s.getfloat("lr", 1e-3),
-                epochs=s.getint("epochs", 20),
-                deform_mode=s.get("deform_mode", "soft"),
-                use_crf=s.getboolean("crf",
-                                     str(crf_defaults.get("enabled",
-                                                          "true")) == "true"),
-                crf_iterations=s.getint(
-                    "crf_iterations", int(crf_defaults.get("iterations", 5))),
-                refine_steps=s.getint("refine_steps", 0),
-                refine_lr=s.getfloat("refine_lr", 1e-2),
-                r=s.getint("r", 0),
-            ))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ValueError(f"{path}: bad {name} config: {exc}") from exc
-    if not stages:
+    if not numbered:
         raise ValueError(f"{path}: no [stage.N] sections")
-    ratios = (0.8, 0.1, 0.1)
-    if "split" in data:
-        ratios = tuple(float(x) for x in data["split"].split(","))
-    return RunConfig(
-        manifest=data["manifest"],
-        seed=data.getint("seed"),
-        stages=stages,
-        ratios=ratios,
-        pretrain_epochs=data.getint("pretrain_epochs", 0),
-    )
-
-
-_STAGE_CFG_FIELDS = ("gamma", "lam_sm", "lr", "epochs", "deform_mode",
-                     "crf_iterations", "refine_steps", "refine_lr", "r")
+    for n in range(1, max(numbered) + 1):
+        if n not in numbered:
+            raise ValueError(f"{path}: [stage.{max(numbered)}] without "
+                             f"[stage.{n}]; number stages 1, 2, ... in order")
+    defaults = {}
+    if "crf" in cp:
+        defaults = _stage_settings(cp["crf"], f"{path} [crf]", _CRF_KEYS)
+    stages = []
+    for n in sorted(numbered):
+        where = f"{path} [stage.{n}]"
+        settings = {**defaults,
+                    **_stage_settings(cp[numbered[n]], where, _STAGE_KEYS)}
+        missing = [f.name for f in fields(StageConfig)
+                   if f.default is MISSING and f.name not in settings]
+        if missing:
+            raise ValueError(f"{where}: missing key {missing[0]!r}")
+        try:
+            stages.append(StageConfig(**settings))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    try:
+        seed = int(data["seed"])
+        ratios = tuple(float(x) for x in data.get("split", "0.8,0.1,0.1")
+                       .split(","))
+    except ValueError as exc:
+        raise ValueError(f"{path} [data]: {exc}") from None
+    return RunConfig(manifest=data["manifest"], seed=seed, stages=stages,
+                     ratios=ratios)
 
 
 def write_stage_cfg(path, stage: StageConfig) -> None:
     """Persist the loss/optimizer settings that the architecture file does
     not carry (needed to refine at registration time)."""
     cp = configparser.ConfigParser()
-    cp["stage"] = {name: str(getattr(stage, name))
-                   for name in _STAGE_CFG_FIELDS}
+    cp["stage"] = {name: str(getattr(stage, name)) for name in _CFG_FIELDS}
     with open(path, "w") as fh:
         cp.write(fh)
 
 
-def apply_stage_cfg(path, stage: StageConfig) -> StageConfig:
-    """Overlay persisted settings from ``path`` onto ``stage``."""
-    cp = configparser.ConfigParser()
-    if not cp.read(path) or "stage" not in cp:
-        raise ValueError(f"cannot read stage config {path}")
-    s = cp["stage"]
-    return replace(
-        stage,
-        gamma=s.getfloat("gamma", stage.gamma),
-        lam_sm=s.getfloat("lam_sm", stage.lam_sm),
-        lr=s.getfloat("lr", stage.lr),
-        epochs=s.getint("epochs", stage.epochs),
-        deform_mode=s.get("deform_mode", stage.deform_mode),
-        crf_iterations=s.getint("crf_iterations", stage.crf_iterations),
-        refine_steps=s.getint("refine_steps", stage.refine_steps),
-        refine_lr=s.getfloat("refine_lr", stage.refine_lr),
-        r=s.getint("r", stage.r),
-    )
+def read_stage_cfg(path) -> dict:
+    """The settings ``write_stage_cfg`` persisted, as ``StageConfig``
+    keyword arguments.  Other keys are skipped: checkpoints written by
+    earlier versions carry settings that no longer exist."""
+    cp = configparser.ConfigParser(interpolation=None)
+    _read_ini(path, cp)
+    if "stage" not in cp:
+        raise ValueError(f"{path}: missing [stage] section")
+    known = {key: text for key, text in cp["stage"].items()
+             if key in _CFG_FIELDS}
+    return _stage_settings(known, f"{path} [stage]",
+                           {name: name for name in _CFG_FIELDS})
 
 
 def train_run(cfg: RunConfig, ckpt_dir, log=None):
-    """Full training: load the manifest, split, optionally pretrain, train
-    each stage serially, and write GMW1 checkpoints + CSV traces."""
+    """Full training: load the manifest, split, train each stage serially,
+    and write GMW1 checkpoints + CSV traces."""
     import os
 
     from .conv import write_arch
@@ -735,21 +610,9 @@ def train_run(cfg: RunConfig, ckpt_dir, log=None):
     val_pairs = [pairs[i] for i in va]
 
     os.makedirs(ckpt_dir, exist_ok=True)
-    init_store = None
-    if cfg.pretrain_epochs > 0 and train_pairs:
-        values = [p[0].values for p in train_pairs] + \
-            [p[1].values for p in train_pairs]
-        ae_store, _ = pretrain_autoencoder(values, cfg.stages[0].net_config(),
-                                           cfg.seed, cfg.pretrain_epochs)
-        init_store = ParamStore()
-        probe = StageModel(cfg.stages[0], store=init_store, seed=cfg.seed)
-        transfer_encoder(ae_store, init_store, cfg.stages[0].net_config())
-        del probe
-
     trained = []
     for k, stage in enumerate(cfg.stages, 1):
         store, trace = train_stage(stage, train_pairs, val_pairs, cfg.seed,
-                                   init_store=init_store if k == 1 else None,
                                    log=log)
         write_gmw(os.path.join(ckpt_dir, f"stage{k}.gmw"), store)
         write_arch(os.path.join(ckpt_dir, f"stage{k}.arch"),

@@ -116,15 +116,6 @@ def soft_deform(control: ControlGrid, labels: LabelSpace,
     return DeformationField(control.control_order, out.value)
 
 
-def argmax_deform(control: ControlGrid, labels: LabelSpace,
-                  q: np.ndarray) -> DeformationField:
-    best = np.argmax(q, axis=1)
-    return DeformationField(
-        control.control_order,
-        labels.endpoints[np.arange(len(best)), best].copy(),
-    )
-
-
 @lru_cache(maxsize=None)
 def _transfer_map(coarse_order: int, fine_order: int):
     """Barycentric map of the fine sphere's vertices on the coarse sphere."""

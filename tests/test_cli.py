@@ -189,3 +189,121 @@ def test_selftest_passes():
     out = run_cli("selftest")
     assert out.returncode == 0, out.stdout + out.stderr
     assert "all self tests passed" in out.stdout
+
+
+def test_train_rejects_unknown_key(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        "[data]\nmanifest = m.txt\nseed = 0\n"
+        "[stage.1]\ninput_order = 2\ncontrol_order = 1\nlabel_order = 2\n"
+        "n_labels = 12\nfcb_channels = 4\nres_channels = 12\ntypo_key = 3\n"
+    )
+    out = run_cli("train", "--config", str(cfg),
+                  "--out", str(tmp_path / "ckpt"), "--seed", "0")
+    assert out.returncode == 1
+    assert out.stderr == f"error: {cfg} [stage.1]: unknown key 'typo_key'\n"
+
+
+def _three_stages():
+    from spherereg.pipeline import StageConfig
+
+    base = dict(input_order=2, label_order=2, n_labels=12, fcb_channels=(4,),
+                res_channels=(12,), n_kernels=3, refine_steps=3)
+    return [StageConfig(control_order=0, lam_sm=0.9, **base),
+            StageConfig(control_order=1, lam_sm=0.5, use_crf=False, **base),
+            StageConfig(control_order=1, lam_sm=0.2, gamma=0.3, **base)]
+
+
+@pytest.fixture(scope="module")
+def three_stage_ckpt(tmp_path_factory):
+    """Seed-initialized checkpoints of three stages and one order-2 pair."""
+    from spherereg.conv import write_arch
+    from spherereg.mesh import write_sfm
+    from spherereg.optim import write_gmw
+    from spherereg.pipeline import SyntheticWarpSpec, StageModel, \
+        generate_synthetic_pair, write_stage_cfg
+
+    root = tmp_path_factory.mktemp("three_stages")
+    ckpt = root / "ckpt"
+    ckpt.mkdir()
+    for k, stage in enumerate(_three_stages(), 1):
+        write_gmw(ckpt / f"stage{k}.gmw", StageModel(stage, seed=k).store)
+        write_arch(ckpt / f"stage{k}.arch", stage.net_config())
+        write_stage_cfg(ckpt / f"stage{k}.cfg", stage)
+    moving, fixed, _ = generate_synthetic_pair(SyntheticWarpSpec(seed=4), 2)
+    write_sfm(root / "moving.sfm", moving)
+    write_sfm(root / "fixed.sfm", fixed)
+    return root, ckpt
+
+
+def _register(root, ckpt, name):
+    out = run_cli("--threads", "1", "register",
+                  "--moving", str(root / "moving.sfm"),
+                  "--fixed", str(root / "fixed.sfm"), "--ckpt", str(ckpt),
+                  "--out", str(root / f"{name}.sfm"),
+                  "--deform", str(root / f"{name}.def"))
+    return out
+
+
+def test_register_loads_every_stage(three_stage_ckpt):
+    from spherereg.cli import _load_stages
+
+    root, ckpt = three_stage_ckpt
+    loaded = _load_stages(str(ckpt))
+    assert [stage for stage, _ in loaded] == _three_stages()
+    out = _register(root, ckpt, "three")
+    assert out.returncode == 0, out.stderr
+    assert "cc.mean" in out.stdout
+
+
+def test_register_reads_cfg_with_retired_keys(three_stage_ckpt, tmp_path):
+    import shutil
+
+    root, ckpt = three_stage_ckpt
+    old = tmp_path / "old_ckpt"
+    shutil.copytree(ckpt, old)
+    for cfg in old.glob("*.cfg"):
+        cfg.write_text(cfg.read_text().replace(
+            "[stage]\n", "[stage]\ndeform_mode = soft\nr = 0\n"))
+    new_out = _register(root, ckpt, "new")
+    old_out = _register(root, old, "old")
+    assert new_out.returncode == 0 and old_out.returncode == 0, \
+        new_out.stderr + old_out.stderr
+    assert old_out.stdout == new_out.stdout
+    for suffix in ("sfm", "def"):
+        assert (root / f"old.{suffix}").read_bytes() == \
+            (root / f"new.{suffix}").read_bytes()
+
+
+def test_register_rejects_incomplete_checkpoint(three_stage_ckpt, tmp_path):
+    import shutil
+
+    from spherereg.optim import ParamStore, read_gmw, write_gmw
+
+    root, ckpt = three_stage_ckpt
+    broken = tmp_path / "broken"
+    shutil.copytree(ckpt, broken)
+    gmw = broken / "stage2.gmw"
+    store = read_gmw(gmw)
+    dropped = sorted(store.names())[3:6]
+    kept = ParamStore()
+    for name in store.names():
+        if name not in dropped:
+            kept.add(name, store[name].value)
+    write_gmw(gmw, kept)
+    out = _register(root, broken, "broken")
+    assert out.returncode == 1
+    assert out.stderr == \
+        f"error: {gmw}: missing parameter block {dropped[0]!r}\n"
+
+
+def test_register_rejects_gap_in_stages(three_stage_ckpt, tmp_path):
+    import shutil
+
+    root, ckpt = three_stage_ckpt
+    gap = tmp_path / "gap"
+    shutil.copytree(ckpt, gap)
+    (gap / "stage2.arch").unlink()
+    out = _register(root, gap, "gap")
+    assert out.returncode == 1
+    assert "stage2.arch" in out.stderr

@@ -1,4 +1,4 @@
-"""Tests for preprocessing, synthetic data, pretraining, and training."""
+"""Tests for synthetic data, stage models, training, and run configs."""
 
 from dataclasses import replace
 
@@ -14,16 +14,14 @@ from spherereg.pipeline import (
     StageModel,
     SyntheticWarpSpec,
     generate_synthetic_pair,
-    histogram_match,
-    normalize_features,
-    pretrain_autoencoder,
     read_manifest,
     read_run_config,
+    read_stage_cfg,
     register_pair,
     split_indices,
     train_stage,
-    transfer_encoder,
     write_manifest,
+    write_stage_cfg,
 )
 from spherereg.warp import resample_moving
 
@@ -45,94 +43,6 @@ def _tiny_pairs(n, order=2, seed0=50):
         m, f, _ = generate_synthetic_pair(spec, order)
         pairs.append((m, f))
     return pairs
-
-
-# -- normalization ---------------------------------------------------------
-
-def test_normalize_standard_channel_only_clipped():
-    rng = np.random.Generator(np.random.Philox(0))
-    vals = rng.standard_normal((162, 1))
-    vals = (vals - vals.mean()) / vals.std()
-    out = normalize_features(SphericalFeatureMap(2, vals))
-    assert np.allclose(out.values, np.clip(vals, -2, 2), atol=1e-12)
-
-
-def test_normalize_constant_channel_zeroed_with_warning():
-    vals = np.column_stack([np.full(42, 7.0), np.linspace(0, 1, 42)])
-    with pytest.warns(UserWarning):
-        out = normalize_features(SphericalFeatureMap(1, vals))
-    assert np.all(out.values[:, 0] == 0.0)
-    assert out.values[:, 1].std() > 0
-
-
-def test_normalize_statistics_oracle():
-    # [DERIVED] recompute statistics on the unclipped portion
-    rng = np.random.Generator(np.random.Philox(1))
-    vals = 3.0 + 5.0 * rng.standard_normal((642, 2))
-    fmap = SphericalFeatureMap(3, vals)
-    out = normalize_features(fmap)
-    assert np.abs(out.values).max() <= 2.0
-    # undo the clip analytically: standardized values below the clip level
-    z = (vals - vals.mean(axis=0)) / vals.std(axis=0)
-    inside = np.abs(z) < 2.0
-    assert np.allclose(out.values[inside], z[inside], atol=1e-10)
-    assert abs(z.mean()) < 1e-10
-
-
-def test_normalize_masked_vertices_zeroed():
-    rng = np.random.Generator(np.random.Philox(2))
-    mask = np.ones(42, dtype=bool)
-    mask[:5] = False
-    out = normalize_features(
-        SphericalFeatureMap(1, rng.standard_normal((42, 1)), mask))
-    assert np.all(out.values[:5] == 0.0)
-
-
-# -- histogram matching ----------------------------------------------------
-
-def test_histogram_match_identity():
-    rng = np.random.Generator(np.random.Philox(3))
-    vals = rng.standard_normal((162, 1))
-    fmap = SphericalFeatureMap(2, vals)
-    out = histogram_match(fmap, SphericalFeatureMap(2, vals.copy()))
-    assert np.allclose(out.values, vals, atol=1e-9)
-
-
-def test_histogram_match_affine_shift():
-    # [DERIVED] an affine map preserves ranks, so matched values must land
-    # on the reference order statistics at the same ranks
-    rng = np.random.Generator(np.random.Philox(4))
-    ref = rng.standard_normal((642, 1))
-    src = 5.0 + 2.0 * ref  # identical ranks
-    out = histogram_match(SphericalFeatureMap(3, src),
-                          SphericalFeatureMap(3, ref))
-    assert np.allclose(np.sort(out.values[:, 0]), np.sort(ref[:, 0]),
-                       atol=1e-6)
-    # rank order preserved
-    assert np.array_equal(np.argsort(out.values[:, 0]),
-                          np.argsort(src[:, 0]))
-
-
-def test_histogram_match_ks_statistic():
-    # [DERIVED] two-sample Kolmogorov-Smirnov distance after matching
-    rng = np.random.Generator(np.random.Philox(5))
-    n = 40962
-    ref = rng.standard_normal((n, 1))
-    src = rng.gamma(2.0, size=(n, 1))
-    out = histogram_match(SphericalFeatureMap(6, src),
-                          SphericalFeatureMap(6, ref))
-    a = np.sort(out.values[:, 0])
-    b = np.sort(ref[:, 0])
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / n
-    cdf_b = np.searchsorted(b, grid, side="right") / n
-    assert np.abs(cdf_a - cdf_b).max() < 0.01
-
-
-def test_histogram_match_channel_mismatch():
-    with pytest.raises(ValueError):
-        histogram_match(SphericalFeatureMap(1, np.zeros((42, 1))),
-                        SphericalFeatureMap(1, np.zeros((42, 2))))
 
 
 # -- synthetic pairs -------------------------------------------------------
@@ -177,61 +87,6 @@ def test_synthetic_order_bound():
         generate_synthetic_pair(SyntheticWarpSpec(seed=0), 7)
 
 
-# -- autoencoder pretraining -----------------------------------------------
-
-def test_autoencoder_loss_decreases():
-    rng = np.random.Generator(np.random.Philox(10))
-    cfg = _tiny_stage().net_config()
-    data = [rng.standard_normal((162, 1)) for _ in range(3)]
-    _, trace = pretrain_autoencoder(data, cfg, seed=0, epochs=5)
-    assert all(b < a for a, b in zip(trace, trace[1:]))
-
-
-def test_autoencoder_constant_field_representable():
-    # a constant field is exactly representable: zero all weights and put
-    # the constant in the last decoder bias
-    from spherereg.optim import ParamStore
-    from spherereg.pipeline import Autoencoder
-
-    cfg = _tiny_stage().net_config()
-    rng = np.random.Generator(np.random.Philox(1))
-    store = ParamStore()
-    ae = Autoencoder(store, cfg, rng)
-    for name in store.names():
-        store[name].value[...] = 0.0
-    last = ae.dec[-1].prefix
-    store[f"{last}.b"].value[...] = 0.7
-    recon = ae.forward(np.full((162, 1), 0.7))
-    assert np.max(np.abs(recon.value - 0.7)) < 1e-12
-
-
-def test_autoencoder_training_reduces_error():
-    cfg = _tiny_stage().net_config()
-    data = [np.full((162, 1), 0.7)]
-    _, trace = pretrain_autoencoder(data, cfg, seed=1, epochs=60, lr=5e-3)
-    assert trace[-1] < trace[0] / 10
-    assert trace[-1] < 5e-3
-
-
-def test_transfer_encoder_reproduces_latents():
-    rng = np.random.Generator(np.random.Philox(11))
-    stage = _tiny_stage()
-    cfg = stage.net_config()
-    data = [rng.standard_normal((162, 1)) for _ in range(2)]
-    ae_store, _ = pretrain_autoencoder(data, cfg, seed=2, epochs=1)
-
-    from spherereg.pipeline import Autoencoder
-
-    model = StageModel(stage, seed=3)
-    moved = transfer_encoder(ae_store, model.store, cfg)
-    assert moved > 0
-    probe = rng.standard_normal((162, 1))
-    ae = Autoencoder(ae_store, cfg, rng)
-    enc_latent = ae.encode(probe).value
-    ext_latent = model.net.extractor._run_path("m", probe).value
-    assert np.array_equal(enc_latent, ext_latent)
-
-
 # -- training --------------------------------------------------------------
 
 def test_split_indices_deterministic_partition():
@@ -252,8 +107,7 @@ def test_train_stage_smoke_and_best_validation():
     assert len(trace) == 3
     assert all(np.isfinite(r.train_loss) for r in trace)
     # the returned store reproduces the best validation score in the trace
-    model = StageModel(stage, seed=0)
-    model.store.load_values(store)
+    model = StageModel(stage, store)
     _, warped = model.register(*pairs[3])
     _, cc = cc_similarity(pairs[3][1], warped.values)
     assert cc == pytest.approx(max(r.val_cc for r in trace), abs=1e-12)
@@ -273,8 +127,7 @@ def test_large_smoothness_keeps_warp_near_identity():
     pairs = _tiny_pairs(3)
     stage = replace(_tiny_stage(epochs=120, lam_sm=50.0), lr=5e-3)
     store, _ = train_stage(stage, pairs[:2], pairs[2:], seed=2)
-    model = StageModel(stage, seed=2)
-    model.store.load_values(store)
+    model = StageModel(stage, store)
     sphere = build_icosphere(2)
     field, _ = model.register(*pairs[0])
     stats = distortion_stats(sphere, field)
@@ -298,6 +151,69 @@ def test_register_pair_order_mismatch():
     with pytest.raises(ValueError):
         register_pair([(stage, store)], *pairs[0])
 
+
+
+def test_refined_logits_do_not_leak_into_the_next_pair():
+    pairs = _tiny_pairs(2)
+    stage = _tiny_stage(refine_steps=3, use_crf=True)
+    model = StageModel(stage, seed=4)
+    logits = model.refine(*pairs[0])
+    field, warped = model.register(*pairs[1])
+    fresh_field, fresh_warped = StageModel(stage, seed=4).register(*pairs[1])
+    assert np.array_equal(field.endpoints, fresh_field.endpoints)
+    assert np.array_equal(warped.values, fresh_warped.values)
+    assert logits.shape == (42, 12)
+    # the refined scores act only where they are passed
+    refined, _ = model.register(*pairs[0], logits)
+    plain, _ = model.register(*pairs[0])
+    assert not np.array_equal(refined.endpoints, plain.endpoints)
+
+
+def test_refine_without_steps_returns_none():
+    pairs = _tiny_pairs(1)
+    assert StageModel(_tiny_stage(), seed=0).refine(*pairs[0]) is None
+
+
+def test_model_from_trained_store_leaves_it_untouched():
+    stage = _tiny_stage(use_crf=True)
+    trained = StageModel(stage, seed=5).store
+    store = ParamStore()  # the same blocks, none of them frozen
+    for name in trained.names():
+        store.add(name, trained[name].value)
+    names = store.names()
+    model = StageModel(stage, store, seed=99)
+    assert store.names() == names
+    # seed-independent: the network reads the trained blocks
+    for name in names:
+        assert np.array_equal(model.store[name].value, store[name].value)
+    # frozen marks land on the model's copy only
+    store["crf.mu"].grad = np.ones_like(store["crf.mu"].value)
+    store.adam_step(0.1)
+    assert store.step_count("crf.mu") == 1
+
+
+def test_model_from_incomplete_store_raises():
+    stage = _tiny_stage()
+    full = StageModel(stage, seed=0).store
+    partial = ParamStore()
+    for name in full.names():
+        if not name.endswith("conv2.g"):
+            partial.add(name, full[name].value)
+    with pytest.raises(ValueError, match="missing parameter block"):
+        StageModel(stage, partial)
+    with pytest.raises(ValueError, match="missing parameter block 'crf.mu'"):
+        StageModel(replace(stage, use_crf=True), full)
+
+
+def test_model_from_misshapen_store_raises():
+    stage = _tiny_stage()
+    store = StageModel(stage, seed=0).store
+    bad = ParamStore()
+    for name in store.names():
+        value = store[name].value
+        bad.add(name, value[:-1] if name == "cls.b0.conv1.b" else value)
+    with pytest.raises(ValueError, match="cls.b0.conv1.b"):
+        StageModel(stage, bad)
 
 # -- manifest and run config -----------------------------------------------
 
@@ -337,7 +253,6 @@ fcb_channels = 4,4
 res_channels = 8,12
 epochs = 7
 lam_sm = 0.2
-r = 5
 """
     path = tmp_path / "run.cfg"
     path.write_text(cfg_text)
@@ -350,7 +265,6 @@ r = 5
     assert stage.lam_sm == 0.2
     assert stage.gamma == 0.4
     assert stage.crf_iterations == 3
-    assert stage.r == 5
     assert stage.use_crf
 
 
@@ -368,6 +282,74 @@ def test_run_config_errors(tmp_path):
 
 def test_stage_config_validation():
     with pytest.raises(ValueError):
-        _tiny_stage(deform_mode="nearest")
-    with pytest.raises(ValueError):
         _tiny_stage(label_order=1)  # not finer than control grid
+
+
+def _stage_section(n, **extra):
+    lines = [f"[stage.{n}]", "input_order = 2", "control_order = 1",
+             "label_order = 2", "n_labels = 12", "fcb_channels = 4",
+             "res_channels = 12"]
+    lines += [f"{key} = {value}" for key, value in extra.items()]
+    return "\n".join(lines) + "\n"
+
+
+_DATA = "[data]\nmanifest = m.txt\nseed = 1\n"
+
+
+def test_run_config_reads_any_number_of_stages(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(_DATA + "[crf]\nenabled = false\n"
+                    + _stage_section(3, epochs=3)
+                    + _stage_section(1, epochs=1, crf="true")
+                    + _stage_section(2, epochs=2))
+    run = read_run_config(path)
+    assert [s.epochs for s in run.stages] == [1, 2, 3]
+    assert [s.use_crf for s in run.stages] == [True, False, False]
+
+
+@pytest.mark.parametrize("text, named", [
+    pytest.param(_DATA + _stage_section(1, typo_key=3), "'typo_key'",
+                 id="unknown-stage-key"),
+    pytest.param(_DATA + _stage_section(1, deform_mode="argmax"),
+                 "'deform_mode'", id="deform-mode"),
+    pytest.param(_DATA + _stage_section(1, r=0), "'r'", id="r"),
+    pytest.param(_DATA + "pretrain_epochs = 3\n" + _stage_section(1),
+                 "'pretrain_epochs'", id="pretrain-epochs"),
+    pytest.param(_DATA + "[crf]\nsteps = 3\n" + _stage_section(1),
+                 "'steps'", id="unknown-crf-key"),
+    pytest.param(_DATA + "[stage]\n" + _stage_section(1), "[stage]",
+                 id="unknown-section"),
+    pytest.param(_DATA + _stage_section(3), "[stage.1]", id="lone-stage-3"),
+    pytest.param(_DATA + _stage_section(1) + _stage_section(3), "[stage.2]",
+                 id="stage-gap"),
+    pytest.param(_DATA + _stage_section(1, epochs="many"), "'epochs'",
+                 id="bad-int"),
+    pytest.param(_DATA + _stage_section(1, crf="maybe"), "'crf'",
+                 id="bad-bool"),
+    pytest.param(_DATA + "[stage.1]\ninput_order = 2\n", "'control_order'",
+                 id="missing-key"),
+    pytest.param("[data]\nmanifest = m.txt\nseed = x\n" + _stage_section(1),
+                 "[data]", id="bad-seed"),
+    pytest.param("garbage\n", "run.ini", id="no-section-header"),
+])
+def test_run_config_rejects_unknown_and_malformed(tmp_path, text, named):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_run_config(path)
+    message = str(err.value)
+    assert str(path) in message and named in message
+    assert "\n" not in message
+
+
+def test_stage_cfg_round_trip_and_retired_keys(tmp_path):
+    stage = _tiny_stage(gamma=0.3, lam_sm=0.7, refine_steps=4,
+                        refine_lr=0.02, crf_iterations=2)
+    path = tmp_path / "stage1.cfg"
+    write_stage_cfg(path, stage)
+    written = read_stage_cfg(path)
+    assert replace(_tiny_stage(), **written) == stage
+    # checkpoints from before deform_mode and r were dropped still load
+    path.write_text(path.read_text().replace(
+        "[stage]\n", "[stage]\ndeform_mode = soft\nr = 0\n"))
+    assert read_stage_cfg(path) == written

@@ -9,7 +9,6 @@ from spherereg.optim import ParamStore, grad_check
 from spherereg.warp import (
     DeformationField,
     LabelSpace,
-    argmax_deform,
     build_label_space,
     compose,
     control_grid,
@@ -79,8 +78,6 @@ def test_soft_deform_one_hot_hits_endpoints():
     field = soft_deform(control, labels, q)
     assert np.allclose(field.endpoints,
                        labels.endpoints[np.arange(42), pick], atol=1e-15)
-    hard = argmax_deform(control, labels, q)
-    assert np.allclose(field.endpoints, hard.endpoints, atol=1e-15)
 
 
 def test_soft_deform_uniform_is_normalized_mean():
