@@ -190,22 +190,28 @@ def cmd_eval(args) -> int:
         fixed = read_sfm(args.fixed)
         warped = read_sfm(args.warped)
         sphere = read_ico(args.sphere)
-    except FileNotFoundError as exc:
+        field = read_def(args.deform) if args.deform else None
+        zmap = read_sfm(args.zmap) if args.zmap else None
+    except OSError as exc:
         return _fail(str(exc), EXIT_IO)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    stats = None
-    if args.deform:
-        try:
-            field = read_def(args.deform)
-            stats = distortion_stats(sphere, field)
-        except FileNotFoundError as exc:
-            return _fail(str(exc), EXIT_IO)
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_USAGE)
+    orders = [(args.fixed, fixed.sphere_order),
+              (args.warped, warped.sphere_order)]
+    if field is not None:
+        orders.append((args.deform, field.order))
+    if zmap is not None:
+        orders.append((args.zmap, zmap.sphere_order))
+    for path, order in orders:
+        if order != sphere.order:
+            return _fail(f"{path}: order {order} does not match the order "
+                         f"{sphere.order} of {args.sphere}", EXIT_USAGE)
+    if warped.channels != fixed.channels:
+        return _fail(f"{args.warped}: {warped.channels} channels, but "
+                     f"{args.fixed} has {fixed.channels}", EXIT_USAGE)
+    stats = None if field is None else distortion_stats(sphere, field)
     cm = None
-    if args.zmap:
-        zmap = read_sfm(args.zmap)
+    if zmap is not None:
         areas = vertex_areas(sphere.vertices, sphere.faces)
         cm = cluster_mass(zmap, areas, threshold=args.threshold)
     report = metrics_report(fixed, warped, stats, cm)
@@ -218,11 +224,12 @@ def cmd_selftest(args) -> int:
 
     from . import autodiff as ad
     from .crf import CrfConfig, crf_forward, meanfield_reference
-    from .mesh import barycentric_map, build_icosphere, vertex_count
+    from .mesh import barycentric_map, best_face, build_icosphere, \
+        vertex_count
     from .metrics import distortion_stats
     from .optim import ParamStore, check_registered_ops
     from .warp import DeformationField, build_label_space, control_grid, \
-        identity_field
+        identity_field, locate_warped_faces
 
     failures = []
 
@@ -244,6 +251,18 @@ def cmd_selftest(args) -> int:
     recon /= np.linalg.norm(recon, axis=1, keepdims=True)
     check("barycentric reconstruction",
           float(np.abs(recon - q).max()) < 1e-6)
+
+    # jitter shears the mesh so that the one-ring of the nearest warped
+    # vertex misses some queries and the search falls back to the two-ring
+    ends = sphere.vertices + 0.05 * rng.standard_normal(sphere.vertices.shape)
+    ends /= np.linalg.norm(ends, axis=1, keepdims=True)
+    nearest = np.argmax(sphere.vertices @ ends.T, axis=1)
+    ring1 = best_face(ends, sphere.faces, sphere.vertices,
+                      sphere.vertex_faces[nearest])[1]
+    faces = locate_warped_faces(ends, sphere, sphere.vertices)
+    score = best_face(ends, sphere.faces, sphere.vertices, faces[:, None])[1]
+    check("warped face location past the one-ring",
+          bool((ring1 < -1e-9).any() and (score >= -1e-9).all()))
 
     errs = check_registered_ops(n_probes=10, seed=0)
     check("primitive gradient checks", max(errs.values()) < 1e-4)

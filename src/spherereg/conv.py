@@ -211,9 +211,8 @@ class FcbBlock:
     and a gating convolution at the pooled order."""
 
     def __init__(self, store, prefix, order, c_in, c_block, c_raw, c_out,
-                 gate, n_kernels, rng):
+                 n_kernels, rng):
         self.order = order
-        self.gate = gate
         box_in = pseudo_coords(order).box
         box_out = pseudo_coords(order - 1).box
         self.conv1 = MoNetLayer(store, f"{prefix}.conv1", c_in, c_block,
@@ -305,11 +304,6 @@ class NetConfig:
     def latent_order(self) -> int:
         return self.input_order - len(self.fcb_channels)
 
-    @property
-    def fcb_gates(self) -> tuple:
-        n = len(self.fcb_channels)
-        return tuple("B" if i == n - 1 else "A" for i in range(n))
-
 
 class FeatureExtractor:
     """Two per-surface paths of feature convolution blocks; the last
@@ -330,7 +324,7 @@ class FeatureExtractor:
                 blocks.append(FcbBlock(
                     store, f"{prefix}.{tag}.b{i}", order,
                     c_in, c_blk, cfg.in_channels, c_blk,
-                    cfg.fcb_gates[i], cfg.n_kernels, rng,
+                    cfg.n_kernels, rng,
                 ))
                 c_in = c_blk
                 order -= 1
@@ -401,7 +395,6 @@ def write_arch(path, cfg: NetConfig) -> None:
         fh.write(f"in_channels = {cfg.in_channels}\n")
         fh.write(f"kernels = {cfg.n_kernels}\n")
         fh.write("fcb_channels = " + ",".join(map(str, cfg.fcb_channels)) + "\n")
-        fh.write("fcb_gates = " + ",".join(cfg.fcb_gates) + "\n")
         fh.write(f"shared_fcbs = {cfg.shared_fcbs}\n")
         fh.write("res_channels = " + ",".join(map(str, cfg.res_channels)) + "\n")
         fh.write(f"control_order = {cfg.control_order}\n")

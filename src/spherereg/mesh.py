@@ -7,6 +7,11 @@ in sorted parent-edge order), which makes resolution transfers pure index
 operations, and provides feature down/upsampling, pooling, barycentric
 point location / interpolation, and a one-ring least-squares tangent
 gradient estimator.
+
+``best_face`` is the one point-location primitive: every search for the
+face containing a point, on the icosphere (``locate_faces``,
+``barycentric_map``) or on a warped copy of it
+(``warp.locate_warped_faces``), scores its candidates through it.
 """
 
 from __future__ import annotations
@@ -263,34 +268,38 @@ class BarycentricMap:
     weights: np.ndarray
 
 
-def _face_weights(queries: np.ndarray, tri: np.ndarray) -> np.ndarray:
-    """Unnormalized spherical barycentric weights of queries (N,3) in
-    triangles tri (N,3,3): signed triple products against each opposite edge."""
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    w = np.empty((queries.shape[0], 3))
-    w[:, 0] = np.einsum("ij,ij->i", queries, np.cross(b, c))
-    w[:, 1] = np.einsum("ij,ij->i", queries, np.cross(c, a))
-    w[:, 2] = np.einsum("ij,ij->i", queries, np.cross(a, b))
-    return w
+def best_face(vertices: np.ndarray, faces: np.ndarray, queries: np.ndarray,
+              cand: np.ndarray | None = None):
+    """Per unit query, the candidate face that best contains it.
 
+    ``cand`` is an (N, K) table of candidate faces padded with -1; None
+    makes every face a candidate.  A face's unnormalized weights are the
+    triple products of the query with its three edge normals; its score is
+    the smallest weight over their sum, positive iff the query's gnomonic
+    projection lies inside the face, and -inf on the far side (sum <=
+    1e-12) and for padding.  Ties go to the earliest candidate.
 
-def _exhaustive_locate(sphere: Icosphere, queries: np.ndarray) -> np.ndarray:
-    tri = sphere.vertices[sphere.faces]  # (F, 3, 3)
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    w0 = queries @ np.cross(b, c).T  # (N, F)
-    w1 = queries @ np.cross(c, a).T
-    w2 = queries @ np.cross(a, b).T
-    score = _containment_score(w0, w1, w2)
-    return np.argmax(score, axis=1)
-
-
-def _containment_score(w0, w1, w2):
-    """Larger is better; positive iff the query's gnomonic projection lies
-    inside the face.  Far-side faces (non-positive weight sum) are excluded."""
+    Returns (face, score, w): per query the best face, its score and its
+    (N, 3) unnormalized weights.
+    """
+    tri = vertices[faces if cand is None else faces[np.clip(cand, 0, None)]]
+    a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
+    normals = np.stack([np.cross(b, c), np.cross(c, a), np.cross(a, b)],
+                       axis=-2)  # (F, 3, 3) or (N, K, 3, 3)
+    if cand is None:
+        w = (queries @ normals.reshape(-1, 3).T).reshape(len(queries), -1, 3)
+    else:
+        w = np.einsum("nj,nkij->nki", queries, normals)
+    w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
     s = w0 + w1 + w2
     with np.errstate(divide="ignore", invalid="ignore"):
         score = np.minimum(np.minimum(w0, w1), w2) / s
-    return np.where(s > 1e-12, score, -np.inf)
+    ok = s > 1e-12 if cand is None else (s > 1e-12) & (cand >= 0)
+    score = np.where(ok, score, -np.inf)
+    pick = np.argmax(score, axis=1)
+    rows = np.arange(len(queries))
+    face = pick if cand is None else cand[rows, pick]
+    return face, score[rows, pick], w[rows, pick]
 
 
 def locate_faces(sphere: Icosphere, queries: np.ndarray) -> np.ndarray:
@@ -300,18 +309,12 @@ def locate_faces(sphere: Icosphere, queries: np.ndarray) -> np.ndarray:
     subdivision children (face f at order k splits into faces 4f..4f+3 at
     order k+1).  Ties on shared edges resolve to the lowest face index.
     """
-    base_order = min(sphere.order, 2)
-    faces = _exhaustive_locate(build_icosphere(base_order), queries)
-    for level in range(base_order + 1, sphere.order + 1):
+    base = build_icosphere(min(sphere.order, 2))
+    faces, _, _ = best_face(base.vertices, base.faces, queries)
+    for level in range(base.order + 1, sphere.order + 1):
         fine = build_icosphere(level)
         cand = faces[:, None] * 4 + np.arange(4)[None, :]  # (N, 4)
-        tri = fine.vertices[fine.faces[cand]]  # (N, 4, 3, 3)
-        a, b, c = tri[:, :, 0], tri[:, :, 1], tri[:, :, 2]
-        w0 = np.einsum("nj,nkj->nk", queries, np.cross(b, c))
-        w1 = np.einsum("nj,nkj->nk", queries, np.cross(c, a))
-        w2 = np.einsum("nj,nkj->nk", queries, np.cross(a, b))
-        score = _containment_score(w0, w1, w2)
-        faces = cand[np.arange(len(faces)), np.argmax(score, axis=1)]
+        faces, _, _ = best_face(fine.vertices, fine.faces, queries, cand)
     return faces
 
 
@@ -326,8 +329,7 @@ def barycentric_map(sphere: Icosphere, queries: np.ndarray) -> BarycentricMap:
         raise ValueError("degenerate (zero) query point")
     queries = queries / norms[:, None]
     faces = locate_faces(sphere, queries)
-    tri = sphere.vertices[sphere.faces[faces]]
-    w = _face_weights(queries, tri)
+    _, _, w = best_face(sphere.vertices, sphere.faces, queries, faces[:, None])
     w = np.clip(w, 0.0, None)
     w /= w.sum(axis=1, keepdims=True)
     return BarycentricMap(sphere.order, faces, w)

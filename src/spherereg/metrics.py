@@ -22,16 +22,6 @@ from .warp import DeformationField
 GRAD_EPS = 1e-12
 
 
-@dataclass
-class LossWeights:
-    sim: float = 1.0
-    smooth: float = 0.0
-
-    def __post_init__(self):
-        if self.sim < 0 or self.smooth < 0:
-            raise ValueError("loss weights must be nonnegative")
-
-
 def _as_values(x) -> np.ndarray:
     if isinstance(x, SphericalFeatureMap):
         return x.values
@@ -101,10 +91,11 @@ def smoothness_loss(endpoints, order: int) -> Tensor:
 
 
 def total_loss(fixed: SphericalFeatureMap, warped, endpoints, order: int,
-               weights: LossWeights, moving_mask=None) -> Tensor:
-    loss = weights.sim * similarity_loss(fixed, warped, moving_mask)
-    if weights.smooth > 0:
-        loss = loss + weights.smooth * smoothness_loss(endpoints, order)
+               smooth: float, moving_mask=None) -> Tensor:
+    """Similarity loss plus ``smooth`` times the smoothness penalty."""
+    loss = similarity_loss(fixed, warped, moving_mask)
+    if smooth > 0:
+        loss = loss + smooth * smoothness_loss(endpoints, order)
     return loss
 
 

@@ -15,7 +15,7 @@ from .autodiff import Tensor
 from .conv import DEFAULT_KERNELS, NetConfig, RegistrationNet
 from .crf import CrfConfig, crf_forward_tensor, init_crf_params
 from .mesh import SphericalFeatureMap, build_icosphere, read_sfm
-from .metrics import LossWeights, cc_similarity, total_loss
+from .metrics import cc_similarity, total_loss
 from .optim import ParamStore
 from .warp import DeformationField, build_label_space, compose, control_grid, \
     read_def, resample_moving, resample_tensor, soft_deform_tensor, \
@@ -154,6 +154,8 @@ class StageConfig:
 
     def __post_init__(self):
         self.net_config()  # validate architecture consistency
+        if self.lam_sm < 0:
+            raise ValueError(f"lam_sm must be nonnegative, got {self.lam_sm}")
 
     def net_config(self) -> NetConfig:
         return NetConfig(**{f.name: getattr(self, f.name)
@@ -234,9 +236,8 @@ class StageModel:
             self.net.logits(moving.values, fixed.values))
         warped = resample_tensor(moving.values, endpoints,
                                  self.stage.input_order)
-        weights = LossWeights(sim=1.0, smooth=self.stage.lam_sm)
         return total_loss(fixed, warped, endpoints, self.stage.input_order,
-                          weights, moving.mask)
+                          self.stage.lam_sm, moving.mask)
 
     def register(self, moving: SphericalFeatureMap,
                  fixed: SphericalFeatureMap, logits: np.ndarray | None = None):
@@ -279,7 +280,6 @@ class StageModel:
             init = init / rms
         opt = ParamStore()
         logits = opt.add("logits", init.copy())
-        weights = LossWeights(sim=1.0, smooth=self.stage.lam_sm)
         steps = self.stage.refine_steps
         first_crf = steps
         if self.stage.use_crf:
@@ -301,7 +301,8 @@ class StageModel:
             warped = resample_tensor(moving.values, endpoints,
                                      self.stage.input_order)
             loss = total_loss(fixed, warped, endpoints,
-                              self.stage.input_order, weights, moving.mask)
+                              self.stage.input_order, self.stage.lam_sm,
+                              moving.mask)
             if not np.isfinite(loss.value):
                 raise FloatingPointError("non-finite refinement loss")
             loss.backward()

@@ -15,8 +15,8 @@ from .autodiff import Tensor
 from .mesh import (
     Icosphere,
     SphericalFeatureMap,
-    _containment_score,
     barycentric_map,
+    best_face,
     build_icosphere,
     interpolate,
     vertex_count,
@@ -155,40 +155,19 @@ def locate_warped_faces(endpoints: np.ndarray, sphere: Icosphere,
     deterministic even when the warp slightly shears the mesh.
     """
     nearest = np.argmax(queries @ endpoints.T, axis=1)
-    faces, score = _best_subset(endpoints, sphere, queries,
+    faces, score, _ = best_face(endpoints, sphere.faces, queries,
                                 sphere.vertex_faces[nearest])
-    missing = score < -1e-9
-    if missing.any():
+    missing = np.nonzero(score < -1e-9)[0]
+    if len(missing):
         ring2 = sphere.vertex_faces[sphere.nbr_pad[nearest[missing]]]
-        cand2, score2 = _best_subset(endpoints, sphere,
-                                     queries[missing],
-                                     ring2.reshape(missing.sum(), -1))
-        faces[missing] = cand2
-        score[missing] = score2
-        missing2 = np.zeros_like(missing)
-        missing2[missing] = score2 < -1e-9
-        if missing2.any():
-            tri = endpoints[sphere.faces]
-            a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-            qq = queries[missing2]
-            w0 = qq @ np.cross(b, c).T
-            w1 = qq @ np.cross(c, a).T
-            w2 = qq @ np.cross(a, b).T
-            faces[missing2] = np.argmax(_containment_score(w0, w1, w2), axis=1)
+        faces[missing], score[missing], _ = best_face(
+            endpoints, sphere.faces, queries[missing],
+            ring2.reshape(len(missing), -1))
+        missing = missing[score[missing] < -1e-9]
+        if len(missing):
+            faces[missing], _, _ = best_face(endpoints, sphere.faces,
+                                             queries[missing])
     return faces
-
-
-def _best_subset(endpoints, sphere, queries, cand):
-    tri = endpoints[sphere.faces[np.clip(cand, 0, None)]]
-    a, b, c = tri[:, :, 0], tri[:, :, 1], tri[:, :, 2]
-    w0 = np.einsum("nj,nkj->nk", queries, np.cross(b, c))
-    w1 = np.einsum("nj,nkj->nk", queries, np.cross(c, a))
-    w2 = np.einsum("nj,nkj->nk", queries, np.cross(a, b))
-    score = _containment_score(w0, w1, w2)
-    score = np.where(cand >= 0, score, -np.inf)
-    pick = np.argmax(score, axis=1)
-    rows = np.arange(len(queries))
-    return cand[rows, pick], score[rows, pick]
 
 
 def resample_tensor(moving_values: np.ndarray, endpoints: Tensor,
@@ -201,8 +180,15 @@ def resample_tensor(moving_values: np.ndarray, endpoints: Tensor,
     itself is a constant of the tape.
     """
     sphere = build_icosphere(order)
+    faces = locate_warped_faces(endpoints.value, sphere, sphere.vertices)
+    return _interpolate_warped(moving_values, endpoints, sphere, faces)
+
+
+def _interpolate_warped(moving_values: np.ndarray, endpoints: Tensor,
+                        sphere: Icosphere, faces: np.ndarray) -> Tensor:
+    """Interpolate the moving values at ``sphere``'s vertices inside the
+    given warped faces, differentiably in the endpoints."""
     queries = sphere.vertices
-    faces = locate_warped_faces(endpoints.value, sphere, queries)
     corner_idx = sphere.faces[faces]  # (V, 3)
     a = ad.gather(endpoints, corner_idx[:, 0])
     b = ad.gather(endpoints, corner_idx[:, 1])
@@ -224,13 +210,13 @@ def resample_moving(moving: SphericalFeatureMap, warped: DeformationField,
         raise ValueError("deformation field is not at the moving map's order")
     if fixed_sphere.order != moving.sphere_order:
         raise ValueError("fixed sphere order differs from the moving map's")
-    out = resample_tensor(moving.values, ad.constant(warped.endpoints),
-                          fixed_sphere.order)
+    faces = locate_warped_faces(warped.endpoints, fixed_sphere,
+                                fixed_sphere.vertices)
+    out = _interpolate_warped(moving.values, ad.constant(warped.endpoints),
+                              fixed_sphere, faces)
     mask = None
     if moving.mask is not None:
         # a fixed vertex stays valid only if its whole containing warped face is
-        faces = locate_warped_faces(warped.endpoints, fixed_sphere,
-                                    fixed_sphere.vertices)
         mask = moving.mask[fixed_sphere.faces[faces]].all(axis=1)
     return SphericalFeatureMap(fixed_sphere.order, out.value, mask)
 

@@ -307,3 +307,70 @@ def test_register_rejects_gap_in_stages(three_stage_ckpt, tmp_path):
     out = _register(root, gap, "gap")
     assert out.returncode == 1
     assert "stage2.arch" in out.stderr
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    """An order-2 sphere with fixed, warped and z maps, and an order-1 map."""
+    from spherereg.mesh import SphericalFeatureMap, build_icosphere, \
+        write_ico, write_sfm
+
+    root = tmp_path_factory.mktemp("eval_inputs")
+    rng = np.random.Generator(np.random.Philox(8))
+    write_ico(root / "sphere.ico", build_icosphere(2))
+    for name in ("fixed", "warped", "zmap"):
+        write_sfm(root / f"{name}.sfm",
+                  SphericalFeatureMap(2, 6.0 * rng.standard_normal(162)))
+    write_sfm(root / "order1.sfm", SphericalFeatureMap(1, np.ones(42)))
+    write_sfm(root / "two_channels.sfm",
+              SphericalFeatureMap(2, np.ones((162, 2))))
+    lines = (root / "zmap.sfm").read_text().splitlines(keepends=True)
+    (root / "truncated.sfm").write_text("".join(lines[:100]))
+    return root
+
+
+def _eval(root, **paths):
+    files = {"fixed": "fixed.sfm", "warped": "warped.sfm",
+             "sphere": "sphere.ico", **paths}
+    args = ["eval"]
+    for flag, name in files.items():
+        args += [f"--{flag}", str(root / name)]
+    return run_cli(*args)
+
+
+def _one_line_error(out):
+    return out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+
+
+def test_eval_reports_cluster_mass(eval_inputs):
+    out = _eval(eval_inputs, zmap="zmap.sfm")
+    assert out.returncode == 0, out.stderr
+    assert "cluster_mass = " in out.stdout
+
+
+def test_eval_missing_zmap_is_an_io_error(eval_inputs):
+    out = _eval(eval_inputs, zmap="absent.sfm")
+    assert out.returncode == 2
+    assert _one_line_error(out) and "absent.sfm" in out.stderr
+
+
+def test_eval_truncated_zmap_is_rejected(eval_inputs):
+    out = _eval(eval_inputs, zmap="truncated.sfm")
+    assert out.returncode == 1
+    assert _one_line_error(out) and "truncated.sfm: line 101" in out.stderr
+
+
+@pytest.mark.parametrize("flag", ["zmap", "fixed", "warped"])
+def test_eval_rejects_map_at_another_order(eval_inputs, flag):
+    out = _eval(eval_inputs, **{flag: "order1.sfm"})
+    assert out.returncode == 1
+    assert _one_line_error(out)
+    assert out.stderr == (f"error: {eval_inputs / 'order1.sfm'}: order 1 "
+                          f"does not match the order 2 of "
+                          f"{eval_inputs / 'sphere.ico'}\n")
+
+
+def test_eval_rejects_channel_mismatch(eval_inputs):
+    out = _eval(eval_inputs, warped="two_channels.sfm")
+    assert out.returncode == 1
+    assert _one_line_error(out) and "two_channels.sfm: 2 channels" in out.stderr

@@ -167,7 +167,7 @@ def test_tape_transfers_match_feature_ops():
 def test_fcb_block_shape_and_order():
     store = ParamStore()
     rng = np.random.Generator(np.random.Philox(5))
-    blk = FcbBlock(store, "b0", 2, 3, 4, 3, 6, "A", 4, rng)
+    blk = FcbBlock(store, "b0", 2, 3, 4, 3, 6, 4, rng)
     x = ad.constant(rng.standard_normal((vertex_count(2), 3)))
     raw = ad.constant(rng.standard_normal((vertex_count(1), 3)))
     out = blk.forward(x, raw)
@@ -210,7 +210,6 @@ def _tiny_cfg(**kw):
 def test_netconfig_properties():
     cfg = _tiny_cfg()
     assert cfg.latent_order == 0
-    assert cfg.fcb_gates == ("A", "B")
 
 
 def test_netconfig_validation():
@@ -282,6 +281,16 @@ def test_arch_roundtrip(tmp_path):
     write_arch(path, cfg)
     back = read_arch(path)
     assert back == cfg
+
+
+def test_arch_with_retired_gate_line_loads(tmp_path):
+    # architecture files from before the unused fcb_gates line was dropped
+    cfg = _tiny_cfg()
+    path = tmp_path / "net.arch"
+    write_arch(path, cfg)
+    assert "fcb_gates" not in path.read_text()
+    path.write_text(path.read_text() + "fcb_gates = A,B\n")
+    assert read_arch(path) == cfg
 
 
 def test_arch_missing_key_rejected(tmp_path):

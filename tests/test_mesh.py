@@ -226,6 +226,60 @@ class TestBarycentric:
             interpolate(bmap, SphericalFeatureMap(1, np.zeros((42, 1))))
 
 
+def _oracle_scores(vertices, faces, queries):
+    """(N, F) containment score of every query in every face: the smallest
+    unnormalized barycentric weight over the weight sum, -inf where the sum
+    is not positive (the far side)."""
+    a, b, c = (vertices[faces[:, k]] for k in range(3))
+    w = np.stack([queries @ np.cross(b, c).T, queries @ np.cross(c, a).T,
+                  queries @ np.cross(a, b).T])
+    total = w.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(total > 1e-12, w.min(axis=0) / total, -np.inf), w
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_locate_faces_matches_brute_force_oracle(order):
+    # random queries plus finer-sphere vertices: the edge midpoints and the
+    # shared corners are ties, which only have to land in a containing face
+    s = build_icosphere(order)
+    finer = build_icosphere(order + 1).vertices
+    pick = rng(order).choice(len(finer), size=min(len(finer), 300),
+                             replace=False)
+    q = np.concatenate([random_unit(300, seed=order), finer[pick]])
+    score, w = _oracle_scores(s.vertices, s.faces, q)
+    top2 = np.sort(score, axis=1)[:, -2:]
+    clear = top2[:, 1] - top2[:, 0] > 1e-9
+    assert clear[:300].all()
+    bmap = barycentric_map(s, q)
+    rows = np.arange(len(q))
+    for faces in (mesh.locate_faces(s, q), bmap.face_index):
+        assert (score[rows, faces] >= -1e-9).all()
+        assert np.array_equal(faces[clear], np.argmax(score[clear], axis=1))
+    expect = np.clip(w[:, rows, bmap.face_index].T, 0.0, None)
+    expect /= expect.sum(axis=1, keepdims=True)
+    assert np.abs(bmap.weights - expect).max() < 1e-12
+
+
+def test_best_face_skips_padding_and_far_side():
+    s = build_icosphere(1)
+    centre = s.vertices[s.faces[0]].sum(axis=0)
+    q = np.concatenate([random_unit(50, seed=7),
+                        centre[None] / np.linalg.norm(centre)])
+    every, score, w = mesh.best_face(s.vertices, s.faces, q)
+    assert (score > -1e-9).all() and every[-1] == 0
+    # a table of only far-side faces scores -inf
+    far = mesh.best_face(s.vertices, s.faces, -q, every[:, None])[1]
+    assert np.isneginf(far).all()
+    # padding never wins, not even against face 0 that it would index
+    pad = np.full(len(q), -1)
+    cand = np.stack([pad, every, pad], axis=1)
+    face, got, w1 = mesh.best_face(s.vertices, s.faces, q, cand)
+    assert np.array_equal(face, every)
+    assert np.allclose(got, score, atol=1e-15)
+    assert np.allclose(w1, w, atol=1e-15)
+
+
 class TestHexGradient:
     def test_constant_zero(self):
         g = hex_gradient(SphericalFeatureMap(3, np.full((642, 2), 4.0)))

@@ -7,7 +7,6 @@ from spherereg import autodiff as ad
 from spherereg.mesh import SphericalFeatureMap, build_icosphere
 from spherereg.metrics import (
     ClusterMassReport,
-    LossWeights,
     cc_similarity,
     cluster_mass,
     deformation_gradients,
@@ -176,11 +175,8 @@ def test_total_loss_combines_terms():
     end = build_icosphere(1).vertices + 0.03 * rng.standard_normal((42, 3))
     sim = float(similarity_loss(fixed, warped).value)
     smooth = float(smoothness_loss(end, 1).value)
-    w = LossWeights(sim=1.0, smooth=0.4)
-    got = float(total_loss(fixed, warped, end, 1, w).value)
+    got = float(total_loss(fixed, warped, end, 1, 0.4).value)
     assert got == pytest.approx(sim + 0.4 * smooth, abs=1e-12)
-    with pytest.raises(ValueError):
-        LossWeights(sim=-1.0)
 
 
 # -- distortion ------------------------------------------------------------

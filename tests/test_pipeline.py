@@ -326,6 +326,8 @@ def test_run_config_reads_any_number_of_stages(tmp_path):
                  id="bad-int"),
     pytest.param(_DATA + _stage_section(1, crf="maybe"), "'crf'",
                  id="bad-bool"),
+    pytest.param(_DATA + _stage_section(1, lam_sm=-0.5), "lam_sm",
+                 id="negative-smoothness"),
     pytest.param(_DATA + "[stage.1]\ninput_order = 2\n", "'control_order'",
                  id="missing-key"),
     pytest.param("[data]\nmanifest = m.txt\nseed = x\n" + _stage_section(1),

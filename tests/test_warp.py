@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spherereg import autodiff as ad
+from spherereg import warp
 from spherereg.mesh import SphericalFeatureMap, build_icosphere, vertex_count
 from spherereg.optim import ParamStore, grad_check
 from spherereg.warp import (
@@ -184,6 +185,76 @@ def test_locate_warped_faces_identity_contains_queries():
     w1 = np.einsum("ij,ij->i", q, np.cross(tri[:, 2], tri[:, 0]))
     w2 = np.einsum("ij,ij->i", q, np.cross(tri[:, 0], tri[:, 1]))
     assert np.all(np.minimum(np.minimum(w0, w1), w2) >= -1e-9)
+
+
+def _oracle_scores(vertices, faces, queries):
+    """(N, F) containment score of every query in every face: the smallest
+    unnormalized barycentric weight over the weight sum, -inf where the sum
+    is not positive (the far side)."""
+    a, b, c = (vertices[faces[:, k]] for k in range(3))
+    w = np.stack([queries @ np.cross(b, c).T, queries @ np.cross(c, a).T,
+                  queries @ np.cross(a, b).T])
+    total = w.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(total > 1e-12, w.min(axis=0) / total, -np.inf)
+
+
+@pytest.mark.parametrize("order, amplitude", [(2, 0.2), (3, 0.05)])
+def test_locate_warped_faces_matches_brute_force_oracle(order, amplitude,
+                                                        monkeypatch):
+    # random vertex jitter shears the mesh enough that the one-ring of the
+    # nearest warped vertex misses some queries: the two-ring and the
+    # exhaustive tiers must still find a containing face
+    sphere = build_icosphere(order)
+    tiers = {"ring2": 0, "exhaustive": 0}
+    search = warp.best_face
+
+    def counted(vertices, faces, queries, cand=None):
+        if cand is None:
+            tiers["exhaustive"] += len(queries)
+        elif cand.shape[1] > 6:
+            tiers["ring2"] += len(queries)
+        return search(vertices, faces, queries, cand)
+
+    monkeypatch.setattr(warp, "best_face", counted)
+    for seed in range(5):
+        rng = np.random.Generator(np.random.Philox(seed))
+        ends = sphere.vertices + amplitude * rng.standard_normal(
+            sphere.vertices.shape)
+        ends /= np.linalg.norm(ends, axis=1, keepdims=True)
+        q = np.concatenate([sphere.vertices,
+                            rng.standard_normal((300, 3))])
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        faces = locate_warped_faces(ends, sphere, q)
+        score = _oracle_scores(ends, sphere.faces, q)
+        contained = score.max(axis=1) >= -1e-9
+        assert contained[:sphere.n_vertices].all()
+        got = score[np.arange(len(q)), faces]
+        assert (got[contained] >= -1e-9).all()
+    assert tiers["ring2"] > 0 and tiers["exhaustive"] > 0
+
+
+def test_resample_moving_locates_masked_map_once(monkeypatch):
+    sphere = build_icosphere(2)
+    rng = np.random.Generator(np.random.Philox(3))
+    ends = sphere.vertices + 0.05 * rng.standard_normal(sphere.vertices.shape)
+    ends /= np.linalg.norm(ends, axis=1, keepdims=True)
+    mask = rng.random(sphere.n_vertices) > 0.2
+    moving = SphericalFeatureMap(2, rng.standard_normal((162, 2)), mask)
+    calls = []
+    locate = warp.locate_warped_faces
+
+    def counted(endpoints, sphere, queries):
+        calls.append(len(queries))
+        return locate(endpoints, sphere, queries)
+
+    monkeypatch.setattr(warp, "locate_warped_faces", counted)
+    out = resample_moving(moving, DeformationField(2, ends), sphere)
+    assert calls == [162]
+    expect = resample_tensor(moving.values, ad.constant(ends), 2).value
+    assert np.array_equal(out.values, expect)
+    faces = locate(ends, sphere, sphere.vertices)
+    assert np.array_equal(out.mask, mask[sphere.faces[faces]].all(axis=1))
 
 
 def test_resample_identity_reproduces_values():
