@@ -161,11 +161,16 @@ def cmd_register(args) -> int:
     from .pipeline import register_pair
     from .warp import write_def
 
+    for path in filter(None, (args.out, args.deform)):
+        folder = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(folder):
+            return _fail(f"cannot write {path}: no directory {folder}",
+                         EXIT_IO)
     try:
         moving = read_sfm(args.moving)
         fixed = read_sfm(args.fixed)
         stages = _load_stages(args.ckpt)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail(str(exc), EXIT_IO)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
@@ -173,9 +178,12 @@ def cmd_register(args) -> int:
         field, warped, report = register_pair(stages, moving, fixed)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    write_sfm(args.out, warped)
-    if args.deform:
-        write_def(args.deform, field)
+    try:
+        write_sfm(args.out, warped)
+        if args.deform:
+            write_def(args.deform, field)
+    except OSError as exc:
+        return _fail(f"cannot write: {exc}", EXIT_IO)
     write_met(sys.stdout, report)
     return EXIT_OK
 
@@ -225,7 +233,7 @@ def cmd_selftest(args) -> int:
     from . import autodiff as ad
     from .crf import CrfConfig, crf_forward, meanfield_reference
     from .mesh import barycentric_map, best_face, build_icosphere, \
-        vertex_count
+        longest_edge, nearest_vertex, vertex_count
     from .metrics import distortion_stats
     from .optim import ParamStore, check_registered_ops
     from .warp import DeformationField, build_label_space, control_grid, \
@@ -256,7 +264,10 @@ def cmd_selftest(args) -> int:
     # vertex misses some queries and the search falls back to the two-ring
     ends = sphere.vertices + 0.05 * rng.standard_normal(sphere.vertices.shape)
     ends /= np.linalg.norm(ends, axis=1, keepdims=True)
-    nearest = np.argmax(sphere.vertices @ ends.T, axis=1)
+    nearest = nearest_vertex(ends, sphere.vertices, longest_edge(3))
+    dense = [np.argmax(ends @ v) for v in sphere.vertices]
+    check("nearest warped vertex matches the dense search",
+          np.array_equal(nearest, dense))
     ring1 = best_face(ends, sphere.faces, sphere.vertices,
                       sphere.vertex_faces[nearest])[1]
     faces = locate_warped_faces(ends, sphere, sphere.vertices)

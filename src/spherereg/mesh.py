@@ -12,6 +12,9 @@ gradient estimator.
 face containing a point, on the icosphere (``locate_faces``,
 ``barycentric_map``) or on a warped copy of it
 (``warp.locate_warped_faces``), scores its candidates through it.
+``nearest_vertex`` finds the point with the largest dot product per query
+on a uniform grid, in near-linear time and memory; the warped-face search
+seeds its candidates from it.
 """
 
 from __future__ import annotations
@@ -300,6 +303,107 @@ def best_face(vertices: np.ndarray, faces: np.ndarray, queries: np.ndarray,
     rows = np.arange(len(queries))
     face = pick if cand is None else cand[rows, pick]
     return face, score[rows, pick], w[rows, pick]
+
+
+PAIR_BUDGET = 1 << 18  # (query, point) pairs scored at once
+
+
+@lru_cache(maxsize=None)
+def longest_edge(order: int) -> float:
+    """Longest edge chord of the order's icosphere."""
+    sphere = build_icosphere(order)
+    corners = sphere.vertices[sphere.faces]
+    return float(np.linalg.norm(
+        corners - np.roll(corners, 1, axis=1), axis=2).max())
+
+
+def nearest_vertex(points: np.ndarray, queries: np.ndarray,
+                   cell: float) -> np.ndarray:
+    """Per unit query, the unit point with the largest dot product, ties to
+    the lowest index: ``np.argmax(queries @ points.T, axis=1)`` without the
+    (N, V) product.  Where two dot products lie within rounding of each
+    other the dense product's pick depends on its BLAS kernel, and this
+    one on its own arithmetic.
+
+    The points are hashed into a grid of cubes of side ``cell``, and each
+    query scores the points in its 3x3x3 block of cubes (Bentley, Stanat &
+    Williams 1977).  Every point outside the block is farther than
+    ``cell``, so a query whose best point is nearer than that is done; the
+    rest retry with the cell doubled, and from a cell of 2 on one cube
+    holds every point.  Any positive ``cell`` gives the same answer; about
+    the point spacing, time and memory are near-linear in the point and
+    query counts.
+    """
+    if not (np.isfinite(points).all() and np.isfinite(queries).all()):
+        raise ValueError("nearest_vertex needs finite points and queries")
+    if len(points) == 0:
+        raise ValueError("nearest_vertex needs at least one point")
+    nearest = np.empty(len(queries), dtype=np.int64)
+    todo = np.arange(len(queries))
+    while len(todo):
+        if cell >= 2.0:
+            cell = np.inf  # every finite coordinate falls in cube 0
+        done, found = _grid_nearest(points, queries[todo], cell)
+        nearest[todo[done]] = found
+        todo = todo[~done]
+        cell *= 2.0
+    return nearest
+
+
+def _grid_nearest(points, queries, cell):
+    """One grid pass of ``nearest_vertex``: a mask of the queries it
+    settles, and their nearest points."""
+    pg = np.floor(points / cell).astype(np.int64)
+    qg = np.floor(queries / cell).astype(np.int64)
+    lo = np.minimum(pg.min(axis=0), qg.min(axis=0)) - 1
+    ny, nz = np.maximum(pg.max(axis=0), qg.max(axis=0))[1:] - lo[1:] + 2
+    pkey = ((pg[:, 0] - lo[0]) * ny + pg[:, 1] - lo[1]) * nz + pg[:, 2] - lo[2]
+    qkey = ((qg[:, 0] - lo[0]) * ny + qg[:, 1] - lo[1]) * nz + qg[:, 2] - lo[2]
+    order = np.argsort(pkey, kind="stable")
+    pkey = pkey[order]
+    # queries in key order make each column's searches ascending, which
+    # searchsorted exploits, and keep a chunk's points close in memory
+    qorder = np.argsort(qkey, kind="stable")
+    # the block's 3x3 columns are runs of three cubes along z, contiguous in
+    # key order
+    dx, dy = np.divmod(np.arange(9), 3)
+    first = qkey[qorder] + (((dx - 1) * ny + dy - 1) * nz - 1)[:, None]
+    start = np.searchsorted(pkey, first).T
+    stop = np.searchsorted(pkey, first + 3).T
+    ends = np.cumsum((stop - start).sum(axis=1))
+    cuts = np.searchsorted(ends, np.arange(PAIR_BUDGET, ends[-1], PAIR_BUDGET))
+    cuts = np.unique(np.concatenate([[0], cuts, [len(queries)]]))
+    found = np.empty(len(queries), dtype=np.int64)
+    found[qorder] = np.concatenate([
+        _block_nearest(points, order, queries[qorder[a:b]], start[a:b],
+                       stop[a:b])
+        for a, b in zip(cuts[:-1], cuts[1:])])
+    done = found >= 0
+    gap = queries[done] - points[found[done]]
+    # the margin outweighs rounding in the dot products and point norms
+    done[done] = np.einsum("ij,ij->i", gap, gap) < cell * cell - 1e-12
+    return done, found[done]
+
+
+def _block_nearest(points, order, queries, start, stop):
+    """Per query, its best point among ``order[start:stop]`` over the
+    columns of its block; -1 where the block is empty."""
+    counts = (stop - start).ravel()
+    per_query = counts.reshape(len(queries), -1).sum(axis=1)
+    pos = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts
+                                              - start.ravel(), counts)
+    cand = order[pos]
+    # np.take gathers rows several times faster than fancy indexing
+    dots = np.einsum("ij,ij->i", np.repeat(queries, per_query, axis=0),
+                     np.take(points, cand, axis=0))
+    found = np.full(len(queries), -1, dtype=np.int64)
+    has = per_query > 0
+    if has.any():
+        seg = (np.cumsum(per_query) - per_query)[has]
+        best = np.repeat(np.maximum.reduceat(dots, seg), per_query[has])
+        found[has] = np.minimum.reduceat(
+            np.where(dots == best, cand, len(points)), seg)
+    return found
 
 
 def locate_faces(sphere: Icosphere, queries: np.ndarray) -> np.ndarray:

@@ -19,6 +19,8 @@ from .mesh import (
     best_face,
     build_icosphere,
     interpolate,
+    longest_edge,
+    nearest_vertex,
     vertex_count,
 )
 
@@ -55,8 +57,16 @@ class LabelSpace:
 def build_label_space(control: ControlGrid, label_order: int,
                       n_labels: int) -> LabelSpace:
     """The geodesically nearest ``n_labels`` label-sphere vertices per
-    control point, ties broken by vertex index."""
-    if label_order <= control.control_order:
+    control point, ties broken by vertex index.  Built once per
+    (control order, label order, label count); the arrays are read-only
+    because every caller shares them."""
+    return _label_space(control.control_order, label_order, n_labels)
+
+
+@lru_cache(maxsize=None)
+def _label_space(control_order: int, label_order: int,
+                 n_labels: int) -> LabelSpace:
+    if label_order <= control_order:
         raise ValueError("label sphere must be finer than the control grid")
     label_sphere = build_icosphere(label_order)
     if n_labels > label_sphere.n_vertices:
@@ -64,14 +74,14 @@ def build_label_space(control: ControlGrid, label_order: int,
             f"{n_labels} labels requested but the order-{label_order} sphere "
             f"has {label_sphere.n_vertices} vertices"
         )
-    dots = control.points @ label_sphere.vertices.T
+    dots = control_grid(control_order).points @ label_sphere.vertices.T
     dist = np.arccos(np.clip(dots, -1.0, 1.0))
     # stable argsort on (distance, index)
-    order = np.argsort(dist, axis=1, kind="stable")[:, :n_labels]
-    return LabelSpace(
-        control.control_order, label_order, n_labels,
-        order, label_sphere.vertices[order],
-    )
+    order = np.argsort(dist, axis=1, kind="stable")[:, :n_labels].copy()
+    endpoints = label_sphere.vertices[order]
+    order.setflags(write=False)
+    endpoints.setflags(write=False)
+    return LabelSpace(control_order, label_order, n_labels, order, endpoints)
 
 
 @dataclass
@@ -151,10 +161,13 @@ def locate_warped_faces(endpoints: np.ndarray, sphere: Icosphere,
     """Per query, the face of the warped vertex cloud containing it.
 
     Candidates come from the one- then two-ring of the nearest warped
-    vertex, with an exhaustive sweep for any stragglers, so the result is
-    deterministic even when the warp slightly shears the mesh.
+    vertex (``mesh.nearest_vertex`` on a grid of the sphere's longest edge),
+    with an exhaustive sweep for any stragglers, so the result is
+    deterministic even when the warp slightly shears the mesh.  Time and
+    memory are near-linear in the vertex count for warps that keep
+    neighbours near each other.
     """
-    nearest = np.argmax(queries @ endpoints.T, axis=1)
+    nearest = nearest_vertex(endpoints, queries, longest_edge(sphere.order))
     faces, score, _ = best_face(endpoints, sphere.faces, queries,
                                 sphere.vertex_faces[nearest])
     missing = np.nonzero(score < -1e-9)[0]

@@ -297,6 +297,55 @@ def test_register_rejects_incomplete_checkpoint(three_stage_ckpt, tmp_path):
         f"error: {gmw}: missing parameter block {dropped[0]!r}\n"
 
 
+def _register_in_process(root, ckpt, out, deform):
+    from spherereg import cli
+
+    return cli.main(["register", "--moving", str(root / "moving.sfm"),
+                     "--fixed", str(root / "fixed.sfm"), "--ckpt", str(ckpt),
+                     "--out", str(out), "--deform", str(deform)])
+
+
+def test_register_reading_a_directory_is_an_io_error(three_stage_ckpt,
+                                                     tmp_path, capsys):
+    from spherereg import cli
+
+    root, ckpt = three_stage_ckpt
+    code = cli.main(["register", "--moving", str(tmp_path),
+                     "--fixed", str(root / "fixed.sfm"), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "o.sfm")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["out", "deform"])
+def test_register_checks_output_directories_first(three_stage_ckpt, tmp_path,
+                                                  monkeypatch, capsys, flag):
+    from spherereg import pipeline
+
+    root, ckpt = three_stage_ckpt
+    calls = []
+    monkeypatch.setattr(pipeline, "register_pair",
+                        lambda *args: calls.append(args))
+    paths = {"out": tmp_path / "o.sfm", "deform": tmp_path / "o.def"}
+    paths[flag] = tmp_path / "missing" / f"o.{flag}"
+    code = _register_in_process(root, ckpt, paths["out"], paths["deform"])
+    assert code == 2 and calls == []
+    assert capsys.readouterr().err == \
+        f"error: cannot write {paths[flag]}: no directory {tmp_path / 'missing'}\n"
+
+
+def test_register_write_failure_is_an_io_error(three_stage_ckpt, tmp_path,
+                                               capsys):
+    root, ckpt = three_stage_ckpt
+    (tmp_path / "taken.sfm").mkdir()
+    code = _register_in_process(root, ckpt, tmp_path / "taken.sfm",
+                                tmp_path / "o.def")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write: ") and err.count("\n") == 1
+
+
 def test_register_rejects_gap_in_stages(three_stage_ckpt, tmp_path):
     import shutil
 

@@ -280,6 +280,93 @@ def test_best_face_skips_padding_and_far_side():
     assert np.allclose(w1, w, atol=1e-15)
 
 
+def _dense_nearest(points, queries):
+    return np.argmax(queries @ points.T, axis=1)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("amplitude", [0.2, 0.05])
+def test_nearest_vertex_matches_dense_on_jitter_warps(order, amplitude):
+    s = build_icosphere(order)
+    for seed in range(6):
+        g = rng(seed)
+        ends = s.vertices + amplitude * g.standard_normal(s.vertices.shape)
+        ends /= np.linalg.norm(ends, axis=1, keepdims=True)
+        q = np.concatenate([s.vertices, g.standard_normal((300, 3))])
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        got = mesh.nearest_vertex(ends, q, mesh.longest_edge(order))
+        assert np.array_equal(got, _dense_nearest(ends, q))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_nearest_vertex_matches_dense_on_synthetic_warps(order):
+    from spherereg.pipeline import SyntheticWarpSpec, _random_warp
+
+    s = build_icosphere(order)
+    for seed in range(3):
+        ends = _random_warp(s.vertices, SyntheticWarpSpec(max_angle=0.5),
+                            rng(seed))
+        got = mesh.nearest_vertex(ends, s.vertices, mesh.longest_edge(order))
+        assert np.array_equal(got, _dense_nearest(ends, s.vertices))
+
+
+@pytest.mark.parametrize("budget", [100, mesh.PAIR_BUDGET])
+def test_nearest_vertex_off_mesh_queries(budget, monkeypatch):
+    # irregular points and queries off the mesh, at several cells; a
+    # budget of 100 pairs splits the queries into chunks of one or a few
+    monkeypatch.setattr(mesh, "PAIR_BUDGET", budget)
+    points = random_unit(500, seed=1)
+    q = random_unit(400, seed=2)
+    for cell in (0.01, 0.1, 0.7, 5.0):
+        got = mesh.nearest_vertex(points, q, cell)
+        assert np.array_equal(got, _dense_nearest(points, q))
+
+
+def test_nearest_vertex_exact_ties_go_to_the_lowest_index():
+    # axis vectors, each repeated: every dot product is a query coordinate,
+    # exact in any arithmetic, so duplicates and diagonal queries tie
+    axes = np.concatenate([np.eye(3), -np.eye(3)])
+    points = axes[rng(4).permutation(np.repeat(np.arange(6), 5))]
+    diag = np.array([[1, 1, 0], [1, 1, 1], [-1, 0, 1], [0, -1, -1]], float)
+    q = np.concatenate([diag / np.linalg.norm(diag, axis=1, keepdims=True),
+                        random_unit(100, seed=5), np.eye(3)])
+    got = mesh.nearest_vertex(points, q, 0.25)
+    dots = q @ points.T
+    lowest = [np.flatnonzero(row == row.max())[0] for row in dots]
+    assert np.array_equal(got, lowest)
+    assert np.array_equal(got, _dense_nearest(points, q))
+
+
+def test_nearest_vertex_retries_with_a_wider_cell(monkeypatch):
+    # the warp squeezes the sphere into a cap of about 0.1 rad, so most
+    # queries find no point within the first cell and retry until the
+    # block holds the whole cap
+    s = build_icosphere(3)
+    ends = 0.1 * s.vertices + [0.0, 0.0, 1.0]
+    ends /= np.linalg.norm(ends, axis=1, keepdims=True)
+    passes = []
+    grid = mesh._grid_nearest
+
+    def counted(points, queries, cell):
+        passes.append((cell, len(queries)))
+        return grid(points, queries, cell)
+
+    monkeypatch.setattr(mesh, "_grid_nearest", counted)
+    got = mesh.nearest_vertex(ends, s.vertices, mesh.longest_edge(3))
+    assert np.array_equal(got, _dense_nearest(ends, s.vertices))
+    assert len(passes) > 2 and passes[1][1] < passes[0][1]
+    assert passes[1][0] == 2 * passes[0][0]
+
+
+def test_nearest_vertex_rejects_empty_and_non_finite():
+    with pytest.raises(ValueError):
+        mesh.nearest_vertex(np.empty((0, 3)), random_unit(3), 0.1)
+    q = random_unit(3)
+    q[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        mesh.nearest_vertex(random_unit(5), q, 0.1)
+
+
 class TestHexGradient:
     def test_constant_zero(self):
         g = hex_gradient(SphericalFeatureMap(3, np.full((642, 2), 4.0)))

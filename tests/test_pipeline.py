@@ -13,6 +13,7 @@ from spherereg.pipeline import (
     StageConfig,
     StageModel,
     SyntheticWarpSpec,
+    desk_scale_stages,
     generate_synthetic_pair,
     read_manifest,
     read_run_config,
@@ -142,6 +143,20 @@ def test_register_pair_serial_stages():
     assert field.order == 2
     assert warped.values.shape == pairs[0][0].values.shape
     assert "cc.mean" in report and "areal.p95" in report
+
+
+def test_register_pair_at_order_six():
+    # seed-initialized desk-scale stages, 2 + 1 refine steps; one V x V
+    # float array at order 6 would take 13 GB
+    moving, fixed, _ = generate_synthetic_pair(SyntheticWarpSpec(seed=6), 6)
+    stages = [replace(s, input_order=6, refine_steps=n)
+              for s, n in zip(desk_scale_stages(), (2, 1))]
+    trained = [(s, StageModel(s, seed=k).store) for k, s in enumerate(stages)]
+    field, warped, report = register_pair(trained, moving, fixed)
+    assert field.order == 6 and warped.sphere_order == 6
+    assert np.isfinite(warped.values).all()
+    assert np.abs(np.linalg.norm(field.endpoints, axis=1) - 1).max() < 1e-9
+    assert -1.0 <= report["cc.mean"] <= 1.0
 
 
 def test_register_pair_order_mismatch():

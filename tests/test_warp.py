@@ -67,6 +67,14 @@ def test_label_space_validation():
         build_label_space(control_grid(1), 2, 1000)
 
 
+def test_label_space_is_built_once_per_key():
+    first = build_label_space(control_grid(1), 3, 12)
+    assert build_label_space(control_grid(1), 3, 12) is first
+    assert build_label_space(control_grid(1), 3, 13) is not first
+    assert not first.indices.flags.writeable
+    assert not first.endpoints.flags.writeable
+
+
 # -- soft deformation ------------------------------------------------------
 
 def test_soft_deform_one_hot_hits_endpoints():
@@ -232,6 +240,25 @@ def test_locate_warped_faces_matches_brute_force_oracle(order, amplitude,
         got = score[np.arange(len(q)), faces]
         assert (got[contained] >= -1e-9).all()
     assert tiers["ring2"] > 0 and tiers["exhaustive"] > 0
+
+
+def test_locate_warped_faces_memory_is_near_linear():
+    # one V x V float array at order 5 would take 840 MB
+    import tracemalloc
+
+    from spherereg.pipeline import SyntheticWarpSpec, _random_warp
+
+    sphere = build_icosphere(5)
+    ends = _random_warp(sphere.vertices, SyntheticWarpSpec(),
+                        np.random.Generator(np.random.Philox(1)))
+    tracemalloc.start()
+    try:
+        faces = locate_warped_faces(ends, sphere, sphere.vertices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    assert len(faces) == sphere.n_vertices
 
 
 def test_resample_moving_locates_masked_map_once(monkeypatch):
