@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_LEAKY_DEFAULT = 0.2
+LEAKY_SLOPE = 0.2  # negative-side slope of leaky_relu
 
 
 class Tensor:
@@ -111,8 +111,8 @@ def _toposort(root: Tensor):
     return list(reversed(order))
 
 
-def constant(value, name=None) -> Tensor:
-    return Tensor(value, requires_grad=False, name=name)
+def constant(value) -> Tensor:
+    return Tensor(value, requires_grad=False)
 
 
 def as_tensor(x) -> Tensor:
@@ -212,10 +212,10 @@ def sqrt(a, eps: float = 0.0):
                   requires_grad=a.requires_grad)
 
 
-def leaky_relu(a, slope: float = _LEAKY_DEFAULT):
+def leaky_relu(a):
     a = as_tensor(a)
     pos = a.value > 0
-    factor = np.where(pos, 1.0, slope)
+    factor = np.where(pos, 1.0, LEAKY_SLOPE)
     return Tensor(a.value * factor, (a,), (lambda g: g * factor,),
                   requires_grad=a.requires_grad)
 
@@ -233,10 +233,10 @@ def sum_(a, axis=None, keepdims=False):
     return Tensor(out, (a,), (vjp,), requires_grad=a.requires_grad)
 
 
-def mean_(a, axis=None, keepdims=False):
+def mean_(a, axis=None):
     a = as_tensor(a)
     n = a.value.size if axis is None else a.value.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(sum_(a, axis=axis), 1.0 / n)
 
 
 def reshape(a, shape):
@@ -375,9 +375,9 @@ def softmax_rows(a):
     return Tensor(out, (a,), (vjp,), requires_grad=a.requires_grad)
 
 
-def normalize_rows(a, eps: float = 0.0):
+def normalize_rows(a):
     """Scale the last axis to unit Euclidean norm."""
-    norm = sqrt(sum_(mul(a, a), axis=-1, keepdims=True), eps)
+    norm = sqrt(sum_(mul(a, a), axis=-1, keepdims=True))
     return div(a, norm)
 
 

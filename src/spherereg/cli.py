@@ -3,7 +3,11 @@ registration, evaluation, and the built-in self test.
 
 Exit codes: 0 success, 1 usage/config error, 2 I/O error, 3 internal
 budget exceeded.  ``--threads 1`` pins the numerical libraries to one
-thread, which guarantees bitwise-reproducible runs.
+thread, which guarantees bitwise-reproducible runs.  The cap is set
+through the environment, which the BLAS reads when numpy is first
+imported: it acts in the ``spherereg`` command, but a ``main()`` called in
+a process that has already imported numpy runs with the threads that
+process has.
 """
 
 from __future__ import annotations
@@ -81,7 +85,22 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _misfit(maps, stages, where) -> str | None:
+    """A message naming the first of the (path, feature map) pairs ``maps``
+    whose order or channel count differs from a stage's, and that stage's
+    ``where``; None when every map fits every stage."""
+    for stage, place in zip(stages, where):
+        for path, fmap in maps:
+            if (fmap.sphere_order, fmap.channels) != \
+                    (stage.input_order, stage.in_channels):
+                return (f"{path}: {fmap.channels} channels at order "
+                        f"{fmap.sphere_order}, but {place} expects "
+                        f"{stage.in_channels} at order {stage.input_order}")
+    return None
+
+
 def cmd_train(args) -> int:
+    from .mesh import read_sfm
     from .pipeline import read_manifest, read_run_config, train_run
 
     try:
@@ -92,14 +111,22 @@ def cmd_train(args) -> int:
         cfg.seed = args.seed
     if not os.path.exists(cfg.manifest):
         return _fail(f"manifest not found: {cfg.manifest}", EXIT_USAGE)
+    maps = []
     try:
-        entries = read_manifest(cfg.manifest)
-        for e in entries:
+        for e in read_manifest(cfg.manifest):
             for p in (e.moving_path, e.fixed_path):
                 if not os.path.exists(p):
                     return _fail(f"missing data file: {p}", EXIT_USAGE)
+                maps.append((p, read_sfm(p)))
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    except OSError as exc:
+        return _fail(str(exc), EXIT_IO)
+    problem = _misfit(maps, cfg.stages,
+                      [f"[stage.{k}] of {args.config}"
+                       for k in range(1, len(cfg.stages) + 1)])
+    if problem:
+        return _fail(problem, EXIT_USAGE)
     for k, stage in enumerate(cfg.stages, 1):
         print(f"stage {k}: control_order={stage.control_order} "
               f"n_labels={stage.n_labels} crf={stage.use_crf} "
@@ -109,8 +136,9 @@ def cmd_train(args) -> int:
         print(f"epoch {rec.epoch}: train_loss={rec.train_loss:.6f} "
               f"val_cc={rec.val_cc:.6f}", flush=True)
 
+    pairs = [(maps[i][1], maps[i + 1][1]) for i in range(0, len(maps), 2)]
     try:
-        train_run(cfg, args.out, log=log)
+        train_run(cfg, pairs, args.out, log=log)
     except FloatingPointError as exc:
         return _fail(f"training diverged: {exc}", EXIT_BUDGET)
     except OSError as exc:
@@ -174,6 +202,16 @@ def cmd_register(args) -> int:
         return _fail(str(exc), EXIT_IO)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    if fixed.sphere_order != moving.sphere_order:
+        return _fail(f"{args.fixed}: order {fixed.sphere_order} does not "
+                     f"match the order {moving.sphere_order} of {args.moving}",
+                     EXIT_USAGE)
+    problem = _misfit([(args.moving, moving), (args.fixed, fixed)],
+                      [stage for stage, _ in stages],
+                      [os.path.join(args.ckpt, f"stage{k}.arch")
+                       for k in range(1, len(stages) + 1)])
+    if problem:
+        return _fail(problem, EXIT_USAGE)
     try:
         field, warped, report = register_pair(stages, moving, fixed)
     except ValueError as exc:
@@ -230,7 +268,6 @@ def cmd_eval(args) -> int:
 def cmd_selftest(args) -> int:
     import numpy as np
 
-    from . import autodiff as ad
     from .crf import CrfConfig, crf_forward, meanfield_reference
     from .mesh import barycentric_map, best_face, build_icosphere, \
         longest_edge, nearest_vertex, vertex_count

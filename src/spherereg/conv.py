@@ -10,17 +10,16 @@ are directly comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .mesh import Icosphere, build_icosphere, vertex_count
+from .mesh import build_icosphere, vertex_count
 from .optim import ParamStore
 
-LEAKY_SLOPE = 0.2
 DEFAULT_KERNELS = 10
 _POLE_TOL = 1e-6
 
@@ -151,16 +150,6 @@ class MoNetLayer:
         store.ensure(f"{prefix}.b", (c_out,), lambda: np.zeros(c_out))
         self.store = store
 
-    def covariances(self) -> np.ndarray:
-        """Current kernel covariance matrices, (J, 2, 2)."""
-        lraw = self.store[f"{self.prefix}.lraw"].value
-        l11, l21, l22 = np.exp(lraw[:, 0]), lraw[:, 1], np.exp(lraw[:, 2])
-        sig = np.empty((self.n_kernels, 2, 2))
-        sig[:, 0, 0] = l11**2
-        sig[:, 0, 1] = sig[:, 1, 0] = l11 * l21
-        sig[:, 1, 1] = l21**2 + l22**2
-        return sig
-
     def kernel_weights(self, coords: PseudoCoords) -> Tensor:
         """Gaussian weights per (vertex, ring slot, kernel), zero at padding."""
         return _gaussian_weights(coords, self.store[f"{self.prefix}.mu"],
@@ -185,10 +174,6 @@ class MoNetLayer:
 
 
 # -- tape-level resolution transfers --------------------------------------
-
-def tape_downsample(x: Tensor, order: int) -> Tensor:
-    return ad.gather(x, np.arange(vertex_count(order - 1)))
-
 
 def tape_upsample(x: Tensor, order: int) -> Tensor:
     fine = build_icosphere(order + 1)
@@ -230,13 +215,13 @@ class FcbBlock:
         if raw_lower.shape[0] != vertex_count(self.order - 1):
             raise ValueError("raw input is not at the block's output order")
         coords = pseudo_coords(self.order)
-        h = ad.leaky_relu(self.conv1.forward(coords, features), LEAKY_SLOPE)
-        h = ad.leaky_relu(self.conv2.forward(coords, h), LEAKY_SLOPE)
+        h = ad.leaky_relu(self.conv1.forward(coords, features))
+        h = ad.leaky_relu(self.conv2.forward(coords, h))
         pooled = tape_maxpool(h, self.order)
-        skip = ad.leaky_relu(raw_lower, LEAKY_SLOPE)
+        skip = ad.leaky_relu(raw_lower)
         cat = ad.concat([pooled, skip], axis=1)
         out = self.gate_conv.forward(pseudo_coords(self.order - 1), cat)
-        return ad.leaky_relu(out, LEAKY_SLOPE)
+        return ad.leaky_relu(out)
 
 
 class ResBlock:
@@ -262,12 +247,12 @@ class ResBlock:
 
     def forward(self, features: Tensor) -> Tensor:
         coords = pseudo_coords(self.order)
-        h = ad.leaky_relu(self.conv1.forward(coords, features), LEAKY_SLOPE)
+        h = ad.leaky_relu(self.conv1.forward(coords, features))
         h = self.conv2.forward(coords, h)
         skip = features
         if self.proj_name is not None:
             skip = features @ self.store[self.proj_name]
-        return ad.leaky_relu(h + skip, LEAKY_SLOPE)
+        return ad.leaky_relu(h + skip)
 
 
 @dataclass
@@ -310,7 +295,7 @@ class FeatureExtractor:
     ``shared_fcbs`` blocks share parameters across paths.  Outputs the
     channel-wise concatenation of the two latents."""
 
-    def __init__(self, store: ParamStore, cfg: NetConfig, rng, prefix="fx"):
+    def __init__(self, store: ParamStore, cfg: NetConfig, rng):
         self.cfg = cfg
         n = len(cfg.fcb_channels)
         self.paths = {}
@@ -322,7 +307,7 @@ class FeatureExtractor:
                 shared = i >= n - cfg.shared_fcbs
                 tag = "s" if shared else path
                 blocks.append(FcbBlock(
-                    store, f"{prefix}.{tag}.b{i}", order,
+                    store, f"fx.{tag}.b{i}", order,
                     c_in, c_blk, cfg.in_channels, c_blk,
                     cfg.n_kernels, rng,
                 ))
@@ -352,13 +337,13 @@ class Classifier:
     """Residual blocks with upsampling after each, ending in per-label
     logits at the input order, row-extracted to the control grid."""
 
-    def __init__(self, store: ParamStore, cfg: NetConfig, rng, prefix="cls"):
+    def __init__(self, store: ParamStore, cfg: NetConfig, rng):
         self.cfg = cfg
         self.blocks = []
         c_in = 2 * cfg.fcb_channels[-1]
         order = cfg.latent_order
         for i, c_out in enumerate(cfg.res_channels):
-            self.blocks.append(ResBlock(store, f"{prefix}.b{i}", order,
+            self.blocks.append(ResBlock(store, f"cls.b{i}", order,
                                         c_in, c_out, cfg.n_kernels, rng))
             c_in = c_out
             order += 1
@@ -402,26 +387,32 @@ def write_arch(path, cfg: NetConfig) -> None:
         fh.write(f"n_labels = {cfg.n_labels}\n")
 
 
+# ARCH1 keys named otherwise than their NetConfig field
+_ARCH_RENAMED = {"kernels": "n_kernels"}
+
+
 def read_arch(path) -> NetConfig:
-    kv = {}
+    """Read an ARCH1 file.  A missing key, an unparsable value or an
+    inconsistent architecture raises ValueError naming the file; blank,
+    comment and retired lines are skipped."""
+    types = {f.name: f.type for f in fields(NetConfig)}
+    settings = {}
     with open(path) as fh:
         for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
+            key, _, text = (part.strip() for part in line.partition("="))
+            name = _ARCH_RENAMED.get(key, key)
+            if name not in types:
                 continue
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
+            try:
+                settings[name] = (tuple(int(x) for x in text.split(","))
+                                  if types[name] == "tuple" else int(text))
+            except ValueError:
+                raise ValueError(f"{path}: bad value {text!r} for "
+                                 f"architecture key {key!r}") from None
+    for f in fields(NetConfig):
+        if f.default is MISSING and f.name not in settings:
+            raise ValueError(f"{path}: missing architecture key {f.name!r}")
     try:
-        return NetConfig(
-            input_order=int(kv["input_order"]),
-            in_channels=int(kv["in_channels"]),
-            fcb_channels=tuple(int(x) for x in kv["fcb_channels"].split(",")),
-            res_channels=tuple(int(x) for x in kv["res_channels"].split(",")),
-            control_order=int(kv["control_order"]),
-            label_order=int(kv["label_order"]),
-            n_labels=int(kv["n_labels"]),
-            n_kernels=int(kv.get("kernels", DEFAULT_KERNELS)),
-            shared_fcbs=int(kv.get("shared_fcbs", 2)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing architecture key {exc}") from exc
+        return NetConfig(**settings)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

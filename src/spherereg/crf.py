@@ -19,7 +19,7 @@ minimizes is ``crf_energy`` evaluated on the row-normalized weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,23 +37,16 @@ MIX_FLOOR = 1e-30
 class CrfConfig:
     iterations: int = 5
     gamma: float = 0.2
-    lam_diag: tuple = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("mean-field iteration count must be >= 1")
         if self.gamma <= 0:
             raise ValueError("kernel bandwidth gamma must be positive")
-        if any(d <= 0 for d in self.lam_diag):
-            raise ValueError("kernel characterization matrix must be positive-definite")
-
-    @property
-    def lam(self) -> np.ndarray:
-        return np.asarray(self.lam_diag, dtype=np.float64)
 
 
-def init_crf_params(store: ParamStore, control_order: int, n_labels: int,
-                    prefix: str = "crf") -> None:
+def init_crf_params(store: ParamStore, control_order: int,
+                    n_labels: int) -> None:
     """Add the filter-weight and label-compatibility blocks to the store,
     or check the shapes of those it holds.
 
@@ -63,8 +56,8 @@ def init_crf_params(store: ParamStore, control_order: int, n_labels: int,
     points = build_icosphere(control_order).vertices
     geo = np.arccos(np.clip(points @ points.T, -1.0, 1.0))
     omega = np.exp(-(geo**2) / OMEGA_INIT_SCALE)
-    store.ensure(f"{prefix}.omega", omega.shape, lambda: omega)
-    store.ensure(f"{prefix}.mu", (n_labels, n_labels),
+    store.ensure("crf.omega", omega.shape, lambda: omega)
+    store.ensure("crf.mu", (n_labels, n_labels),
                  lambda: 1.0 - np.eye(n_labels))
 
 
@@ -92,19 +85,17 @@ def gaussian_message(q: Tensor, partner_endpoints: Tensor, labels: LabelSpace,
     q, partner_endpoints, omega = (ad.as_tensor(q),
                                    ad.as_tensor(partner_endpoints),
                                    ad.as_tensor(omega))
-    lam = config.lam
     scale = 1.0 / (2.0 * config.gamma**2)
     n_c = labels.endpoints.shape[0]
     centers = build_icosphere(labels.control_order).vertices
     # label-major layout: arrays indexed [label k, point i, partner j] make
     # every contraction over points a batched matrix product
     disp = np.swapaxes(labels.endpoints - centers[:, None, :], 0, 1)  # (N_l, N_c, 3)
-    lam_l = disp * lam
-    a_const = (lam_l * disp).sum(axis=2)[:, :, None]  # (N_l, N_c, 1)
+    a_const = (disp * disp).sum(axis=2)[:, :, None]  # (N_l, N_c, 1)
     partner_disp = partner_endpoints.value - centers
-    b = ((partner_disp * partner_disp) * lam).sum(axis=1)  # (N_c,)
+    b = (partner_disp * partner_disp).sum(axis=1)  # (N_c,)
     # kernel = exp(-scale * (a + b - 2 cross)), built in place
-    kernel = (lam_l * (2.0 * scale)) @ partner_disp.T
+    kernel = (disp * (2.0 * scale)) @ partner_disp.T
     kernel -= scale * a_const
     kernel -= scale * b
     np.exp(kernel, out=kernel)
@@ -122,11 +113,11 @@ def gaussian_message(q: Tensor, partner_endpoints: Tensor, labels: LabelSpace,
 
     def vjp_endpoints(g):
         # d kernel[k, i, j] / d partner_disp[j]
-        #   = kernel * lam * (disp[k, i] - partner_disp[j]) / gamma^2
+        #   = kernel * (disp[k, i] - partner_disp[j]) / gamma^2
         toward = np.einsum("kj,kdj->jd", qt,
                            (g.T[:, None, :] * disp.transpose(0, 2, 1)) @ filtered)
         mass = (qt * back(g)).sum(axis=0)
-        return (toward - partner_disp * mass[:, None]) * (lam * 2.0 * scale)
+        return (toward - partner_disp * mass[:, None]) * (2.0 * scale)
 
     def vjp_omega(g):
         t = np.einsum("kij,ki->ij", kernel * qt[:, None, :], g.T)
@@ -139,18 +130,14 @@ def gaussian_message(q: Tensor, partner_endpoints: Tensor, labels: LabelSpace,
                                  or omega.requires_grad))
 
 
-def compatibility_transform(messages: Tensor, mu: Tensor) -> Tensor:
-    """Mix messages across labels with the learnable compatibility matrix."""
-    return messages @ mu
-
-
 def meanfield_step(u: Tensor, k1: Tensor, labels: LabelSpace, omega: Tensor,
                    mu: Tensor, config: CrfConfig) -> Tensor:
-    """One plain mean-field update: the logits ``u - compat(message)`` that
-    the current row-stochastic estimate ``k1`` induces."""
+    """One plain mean-field update: the logits ``u - message @ mu`` that
+    the current row-stochastic estimate ``k1`` induces, with the messages
+    mixed across labels by the compatibility matrix ``mu``."""
     endpoints = soft_deform_tensor(labels, k1)
     msg = gaussian_message(k1, endpoints, labels, omega, config)
-    updated = u - compatibility_transform(msg, mu)
+    updated = u - msg @ mu
     if not np.all(np.isfinite(updated.value)):
         raise FloatingPointError("non-finite values after the CRF update stage")
     return updated
@@ -192,10 +179,9 @@ def crf_forward_tensor(u: Tensor, labels: LabelSpace, omega: Tensor,
 
 
 def crf_forward(u: np.ndarray, labels: LabelSpace, store: ParamStore,
-                config: CrfConfig, prefix: str = "crf"):
+                config: CrfConfig):
     q_bar, endpoints = crf_forward_tensor(
-        ad.constant(u), labels, store[f"{prefix}.omega"],
-        store[f"{prefix}.mu"], config,
+        ad.constant(u), labels, store["crf.omega"], store["crf.mu"], config,
     )
     return q_bar.value, endpoints.value
 
@@ -210,13 +196,12 @@ def crf_energy(assignment: np.ndarray, q: np.ndarray, labels: LabelSpace,
     energy = float(-np.log(q[idx, assignment]).sum())
     centers = build_icosphere(labels.control_order).vertices[:n]
     pts = labels.endpoints[idx, assignment] - centers  # (N_c, 3)
-    lam = config.lam
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             d = pts[i] - pts[j]
-            k_g = omega[i, j] * np.exp(-(d * lam * d).sum() / (2 * config.gamma**2))
+            k_g = omega[i, j] * np.exp(-(d * d).sum() / (2 * config.gamma**2))
             energy += mu[assignment[i], assignment[j]] * k_g
     return energy
 
@@ -235,7 +220,6 @@ def meanfield_reference(u: np.ndarray, labels: LabelSpace, omega: np.ndarray,
 
     t_total = config.iterations if iterations is None else iterations
     n_c, n_l = u.shape
-    lam = config.lam
     centers = build_icosphere(labels.control_order).vertices
     weights = np.zeros((n_c, n_c))
     for i in range(n_c):
@@ -269,7 +253,7 @@ def meanfield_reference(u: np.ndarray, labels: LabelSpace, omega: np.ndarray,
                         continue
                     d = (labels.endpoints[i, kk] - centers[i]) \
                         - (endpoints[j] - centers[j])
-                    kern = np.exp(-(d * lam * d).sum() / (2 * config.gamma**2))
+                    kern = np.exp(-(d * d).sum() / (2 * config.gamma**2))
                     total += weights[i, j] * kern * k[j, kk]
                 msg[i, kk] = total
         g = u - msg @ mu

@@ -4,9 +4,10 @@ Everything in the registration engine lives on subdivided icosahedra
 projected to the unit sphere.  This module constructs those meshes with a
 deterministic vertex ordering (parent vertices first, then edge midpoints
 in sorted parent-edge order), which makes resolution transfers pure index
-operations, and provides feature down/upsampling, pooling, barycentric
-point location / interpolation, and a one-ring least-squares tangent
-gradient estimator.
+operations, and provides feature down/upsampling, max pooling,
+barycentric point location / interpolation, the one-ring least-squares
+gradient stencil that the smoothness penalty applies, and the text file
+formats for spheres and feature maps.
 
 ``best_face`` is the one point-location primitive: every search for the
 face containing a point, on the icosphere (``locate_faces``,
@@ -242,20 +243,15 @@ def upsample_features(fmap: SphericalFeatureMap) -> SphericalFeatureMap:
     return SphericalFeatureMap(fmap.sphere_order + 1, values, mask)
 
 
-def pool_features(fmap: SphericalFeatureMap, mode: str = "mean") -> SphericalFeatureMap:
-    """Pool {vertex} ∪ one-ring on the input sphere, then keep the coarse rows."""
-    if mode not in ("mean", "max"):
-        raise ValueError(f"unknown pooling mode {mode!r}")
+def pool_features(fmap: SphericalFeatureMap) -> SphericalFeatureMap:
+    """Max-pool {vertex} ∪ one-ring on the input sphere, then keep the
+    coarse rows."""
     if fmap.sphere_order < 1:
         raise ValueError("cannot pool an order-0 feature map")
     sphere = build_icosphere(fmap.sphere_order)
     gathered = fmap.values[sphere.nbr_pad]  # (V, 7, C)
-    if mode == "mean":
-        w = sphere.nbr_mask[:, :, None].astype(np.float64)
-        pooled = (gathered * w).sum(axis=1) / w.sum(axis=1)
-    else:
-        gathered = np.where(sphere.nbr_mask[:, :, None], gathered, -np.inf)
-        pooled = gathered.max(axis=1)
+    gathered = np.where(sphere.nbr_mask[:, :, None], gathered, -np.inf)
+    pooled = gathered.max(axis=1)
     n_out = vertex_count(fmap.sphere_order - 1)
     return SphericalFeatureMap(
         fmap.sphere_order - 1, pooled[:n_out], _transfer_mask(fmap.mask, n_out)
@@ -486,20 +482,6 @@ def gradient_coefficients(order: int) -> np.ndarray:
     return coeffs
 
 
-def hex_gradient_vectors(fmap: SphericalFeatureMap) -> np.ndarray:
-    """Tangent-frame gradient 2-vectors, shape (V, 2, C)."""
-    sphere = build_icosphere(fmap.sphere_order)
-    coeffs = gradient_coefficients(fmap.sphere_order)
-    gathered = fmap.values[sphere.nbr_pad]  # (V, 7, C)
-    return np.einsum("vds,vsc->vdc", coeffs, gathered)
-
-
-def hex_gradient(fmap: SphericalFeatureMap) -> np.ndarray:
-    """Per-vertex, per-channel magnitude of the tangent-plane gradient."""
-    g = hex_gradient_vectors(fmap)
-    return np.sqrt((g**2).sum(axis=1))
-
-
 def write_ico(path, sphere: Icosphere) -> None:
     with open(path, "w") as fh:
         fh.write(f"ICO1 {sphere.order} {sphere.n_vertices} {sphere.n_faces}\n")
@@ -516,19 +498,21 @@ def read_ico(path) -> Icosphere:
     vertices are checked against the reconstruction.
     """
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != "ICO1":
-            raise ValueError(f"{path}: not an ICO1 file")
-        order, nv, nf = int(header[1]), int(header[2]), int(header[3])
+        order, nv, nf = read_header(fh, path, "ICO1", 3)
+        if not 0 <= order <= MAX_ORDER:
+            raise ValueError(f"{path}: line 1: order {order} is out of range")
         sphere = build_icosphere(order)
         if nv != sphere.n_vertices or nf != sphere.n_faces:
             raise ValueError(f"{path}: vertex/face counts do not match order {order}")
         verts = np.empty((nv, 3))
         for i in range(nv):
             parts = fh.readline().split()
-            if len(parts) != 4 or parts[0] != "v":
-                raise ValueError(f"{path}: bad vertex line {i + 2}")
-            verts[i] = [float(x) for x in parts[1:]]
+            try:
+                if len(parts) != 4 or parts[0] != "v":
+                    raise ValueError("expected a 'v x y z' vertex")
+                verts[i] = [float(x) for x in parts[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {i + 2}: {exc}") from None
     if not np.allclose(verts, sphere.vertices, atol=1e-9):
         raise ValueError(f"{path}: vertices differ from the canonical icosphere")
     return sphere
@@ -546,21 +530,47 @@ def write_sfm(path, fmap: SphericalFeatureMap) -> None:
             fh.write(row + "\n")
 
 
+def read_header(fh, path, tag: str, n_ints: int) -> list:
+    """The ``n_ints`` integers after ``tag`` on the first line of the open
+    text file ``fh``; anything else raises ValueError naming ``path``."""
+    parts = fh.readline().split()
+    try:
+        if len(parts) != n_ints + 1 or parts[0] != tag:
+            raise ValueError
+        return [int(x) for x in parts[1:]]
+    except ValueError:
+        raise ValueError(f"{path}: line 1: not a {tag} file") from None
+
+
+def read_rows(fh, path, n: int, width: int) -> np.ndarray:
+    """The next ``n`` lines of ``fh``, the lines after a header, as an
+    (n, width) array of finite floats.  A short, malformed or non-finite
+    row raises ValueError naming ``path`` and the line."""
+    rows = np.empty((n, width))
+    for i in range(n):
+        parts = fh.readline().split()
+        try:
+            if len(parts) != width:
+                raise ValueError(f"expected {width} columns")
+            rows[i] = [float(x) for x in parts]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {i + 2}: {exc}") from None
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}: line {int(np.argmax(bad)) + 2}: "
+                         "value is not finite")
+    return rows
+
+
 def read_sfm(path) -> SphericalFeatureMap:
+    """Read an SFM1 feature map.  A malformed header or row, or a value
+    that is not finite, raises ValueError naming the file and line."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 5 or header[0] != "SFM1":
-            raise ValueError(f"{path}: line 1: not an SFM1 file")
-        order, n, c, has_mask = (int(x) for x in header[1:])
+        order, n, c, has_mask = read_header(fh, path, "SFM1", 4)
         if n != vertex_count(order):
             raise ValueError(f"{path}: line 1: vertex count does not match order")
-        values = np.empty((n, c))
-        mask = np.empty(n, dtype=bool) if has_mask else None
-        for i in range(n):
-            parts = fh.readline().split()
-            if len(parts) != c + has_mask:
-                raise ValueError(f"{path}: line {i + 2}: expected {c + has_mask} columns")
-            values[i] = [float(x) for x in parts[:c]]
-            if has_mask:
-                mask[i] = bool(int(parts[c]))
-    return SphericalFeatureMap(order, values, mask)
+        if c < 1 or has_mask not in (0, 1):
+            raise ValueError(f"{path}: line 1: bad channel count or mask flag")
+        rows = read_rows(fh, path, n, c + has_mask)
+    mask = rows[:, c] != 0 if has_mask else None
+    return SphericalFeatureMap(order, np.ascontiguousarray(rows[:, :c]), mask)

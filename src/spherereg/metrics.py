@@ -235,34 +235,14 @@ def cluster_mass(zmap: SphericalFeatureMap, areas: np.ndarray,
     return ClusterMassReport(threshold, cm, int(supra.sum()))
 
 
-def write_met(path_or_file, entries: dict) -> None:
-    close = False
-    if hasattr(path_or_file, "write"):
-        fh = path_or_file
-    else:
-        fh = open(path_or_file, "w")
-        close = True
-    try:
-        for key, value in entries.items():
-            if isinstance(value, float):
-                fh.write(f"{key} = {value:.17g}\n")
-            else:
-                fh.write(f"{key} = {value}\n")
-    finally:
-        if close:
-            fh.close()
-
-
-def read_met(path) -> dict:
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            out[key.strip()] = float(value)
-    return out
+def write_met(fh, entries: dict) -> None:
+    """Write a report as ``key = value`` lines to the open text file
+    ``fh``; floats carry all 17 significant digits."""
+    for key, value in entries.items():
+        if isinstance(value, float):
+            fh.write(f"{key} = {value:.17g}\n")
+        else:
+            fh.write(f"{key} = {value}\n")
 
 
 def metrics_report(fixed: SphericalFeatureMap, warped,

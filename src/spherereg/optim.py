@@ -3,9 +3,17 @@ verification, and the GMW1 weight checkpoint format."""
 
 from __future__ import annotations
 
+import math
+import os
+
 import numpy as np
 
 from .autodiff import OP_REGISTRY, Tensor
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+FD_STEP = 1e-4  # base width of grad_check's finite-difference stencil
 
 
 class ParamStore:
@@ -16,7 +24,6 @@ class ParamStore:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._step: dict[str, int] = {}
-        self._frozen: set[str] = set()
 
     def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._blocks:
@@ -38,25 +45,23 @@ class ParamStore:
         return sorted(self._blocks)
 
     def freeze(self, *names: str) -> None:
-        """Exclude blocks from Adam updates; gradients still flow through."""
+        """Make blocks constants of the tape: backward computes no gradient
+        for them, and Adam leaves them as they are."""
         for name in names:
             if name not in self._blocks:
                 raise KeyError(f"no parameter block {name!r}")
-            self._frozen.add(name)
-
-    def step_count(self, name: str) -> int:
-        return self._step[name]
+            self._blocks[name].requires_grad = False
 
     def zero_grad(self) -> None:
         for t in self._blocks.values():
             t.grad = None
 
     def copy(self) -> "ParamStore":
-        """Deep copy of values only; gradients and Adam state start fresh."""
+        """Deep copy of values and frozen marks; gradients and Adam state
+        start fresh."""
         out = ParamStore()
-        for name in self.names():
-            out.add(name, self._blocks[name].value.copy())
-        out._frozen = set(self._frozen)
+        for name, t in self._blocks.items():
+            out.add(name, t.value.copy()).requires_grad = t.requires_grad
         return out
 
     def ensure(self, name: str, shape: tuple, init) -> Tensor:
@@ -71,13 +76,14 @@ class ParamStore:
         return self._blocks[name]
 
     # -- Adam --------------------------------------------------------------
-    def adam_step(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                  eps: float = 1e-8) -> None:
-        """Standard bias-corrected Adam update; gradients are zeroed after."""
+    def adam_step(self, lr: float) -> None:
+        """Standard bias-corrected Adam update of the unfrozen blocks;
+        gradients are zeroed after."""
+        beta1, beta2 = ADAM_BETA1, ADAM_BETA2
         for name in self.names():
-            if name in self._frozen:
-                continue
             t = self._blocks[name]
+            if not t.requires_grad:
+                continue
             g = t.grad if t.grad is not None else np.zeros_like(t.value)
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError(f"non-finite gradient in block {name!r}")
@@ -87,12 +93,12 @@ class ParamStore:
             self._v[name] = beta2 * self._v[name] + (1 - beta2) * g**2
             m_hat = self._m[name] / (1 - beta1**k)
             v_hat = self._v[name] / (1 - beta2**k)
-            t.value = t.value - lr * m_hat / (np.sqrt(v_hat) + eps)
+            t.value = t.value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         self.zero_grad()
 
 
 def grad_check(loss_fn, params: ParamStore, n_probes: int = 20,
-               seed: int = 0, step: float = 1e-4) -> float:
+               seed: int = 0) -> float:
     """Max relative error between the analytic gradient and central
     finite differences over random unit directions in parameter space.
 
@@ -112,16 +118,26 @@ def grad_check(loss_fn, params: ParamStore, n_probes: int = 20,
     O(step * J), so kinked intervals are discarded and redrawn.  The
     screen depends only on the sampled loss values, so it cannot mask an
     incorrect analytic gradient.  ``loss_fn(params)`` must return a
-    scalar Tensor built from the store's blocks.
+    scalar Tensor built from the store's blocks.  Frozen blocks are probed
+    too: they take gradients while the analytic tape is built.
     """
+    frozen = [params[name] for name in params.names()
+              if not params[name].requires_grad]
+    for t in frozen:
+        t.requires_grad = True
     params.zero_grad()
-    loss = loss_fn(params)
-    loss.backward()
+    try:
+        loss = loss_fn(params)
+        loss.backward()
+    finally:
+        for t in frozen:
+            t.requires_grad = False
     analytic = {name: (params[name].grad.copy()
                        if params[name].grad is not None
                        else np.zeros_like(params[name].value))
                 for name in params.names()}
     params.zero_grad()
+    step = FD_STEP
 
     rng = np.random.Generator(np.random.Philox(seed))
     names = params.names()
@@ -214,20 +230,35 @@ def write_gmw(path, params: ParamStore) -> None:
 
 
 def read_gmw(path) -> ParamStore:
+    """Read a GMW1 checkpoint.  A garbled header or block header, a rank
+    that does not match its dims, a block larger than the rest of the file
+    or a repeated block name raises ValueError naming the file and block."""
     params = ParamStore()
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         header = fh.readline().split()
-        if len(header) != 2 or header[0] != b"GMW1":
-            raise ValueError(f"{path}: not a GMW1 file")
-        n_blocks = int(header[1])
-        for _ in range(n_blocks):
+        try:
+            if len(header) != 2 or header[0] != b"GMW1":
+                raise ValueError
+            n_blocks = int(header[1])
+        except ValueError:
+            raise ValueError(f"{path}: not a GMW1 file") from None
+        for k in range(n_blocks):
             parts = fh.readline().split()
-            name = parts[0].decode()
-            rank = int(parts[1])
-            dims = tuple(int(x) for x in parts[2 : 2 + rank])
-            count = int(np.prod(dims)) if dims else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
+            try:
+                name = parts[0].decode()
+                rank = int(parts[1])
+                dims = tuple(int(x) for x in parts[2:])
+                if rank != len(dims) or min(dims, default=0) < 0:
+                    raise ValueError
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}: garbled header of block "
+                                 f"{k + 1}") from None
+            count = math.prod(dims)
+            if count * 8 > size - fh.tell():
                 raise ValueError(f"{path}: truncated block {name!r}")
+            raw = fh.read(count * 8)
+            if name in params:
+                raise ValueError(f"{path}: repeated block {name!r}")
             params.add(name, np.frombuffer(raw, dtype="<f8").reshape(dims).copy())
     return params

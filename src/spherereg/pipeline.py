@@ -14,11 +14,11 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .conv import DEFAULT_KERNELS, NetConfig, RegistrationNet
 from .crf import CrfConfig, crf_forward_tensor, init_crf_params
-from .mesh import SphericalFeatureMap, build_icosphere, read_sfm
+from .mesh import SphericalFeatureMap, build_icosphere
 from .metrics import cc_similarity, total_loss
 from .optim import ParamStore
 from .warp import DeformationField, build_label_space, compose, control_grid, \
-    read_def, resample_moving, resample_tensor, soft_deform_tensor, \
+    resample_moving, resample_tensor, soft_deform_tensor, \
     upsample_deformation_tensor
 
 # refine steps per stage that run through the CRF decode (the last ones).
@@ -26,6 +26,8 @@ from .warp import DeformationField, build_label_space, compose, control_grid, \
 # to that of the plain decode and lower areal distortion below it; running
 # every step through the CRF costs about 3.6 s more per order-4 pair.
 CRF_REFINE_STEPS = 20
+# synthetic warps drawn per pair before giving up on a fold-free one
+WARP_RETRIES = 20
 
 
 # -- synthetic data --------------------------------------------------------
@@ -41,13 +43,12 @@ class SyntheticWarpSpec:
     n_channels: int = 1
     noise: float = 0.0
     seed: int = 0
-    max_retries: int = 20
 
     def __post_init__(self):
         if self.max_angle < 0 or self.smoothness <= 0:
             raise ValueError("bad warp amplitude or smoothness")
-        if self.n_components < 0 or self.max_retries < 1:
-            raise ValueError("bad component or retry count")
+        if self.n_components < 0:
+            raise ValueError("bad component count")
 
 
 def _random_field(points: np.ndarray, rng: np.random.Generator,
@@ -108,7 +109,7 @@ def generate_synthetic_pair(spec: SyntheticWarpSpec, order: int):
                            spec.n_channels)
     moving = SphericalFeatureMap(order, values)
 
-    for _ in range(spec.max_retries):
+    for _ in range(WARP_RETRIES):
         endpoints = _random_warp(sphere.vertices, spec, rng)
         truth = DeformationField(order, endpoints)
         stats = distortion_stats(sphere, truth)
@@ -165,7 +166,7 @@ class StageConfig:
         return CrfConfig(iterations=self.crf_iterations, gamma=self.gamma)
 
 
-def desk_scale_stages(in_channels: int = 1, use_crf: bool = True):
+def desk_scale_stages(use_crf: bool = True):
     """Default two-stage configuration for order-4 synthetic cohorts.
 
     The coarse stage has a wide label reach for gross alignment; the fine
@@ -176,13 +177,13 @@ def desk_scale_stages(in_channels: int = 1, use_crf: bool = True):
     coarse = StageConfig(
         input_order=4, control_order=1, label_order=3, n_labels=80,
         fcb_channels=(8, 8, 16), res_channels=(16, 16, 80),
-        in_channels=in_channels, lam_sm=0.9, lr=3e-3, epochs=3,
+        lam_sm=0.9, lr=3e-3, epochs=3,
         refine_steps=150, refine_lr=3e-2, use_crf=use_crf,
     )
     fine = StageConfig(
         input_order=4, control_order=2, label_order=4, n_labels=16,
         fcb_channels=(8, 16), res_channels=(16, 16),
-        in_channels=in_channels, lam_sm=1.2, lr=3e-3, epochs=2,
+        lam_sm=1.2, lr=3e-3, epochs=2,
         refine_steps=40, refine_lr=1e-2, use_crf=use_crf,
     )
     return [coarse, fine]
@@ -219,9 +220,10 @@ class StageModel:
         if store is not None and added:
             raise ValueError(f"missing parameter block {added[0]!r}")
 
-    def _full_endpoints(self, logits: Tensor) -> Tensor:
-        """Label scores decoded to endpoints at the input order."""
-        if self.stage.use_crf:
+    def _endpoints(self, logits: Tensor, crf: bool) -> Tensor:
+        """Label scores decoded to endpoints at the input order, through
+        the CRF head when ``crf`` is set and a plain softmax otherwise."""
+        if crf:
             _, coarse = crf_forward_tensor(
                 logits, self.labels, self.store["crf.omega"],
                 self.store["crf.mu"], self.stage.crf_config())
@@ -230,14 +232,20 @@ class StageModel:
         return upsample_deformation_tensor(coarse, self.stage.control_order,
                                            self.stage.input_order)
 
-    def pair_loss(self, moving: SphericalFeatureMap,
-                  fixed: SphericalFeatureMap) -> Tensor:
-        endpoints = self._full_endpoints(
-            self.net.logits(moving.values, fixed.values))
+    def _loss(self, moving: SphericalFeatureMap, fixed: SphericalFeatureMap,
+              logits: Tensor, crf: bool) -> Tensor:
+        """The training loss of the registration that ``logits`` decode to."""
+        endpoints = self._endpoints(logits, crf)
         warped = resample_tensor(moving.values, endpoints,
                                  self.stage.input_order)
         return total_loss(fixed, warped, endpoints, self.stage.input_order,
                           self.stage.lam_sm, moving.mask)
+
+    def pair_loss(self, moving: SphericalFeatureMap,
+                  fixed: SphericalFeatureMap) -> Tensor:
+        return self._loss(moving, fixed,
+                          self.net.logits(moving.values, fixed.values),
+                          self.stage.use_crf)
 
     def register(self, moving: SphericalFeatureMap,
                  fixed: SphericalFeatureMap, logits: np.ndarray | None = None):
@@ -248,7 +256,7 @@ class StageModel:
             scores = self.net.logits(moving.values, fixed.values)
         else:
             scores = ad.constant(logits)
-        endpoints = self._full_endpoints(scores)
+        endpoints = self._endpoints(scores, self.stage.use_crf)
         field_ = DeformationField(self.stage.input_order, endpoints.value)
         sphere = build_icosphere(self.stage.input_order)
         warped = resample_moving(moving, field_, sphere)
@@ -281,28 +289,10 @@ class StageModel:
         opt = ParamStore()
         logits = opt.add("logits", init.copy())
         steps = self.stage.refine_steps
-        first_crf = steps
-        if self.stage.use_crf:
-            first_crf = steps - CRF_REFINE_STEPS
-            # constants: the frozen CRF parameters need no gradients here
-            omega = ad.constant(self.store["crf.omega"].value)
-            mu = ad.constant(self.store["crf.mu"].value)
+        first_crf = steps - CRF_REFINE_STEPS if self.stage.use_crf else steps
         for step in range(steps):
             opt.zero_grad()
-            if step >= first_crf:
-                # the decode register applies: unaries through the CRF
-                _, coarse = crf_forward_tensor(logits, self.labels, omega, mu,
-                                               self.stage.crf_config())
-            else:
-                coarse = soft_deform_tensor(self.labels,
-                                            ad.softmax_rows(logits))
-            endpoints = upsample_deformation_tensor(
-                coarse, self.stage.control_order, self.stage.input_order)
-            warped = resample_tensor(moving.values, endpoints,
-                                     self.stage.input_order)
-            loss = total_loss(fixed, warped, endpoints,
-                              self.stage.input_order, self.stage.lam_sm,
-                              moving.mask)
+            loss = self._loss(moving, fixed, logits, step >= first_crf)
             if not np.isfinite(loss.value):
                 raise FloatingPointError("non-finite refinement loss")
             loss.backward()
@@ -340,13 +330,6 @@ def read_manifest(path):
             entries.append(PairEntry(parts[0], parts[1],
                                      parts[2] if len(parts) == 3 else None))
     return entries
-
-
-def load_pair(entry: PairEntry):
-    moving = read_sfm(entry.moving_path)
-    fixed = read_sfm(entry.fixed_path)
-    truth = read_def(entry.truth_path) if entry.truth_path else None
-    return moving, fixed, truth
 
 
 def split_indices(n: int, seed: int, ratios=(0.8, 0.1, 0.1)):
@@ -593,19 +576,15 @@ def read_stage_cfg(path) -> dict:
                            {name: name for name in _CFG_FIELDS})
 
 
-def train_run(cfg: RunConfig, ckpt_dir, log=None):
-    """Full training: load the manifest, split, train each stage serially,
-    and write GMW1 checkpoints + CSV traces."""
+def train_run(cfg: RunConfig, pairs, ckpt_dir, log=None):
+    """Full training on the (moving, fixed) ``pairs`` of the manifest:
+    split, train each stage serially, and write GMW1 checkpoints + CSV
+    traces."""
     import os
 
     from .conv import write_arch
     from .optim import write_gmw
 
-    entries = read_manifest(cfg.manifest)
-    pairs = []
-    for e in entries:
-        moving, fixed, _ = load_pair(e)
-        pairs.append((moving, fixed))
     tr, va, te = split_indices(len(pairs), cfg.seed, cfg.ratios)
     train_pairs = [pairs[i] for i in tr]
     val_pairs = [pairs[i] for i in va]

@@ -21,6 +21,8 @@ from .mesh import (
     interpolate,
     longest_edge,
     nearest_vertex,
+    read_header,
+    read_rows,
     vertex_count,
 )
 
@@ -46,12 +48,6 @@ class LabelSpace:
     n_labels: int
     indices: np.ndarray  # (N_c, N_l) into the label sphere
     endpoints: np.ndarray  # (N_c, N_l, 3)
-
-    def max_radius(self) -> float:
-        """Largest geodesic distance from any control point to its labels."""
-        control = build_icosphere(self.control_order).vertices
-        dots = np.einsum("id,ikd->ik", control, self.endpoints)
-        return float(np.arccos(np.clip(dots, -1.0, 1.0)).max())
 
 
 def build_label_space(control: ControlGrid, label_order: int,
@@ -116,14 +112,6 @@ def soft_deform_tensor(labels: LabelSpace, q: Tensor) -> Tensor:
         expect = ad.where_const(ok[:, None], expect, 0.0) + \
             np.where(ok[:, None], 0.0, fallback)
     return ad.normalize_rows(expect)
-
-
-def soft_deform(control: ControlGrid, labels: LabelSpace,
-                q: np.ndarray) -> DeformationField:
-    if q.shape != (len(control.points), labels.n_labels):
-        raise ValueError("probability matrix shape does not match the label space")
-    out = soft_deform_tensor(labels, ad.constant(q))
-    return DeformationField(control.control_order, out.value)
 
 
 @lru_cache(maxsize=None)
@@ -255,14 +243,11 @@ def write_def(path, field: DeformationField) -> None:
 
 
 def read_def(path) -> DeformationField:
+    """Read a DEF1 deformation.  A malformed header or row, or a value that
+    is not finite, raises ValueError naming the file and line."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "DEF1":
-            raise ValueError(f"{path}: not a DEF1 file")
-        order, n = int(header[1]), int(header[2])
+        order, n = read_header(fh, path, "DEF1", 2)
         if n != vertex_count(order):
-            raise ValueError(f"{path}: vertex count does not match order {order}")
-        pts = np.empty((n, 3))
-        for i in range(n):
-            pts[i] = [float(x) for x in fh.readline().split()]
-    return DeformationField(order, pts)
+            raise ValueError(f"{path}: line 1: vertex count does not match "
+                             f"order {order}")
+        return DeformationField(order, read_rows(fh, path, n, 3))

@@ -127,10 +127,17 @@ class TestRegisteredOps:
 class TestAdam:
     def test_zero_grad_no_move(self):
         store = ParamStore()
-        store.add("w", np.arange(4.0))
+        w = store.add("w", np.arange(4.0))
         store.adam_step(lr=0.1)
         assert np.array_equal(store["w"].value, np.arange(4.0))
-        assert store.step_count("w") == 1
+        # the zero-gradient step still counts: the next one is bias
+        # corrected as step 2
+        w.grad = np.ones(4)
+        store.adam_step(lr=0.1)
+        m_hat = 0.1 / (1 - 0.9**2)
+        v_hat = 0.001 / (1 - 0.999**2)
+        expected = np.arange(4.0) - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert np.allclose(store["w"].value, expected, rtol=0, atol=1e-15)
 
     def test_constant_grad_moves_opposite(self):
         store = ParamStore()
@@ -146,7 +153,7 @@ class TestAdam:
         w = store.add("w", np.array(0.0))
         w.grad = np.array(1.0)
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        store.adam_step(lr=lr, beta1=b1, beta2=b2, eps=eps)
+        store.adam_step(lr=lr)
         # hand-executed recurrence, one step, g = 1
         m_hat = (1 - b1) * 1.0 / (1 - b1)
         v_hat = (1 - b2) * 1.0 / (1 - b2)

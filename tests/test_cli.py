@@ -419,7 +419,179 @@ def test_eval_rejects_map_at_another_order(eval_inputs, flag):
                           f"{eval_inputs / 'sphere.ico'}\n")
 
 
+def test_eval_rejects_garbled_sphere_row(eval_inputs, tmp_path):
+    lines = (eval_inputs / "sphere.ico").read_text().splitlines(True)
+    lines[4] = "v 0.1 x 0.3\n"
+    (tmp_path / "sphere.ico").write_text("".join(lines))
+    out = _eval(eval_inputs, sphere=tmp_path / "sphere.ico")
+    assert out.returncode == 1
+    assert out.stderr == (f"error: {tmp_path / 'sphere.ico'}: line 5: "
+                          "could not convert string to float: 'x'\n")
+
+
 def test_eval_rejects_channel_mismatch(eval_inputs):
     out = _eval(eval_inputs, warped="two_channels.sfm")
     assert out.returncode == 1
     assert _one_line_error(out) and "two_channels.sfm: 2 channels" in out.stderr
+
+
+# -- malformed inputs fail with one line before any work --------------------
+
+@pytest.fixture
+def small_cohort(tmp_path):
+    """Three order-2 pairs and a one-stage run INI over them."""
+    from spherereg.mesh import SphericalFeatureMap, write_sfm
+    from spherereg.pipeline import PairEntry, write_manifest
+
+    rng = np.random.Generator(np.random.Philox(12))
+    entries = []
+    for i in range(3):
+        paths = [str(tmp_path / f"p{i}_{side}.sfm") for side in ("m", "f")]
+        for path in paths:
+            write_sfm(path, SphericalFeatureMap(2, rng.standard_normal(162)))
+        entries.append(PairEntry(*paths))
+    write_manifest(tmp_path / "manifest.txt", entries)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        f"[data]\nmanifest = {tmp_path / 'manifest.txt'}\nseed = 0\n"
+        "split = 0.6,0.4,0.0\n"
+        "[stage.1]\ninput_order = 2\ncontrol_order = 1\nlabel_order = 2\n"
+        "n_labels = 12\nfcb_channels = 4\nres_channels = 12\nepochs = 1\n")
+    return tmp_path, cfg
+
+
+def _corrupt_row(path, row, text):
+    """Replace data row ``row`` (file line ``row + 2``) of a map."""
+    lines = path.read_text().splitlines(keepends=True)
+    lines[row + 1] = text + "\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("damage, line", [
+    ("truncate", 42), ("inf", 8), ("nan", 100)])
+def test_train_rejects_malformed_data(small_cohort, capsys, damage, line):
+    from spherereg import cli
+
+    root, cfg = small_cohort
+    bad = root / "p1_f.sfm"
+    if damage == "truncate":
+        bad.write_text("".join(bad.read_text().splitlines(True)[:line - 1]))
+    else:
+        _corrupt_row(bad, line - 2, damage)
+    code = cli.main(["train", "--config", str(cfg), "--out",
+                     str(root / "ckpt"), "--seed", "0"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {bad}: line {line}: ")
+    assert err.count("\n") == 1
+
+
+def test_register_rejects_non_finite_moving(three_stage_ckpt, tmp_path,
+                                            capsys):
+    import shutil
+
+    root, ckpt = three_stage_ckpt
+    shutil.copy(root / "fixed.sfm", tmp_path / "fixed.sfm")
+    shutil.copy(root / "moving.sfm", tmp_path / "moving.sfm")
+    _corrupt_row(tmp_path / "moving.sfm", 17, "nan")
+    code = _register_in_process(tmp_path, ckpt, tmp_path / "o.sfm",
+                                tmp_path / "o.def")
+    assert code == 1
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'moving.sfm'}: line 19: value is not finite\n"
+
+
+@pytest.mark.parametrize("header, problem", [
+    (b"\n", "garbled header of block 1"),
+    (b"alpha two 3\n", "garbled header of block 1"),
+    (b"alpha 2 3\n", "garbled header of block 1"),  # rank without its dims
+    # far more bytes than the file holds
+    (b"alpha 1 4000000000000\n", "truncated block 'alpha'"),
+])
+def test_register_rejects_garbled_gmw(three_stage_ckpt, tmp_path, capsys,
+                                      header, problem):
+    import shutil
+
+    root, ckpt = three_stage_ckpt
+    broken = tmp_path / "broken"
+    shutil.copytree(ckpt, broken)
+    gmw = broken / "stage2.gmw"
+    first, rest = gmw.read_bytes().split(b"\n", 1)
+    gmw.write_bytes(first + b"\n" + header + rest)
+    code = _register_in_process(root, broken, tmp_path / "o.sfm",
+                                tmp_path / "o.def")
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {gmw}: {problem}\n"
+
+
+def test_register_rejects_unparsable_arch_value(three_stage_ckpt, tmp_path,
+                                                capsys):
+    import shutil
+
+    root, ckpt = three_stage_ckpt
+    broken = tmp_path / "broken"
+    shutil.copytree(ckpt, broken)
+    arch = broken / "stage3.arch"
+    arch.write_text(arch.read_text().replace("n_labels = 12", "n_labels = x"))
+    code = _register_in_process(root, broken, tmp_path / "o.sfm",
+                                tmp_path / "o.def")
+    assert code == 1
+    assert capsys.readouterr().err == \
+        f"error: {arch}: bad value 'x' for architecture key 'n_labels'\n"
+
+
+def test_register_rejects_fixed_at_another_order(three_stage_ckpt, tmp_path,
+                                                 monkeypatch, capsys):
+    import shutil
+
+    from spherereg import pipeline
+    from spherereg.mesh import SphericalFeatureMap, write_sfm
+
+    root, ckpt = three_stage_ckpt
+    calls = []
+    monkeypatch.setattr(pipeline, "register_pair",
+                        lambda *args: calls.append(args))
+    shutil.copy(root / "moving.sfm", tmp_path / "moving.sfm")
+    write_sfm(tmp_path / "fixed.sfm", SphericalFeatureMap(3, np.ones(642)))
+    code = _register_in_process(tmp_path, ckpt, tmp_path / "o.sfm",
+                                tmp_path / "o.def")
+    assert code == 1 and calls == []
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'fixed.sfm'}: order 3 does not match the "
+        f"order 2 of {tmp_path / 'moving.sfm'}\n")
+
+
+def test_register_rejects_channel_count_of_checkpoint(three_stage_ckpt,
+                                                      tmp_path, monkeypatch,
+                                                      capsys):
+    from spherereg import pipeline
+    from spherereg.mesh import SphericalFeatureMap, write_sfm
+
+    root, ckpt = three_stage_ckpt
+    calls = []
+    monkeypatch.setattr(pipeline, "register_pair",
+                        lambda *args: calls.append(args))
+    for name in ("moving", "fixed"):
+        write_sfm(tmp_path / f"{name}.sfm",
+                  SphericalFeatureMap(2, np.ones((162, 2))))
+    code = _register_in_process(tmp_path, ckpt, tmp_path / "o.sfm",
+                                tmp_path / "o.def")
+    assert code == 1 and calls == []
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'moving.sfm'}: 2 channels at order 2, but "
+        f"{ckpt / 'stage1.arch'} expects 1 at order 2\n")
+
+
+def test_train_rejects_data_that_misfits_a_stage(small_cohort, capsys):
+    from spherereg import cli
+    from spherereg.mesh import SphericalFeatureMap, write_sfm
+
+    root, cfg = small_cohort
+    write_sfm(root / "p2_m.sfm", SphericalFeatureMap(1, np.ones(42)))
+    code = cli.main(["train", "--config", str(cfg), "--out",
+                     str(root / "ckpt"), "--seed", "0"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {root / 'p2_m.sfm'}: 1 channels at order 1, but "
+        f"[stage.1] of {cfg} expects 1 at order 2\n")
+    assert not (root / "ckpt").exists()

@@ -15,7 +15,6 @@ from spherereg.conv import (
     ResBlock,
     pseudo_coords,
     read_arch,
-    tape_downsample,
     tape_maxpool,
     tape_upsample,
     write_arch,
@@ -23,7 +22,6 @@ from spherereg.conv import (
 from spherereg.mesh import (
     SphericalFeatureMap,
     build_icosphere,
-    downsample_features,
     pool_features,
     upsample_features,
     vertex_count,
@@ -108,12 +106,6 @@ def test_kernel_weights_isotropic_oracle():
     assert np.allclose(w, expect, atol=1e-12)
 
 
-def test_covariances_match_parameterization():
-    store, layer = _single_kernel_layer(sigma2=0.1)
-    sig = layer.covariances()
-    assert np.allclose(sig, 0.1 * np.eye(2), atol=1e-12)
-
-
 def test_constant_field_convolution_oracle():
     # [DERIVED] constant input c with unit mixing: out_v = c * mean ring weight
     store, layer = _single_kernel_layer()
@@ -154,12 +146,10 @@ def test_tape_transfers_match_feature_ops():
     vals = rng.standard_normal((vertex_count(2), 4))
     fmap = SphericalFeatureMap(2, vals)
     t = ad.constant(vals)
-    assert np.array_equal(tape_downsample(t, 2).value,
-                          downsample_features(fmap).values)
     assert np.array_equal(tape_upsample(t, 2).value,
                           upsample_features(fmap).values)
     assert np.array_equal(tape_maxpool(t, 2).value,
-                          pool_features(fmap, "max").values)
+                          pool_features(fmap).values)
 
 
 # -- blocks ----------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from spherereg import autodiff as ad
 from spherereg.crf import (
     CrfConfig,
-    compatibility_transform,
     crf_energy,
     crf_forward,
     crf_forward_tensor,
@@ -42,8 +41,6 @@ def test_config_validation():
         CrfConfig(iterations=0)
     with pytest.raises(ValueError):
         CrfConfig(gamma=0.0)
-    with pytest.raises(ValueError):
-        CrfConfig(lam_diag=(1.0, -1.0, 1.0))
 
 
 def test_init_crf_params():
@@ -102,16 +99,8 @@ def test_message_diagonal_excluded():
     centers = build_icosphere(0).vertices
     d = (labels.endpoints[0] - centers[0]) \
         - (endpoints.value[1] - centers[1])  # (N_l, 3)
-    kern = np.exp(-(d**2 * cfg.lam).sum(axis=1) / (2 * cfg.gamma**2))
+    kern = np.exp(-(d**2).sum(axis=1) / (2 * cfg.gamma**2))
     assert np.allclose(msg[0], 0.7 * kern * q[1], atol=1e-12)
-
-
-def test_compatibility_transform_is_matrix_product():
-    rng = np.random.Generator(np.random.Philox(5))
-    m = rng.standard_normal((6, 4))
-    mu = rng.standard_normal((4, 4))
-    out = compatibility_transform(ad.constant(m), ad.constant(mu))
-    assert np.allclose(out.value, m @ mu, atol=1e-15)
 
 
 # -- staged implementation vs the naive oracle -----------------------------
@@ -166,7 +155,7 @@ def test_energy_oracle_two_points():
     centers = build_icosphere(0).vertices
     d = (labels.endpoints[0, 0] - centers[0]) \
         - (labels.endpoints[1, 1] - centers[1])
-    kern = np.exp(-(d**2 * cfg.lam).sum() / (2 * cfg.gamma**2))
+    kern = np.exp(-(d**2).sum() / (2 * cfg.gamma**2))
     expect = -np.log(q[0, 0]) - np.log(q[1, 1]) \
         + mu[0, 1] * 0.5 * kern + mu[1, 0] * 0.5 * kern
     assert got == pytest.approx(expect, abs=1e-12)

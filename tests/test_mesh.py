@@ -8,8 +8,7 @@ from spherereg.mesh import (
     barycentric_map,
     build_icosphere,
     downsample_features,
-    hex_gradient,
-    hex_gradient_vectors,
+    gradient_coefficients,
     interpolate,
     pool_features,
     upsample_features,
@@ -133,33 +132,27 @@ class TestResampling:
 
 class TestPooling:
     def test_constant(self):
-        for mode in ("mean", "max"):
-            out = pool_features(SphericalFeatureMap(2, np.full((162, 1), 2.0)), mode)
-            assert out.sphere_order == 1
-            assert np.allclose(out.values, 2.0)
-
-    def test_mean_one_hot_six_neighbors(self):
-        # vertex 20 has 6 neighbors and is retained at order 1
-        vals = np.zeros((162, 1))
-        vals[20] = 1.0
-        out = pool_features(SphericalFeatureMap(2, vals), "mean")
-        assert abs(out.values[20, 0] - 1 / 7) < 1e-15
+        out = pool_features(SphericalFeatureMap(2, np.full((162, 1), 2.0)))
+        assert out.sphere_order == 1
+        assert np.allclose(out.values, 2.0)
 
     def test_max_one_hot_support(self):
         sphere = build_icosphere(2)
         vals = np.zeros((162, 1))
         hot = 20  # retained at order 1
         vals[hot] = 1.0
-        out = pool_features(SphericalFeatureMap(2, vals), "max")
+        out = pool_features(SphericalFeatureMap(2, vals))
         for i in range(42):
             expect = 1.0 if (i == hot or hot in sphere.neighbors[i]) else 0.0
             assert out.values[i, 0] == expect
 
     def test_max_ge_mean_for_nonnegative(self):
         vals = rng(3).random((642, 2))
-        mx = pool_features(SphericalFeatureMap(3, vals), "max")
-        mn = pool_features(SphericalFeatureMap(3, vals), "mean")
-        assert (mx.values >= mn.values - 1e-12).all()
+        mx = pool_features(SphericalFeatureMap(3, vals))
+        sphere = build_icosphere(3)
+        ring = vals[sphere.nbr_pad] * sphere.nbr_mask[:, :, None]
+        mean = ring.sum(axis=1) / sphere.nbr_mask.sum(axis=1)[:, None]
+        assert (mx.values >= mean[:162] - 1e-12).all()
 
 
 class TestBarycentric:
@@ -367,14 +360,25 @@ def test_nearest_vertex_rejects_empty_and_non_finite():
         mesh.nearest_vertex(random_unit(5), q, 0.1)
 
 
+def _gradient_vectors(order, values):
+    """Tangent-frame gradient 2-vectors (V, 2, C): the one-ring stencil
+    applied as ``metrics.smoothness_loss`` applies it."""
+    gathered = values[build_icosphere(order).nbr_pad]  # (V, 7, C)
+    return np.einsum("vds,vsc->vdc", gradient_coefficients(order), gathered)
+
+
+def _gradient_magnitude(order, values):
+    return np.sqrt((_gradient_vectors(order, values) ** 2).sum(axis=1))
+
+
 class TestHexGradient:
     def test_constant_zero(self):
-        g = hex_gradient(SphericalFeatureMap(3, np.full((642, 2), 4.0)))
+        g = _gradient_magnitude(3, np.full((642, 2), 4.0))
         assert np.abs(g).max() < 1e-12
 
     def test_z_field_magnitude(self):
         s = build_icosphere(4)
-        g = hex_gradient(SphericalFeatureMap(4, s.vertices[:, 2:3]))[:, 0]
+        g = _gradient_magnitude(4, s.vertices[:, 2:3])[:, 0]
         z = s.vertices[:, 2]
         away = np.abs(z) < 0.9
         expected = np.sqrt(1 - z[away] ** 2)
@@ -385,7 +389,7 @@ class TestHexGradient:
         s = build_icosphere(2)
         vals = np.zeros((162, 1))
         vals[33] = 1.0
-        g = hex_gradient(SphericalFeatureMap(2, vals))[:, 0]
+        g = _gradient_magnitude(2, vals)[:, 0]
         support = {33, *s.neighbors[33]}
         for i in range(162):
             if i in support:
@@ -397,9 +401,9 @@ class TestHexGradient:
         f = rng(7).standard_normal((162, 1))
         h = rng(8).standard_normal((162, 1))
         a, b = 1.7, -0.4
-        gf = hex_gradient_vectors(SphericalFeatureMap(2, f))
-        gh = hex_gradient_vectors(SphericalFeatureMap(2, h))
-        gc = hex_gradient_vectors(SphericalFeatureMap(2, a * f + b * h))
+        gf = _gradient_vectors(2, f)
+        gh = _gradient_vectors(2, h)
+        gc = _gradient_vectors(2, a * f + b * h)
         assert np.abs(gc - (a * gf + b * gh)).max() < 1e-12
 
 
@@ -426,4 +430,17 @@ class TestFileFormats:
         path = tmp_path / "bad.sfm"
         path.write_text("SFM1 1 41 1 0\n")
         with pytest.raises(ValueError):
+            mesh.read_sfm(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("SFM1 one 42 1 0\n", 1),
+        ("SFM1 0 12 1 0\n" + "0.5\n" * 3 + "x\n" + "0.5\n" * 8, 5),
+        ("SFM1 0 12 1 0\n" + "0.5\n" * 3 + "nan\n" + "0.5\n" * 8, 5),
+        ("SFM1 0 12 1 0\n" + "0.5\n" * 11 + "-inf\n", 13),
+        ("SFM1 0 12 1 1\n" + "0.5 1\n" * 11 + "0.5 y\n", 13),
+    ])
+    def test_sfm_malformed_names_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.sfm"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"bad.sfm: line {line}:"):
             mesh.read_sfm(path)

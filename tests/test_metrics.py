@@ -1,5 +1,7 @@
 """Tests for the loss terms and the distortion/similarity measures."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from spherereg.metrics import (
     deformation_gradients,
     distortion_stats,
     metrics_report,
-    read_met,
     similarity_loss,
     smoothness_loss,
     total_loss,
@@ -282,15 +283,18 @@ def test_cluster_mass_respects_mask():
 
 # -- report I/O ------------------------------------------------------------
 
-def test_met_roundtrip(tmp_path):
+def test_met_roundtrip():
     entries = {"cc.mean": 0.9321, "areal.p95": 0.123456789012345,
                "flipped_faces": 0}
-    path = tmp_path / "out.met"
-    write_met(path, entries)
-    back = read_met(path)
-    assert back["cc.mean"] == entries["cc.mean"]
-    assert back["areal.p95"] == entries["areal.p95"]
-    assert back["flipped_faces"] == 0.0
+    out = io.StringIO()
+    write_met(out, entries)
+    assert out.getvalue() == ("cc.mean = 0.93210000000000004\n"
+                              "areal.p95 = 0.123456789012345\n"
+                              "flipped_faces = 0\n")
+    # every float reads back exactly
+    back = dict(line.split(" = ") for line in out.getvalue().splitlines())
+    assert float(back["cc.mean"]) == entries["cc.mean"]
+    assert float(back["areal.p95"]) == entries["areal.p95"]
 
 
 def test_metrics_report_keys():

@@ -202,9 +202,25 @@ def test_model_from_trained_store_leaves_it_untouched():
     for name in names:
         assert np.array_equal(model.store[name].value, store[name].value)
     # frozen marks land on the model's copy only
-    store["crf.mu"].grad = np.ones_like(store["crf.mu"].value)
+    before = store["crf.mu"].value
+    store["crf.mu"].grad = np.ones_like(before)
     store.adam_step(0.1)
-    assert store.step_count("crf.mu") == 1
+    assert not np.array_equal(store["crf.mu"].value, before)
+
+
+def test_frozen_blocks_get_no_gradient():
+    stage = _tiny_stage(use_crf=True)
+    model = StageModel(stage, seed=2)
+    model.pair_loss(*_tiny_pairs(1)[0]).backward()
+    assert model.store["crf.omega"].grad is None
+    assert model.store["crf.mu"].grad is None
+    assert model.store["cls.b0.conv1.b"].grad is not None
+    # a copy keeps the marks, and Adam leaves the frozen blocks alone
+    copy = model.store.copy()
+    assert not copy["crf.mu"].requires_grad
+    mu = model.store["crf.mu"].value
+    model.store.adam_step(0.1)
+    assert model.store["crf.mu"].value is mu
 
 
 def test_model_from_incomplete_store_raises():

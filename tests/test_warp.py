@@ -18,7 +18,6 @@ from spherereg.warp import (
     read_def,
     resample_moving,
     resample_tensor,
-    soft_deform,
     soft_deform_tensor,
     upsample_deformation,
     write_def,
@@ -51,15 +50,6 @@ def test_label_space_distances_nondecreasing():
     assert np.all(np.diff(dist, axis=1) >= -1e-12)
 
 
-def test_label_space_max_radius():
-    labels = build_label_space(control_grid(1), 3, 12)
-    r = labels.max_radius()
-    assert 0 < r < np.pi / 2
-    # with more labels the neighborhood can only grow
-    wider = build_label_space(control_grid(1), 3, 40)
-    assert wider.max_radius() >= r
-
-
 def test_label_space_validation():
     with pytest.raises(ValueError):
         build_label_space(control_grid(2), 2, 5)
@@ -84,8 +74,8 @@ def test_soft_deform_one_hot_hits_endpoints():
     pick = rng.integers(6, size=42)
     q = np.zeros((42, 6))
     q[np.arange(42), pick] = 1.0
-    field = soft_deform(control, labels, q)
-    assert np.allclose(field.endpoints,
+    out = soft_deform_tensor(labels, ad.constant(q)).value
+    assert np.allclose(out,
                        labels.endpoints[np.arange(42), pick], atol=1e-15)
 
 
@@ -93,11 +83,11 @@ def test_soft_deform_uniform_is_normalized_mean():
     control = control_grid(1)
     labels = build_label_space(control, 2, 6)
     q = np.full((42, 6), 1.0 / 6.0)
-    field = soft_deform(control, labels, q)
+    out = soft_deform_tensor(labels, ad.constant(q)).value
     mean = labels.endpoints.mean(axis=1)
     expect = mean / np.linalg.norm(mean, axis=1, keepdims=True)
-    assert np.allclose(field.endpoints, expect, atol=1e-12)
-    assert np.allclose(np.linalg.norm(field.endpoints, axis=1), 1.0, atol=1e-12)
+    assert np.allclose(out, expect, atol=1e-12)
+    assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
 
 
 def test_soft_deform_degenerate_falls_back_to_argmax():
@@ -108,13 +98,6 @@ def test_soft_deform_degenerate_falls_back_to_argmax():
     q = ad.constant(np.array([[0.5, 0.5]]))
     out = soft_deform_tensor(labels, q)
     assert np.allclose(out.value, [[0.0, 0.0, 1.0]], atol=1e-15)
-
-
-def test_soft_deform_shape_check():
-    control = control_grid(1)
-    labels = build_label_space(control, 2, 6)
-    with pytest.raises(ValueError):
-        soft_deform(control, labels, np.zeros((42, 5)))
 
 
 def test_soft_deform_gradients_finite_difference():
@@ -367,4 +350,18 @@ def test_def_rejects_bad_header(tmp_path):
         read_def(path)
     path.write_text("DEF1 1 40\n")
     with pytest.raises(ValueError):
+        read_def(path)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("DEF1 x 12\n", 1),
+    ("DEF1 0 12\n" + "0 0 1\n" * 4, 6),  # truncated
+    ("DEF1 0 12\n" + "0 0 1\n" * 2 + "0 1\n" + "0 0 1\n" * 9, 4),
+    ("DEF1 0 12\n" + "0 0 1\n" * 5 + "0 inf 1\n" + "0 0 1\n" * 6, 7),
+    ("DEF1 0 12\n" + "0 0 1\n" * 11 + "nan 0 1\n", 13),
+])
+def test_def_malformed_names_file_and_line(tmp_path, text, line):
+    path = tmp_path / "bad.def"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"bad.def: line {line}:"):
         read_def(path)
