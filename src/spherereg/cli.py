@@ -58,17 +58,20 @@ def cmd_synth(args) -> int:
     from .warp import write_def
 
     try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        return _fail(f"cannot create {args.out}: {exc}", EXIT_IO)
-    entries = []
-    for i in range(args.pairs):
-        spec = SyntheticWarpSpec(
+        specs = [SyntheticWarpSpec(
             seed=args.seed + i, max_angle=args.max_angle,
             smoothness=args.smoothness, field_degree=args.field_degree,
             n_components=args.components, n_channels=args.channels,
             noise=args.noise,
-        )
+        ) for i in range(args.pairs)]
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_USAGE)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        return _fail(f"cannot create {args.out}: {exc}", EXIT_IO)
+    entries = []
+    for i, spec in enumerate(specs):
         try:
             moving, fixed, truth = generate_synthetic_pair(spec, args.order)
         except RuntimeError as exc:
@@ -150,7 +153,8 @@ def cmd_train(args) -> int:
 def _load_stages(ckpt_dir):
     """(StageConfig, ParamStore) of the checkpoints stage1 ... stageK in
     ``ckpt_dir``: architecture from ``.arch``, weights from ``.gmw`` and
-    the remaining settings from ``.cfg`` when present."""
+    the remaining settings from ``.cfg``.  Each stage needs all three
+    files; a missing one raises OSError."""
     from dataclasses import asdict
 
     from .conv import read_arch
@@ -172,8 +176,7 @@ def _load_stages(ckpt_dir):
         base = os.path.join(ckpt_dir, f"stage{k}")
         settings = asdict(read_arch(base + ".arch"))
         store = read_gmw(base + ".gmw")
-        if os.path.exists(base + ".cfg"):
-            settings.update(read_stage_cfg(base + ".cfg"))
+        settings.update(read_stage_cfg(base + ".cfg"))
         stage = StageConfig(**settings, use_crf="crf.omega" in store)
         try:
             StageModel(stage, store)  # the store holds every block it needs

@@ -40,9 +40,11 @@ class CrfConfig:
 
     def __post_init__(self):
         if self.iterations < 1:
-            raise ValueError("mean-field iteration count must be >= 1")
+            raise ValueError("bad value for key 'crf_iterations': the "
+                             "mean-field iteration count must be >= 1")
         if self.gamma <= 0:
-            raise ValueError("kernel bandwidth gamma must be positive")
+            raise ValueError("bad value for key 'gamma': the kernel "
+                             "bandwidth must be positive")
 
 
 def init_crf_params(store: ParamStore, control_order: int,

@@ -9,13 +9,14 @@ barycentric point location / interpolation, the one-ring least-squares
 gradient stencil that the smoothness penalty applies, and the text file
 formats for spheres and feature maps.
 
-``best_face`` is the one point-location primitive: every search for the
-face containing a point, on the icosphere (``locate_faces``,
-``barycentric_map``) or on a warped copy of it
-(``warp.locate_warped_faces``), scores its candidates through it.
-``nearest_vertex`` finds the point with the largest dot product per query
-on a uniform grid, in near-linear time and memory; the warped-face search
-seeds its candidates from it.
+There is one face search, ``locate_warped_faces``: it finds the face
+containing each query on a warped copy of the icosphere, and on the
+icosphere itself as the identity warp (``barycentric_map``, and through
+it composition and the coarse-to-fine transfer maps).  It seeds its
+candidate faces from ``nearest_vertex``, which finds the point with the
+largest dot product per query on a uniform grid in near-linear time and
+memory, and scores them through ``best_face``, the one point-in-triangle
+test.  Every table of an icosphere is built from sorted integer keys.
 """
 
 from __future__ import annotations
@@ -42,17 +43,17 @@ def face_count(order: int) -> int:
 class Icosphere:
     """Immutable subdivided icosahedron projected onto the unit sphere.
 
-    ``neighbors`` lists each vertex's one-ring in ascending index order.
     ``midpoint_edges[i]`` gives the two parent vertices of vertex
-    ``n_parent + i`` (empty at order 0).  ``nbr_pad`` is a (V, 7) table:
-    column 0 is the vertex itself, columns 1.. hold neighbors, padded by
-    repeating the vertex itself; ``nbr_mask`` marks real entries.
+    ``n_parent + i`` (empty at order 0).  ``nbr_pad`` is the one
+    neighbour table, (V, 7): column 0 is the vertex itself, columns 1..
+    hold its one-ring in ascending index order, padded by repeating the
+    vertex itself; ``nbr_mask`` marks real entries.  ``vertex_faces`` is
+    (V, 6): each vertex's faces in ascending order, padded with -1.
     """
 
     order: int
     vertices: np.ndarray
     faces: np.ndarray
-    neighbors: tuple
     midpoint_edges: np.ndarray
     nbr_pad: np.ndarray = field(repr=False)
     nbr_mask: np.ndarray = field(repr=False)
@@ -97,36 +98,20 @@ def _base_icosahedron():
 
 def _subdivide(vertices: np.ndarray, faces: np.ndarray):
     n_old = vertices.shape[0]
-    pairs = np.concatenate(
-        [faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0
-    )
-    pairs = np.sort(pairs, axis=1)
-    edges = np.unique(pairs, axis=0)  # lexicographically sorted (min, max)
-    edge_id = {(int(e[0]), int(e[1])): n_old + i for i, e in enumerate(edges)}
+    pairs = np.sort(np.concatenate(
+        [faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]), axis=1)
+    # integer keys sort as the (min, max) edges do, lexicographically
+    keys, inverse = np.unique(pairs[:, 0] * n_old + pairs[:, 1],
+                              return_inverse=True)
+    edges = np.stack(np.divmod(keys, n_old), axis=1)
     mids = vertices[edges[:, 0]] + vertices[edges[:, 1]]
     mids /= np.linalg.norm(mids, axis=1, keepdims=True)
     new_vertices = np.concatenate([vertices, mids], axis=0)
-
-    def mid(i, j):
-        return edge_id[(min(i, j), max(i, j))]
-
-    new_faces = np.empty((faces.shape[0] * 4, 3), dtype=np.int64)
-    for f, (a, b, c) in enumerate(faces):
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        new_faces[4 * f + 0] = (a, ab, ca)
-        new_faces[4 * f + 1] = (b, bc, ab)
-        new_faces[4 * f + 2] = (c, ca, bc)
-        new_faces[4 * f + 3] = (ab, bc, ca)
+    a, b, c = faces.T
+    ab, bc, ca = (n_old + inverse).reshape(3, -1)
+    new_faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
     return new_vertices, new_faces, edges
-
-
-def _adjacency(n_vertices: int, faces: np.ndarray):
-    nbr_sets = [set() for _ in range(n_vertices)]
-    for a, b, c in faces:
-        nbr_sets[a].update((b, c))
-        nbr_sets[b].update((a, c))
-        nbr_sets[c].update((a, b))
-    return tuple(np.array(sorted(s), dtype=np.int64) for s in nbr_sets)
 
 
 @lru_cache(maxsize=None)
@@ -145,27 +130,33 @@ def build_icosphere(order: int) -> Icosphere:
         parent = build_icosphere(order - 1)
         vertices, faces, midpoint_edges = _subdivide(parent.vertices, parent.faces)
 
-    neighbors = _adjacency(vertices.shape[0], faces)
     n = vertices.shape[0]
+    # each directed edge (i, j) of a face, keyed i * n + j: the sorted
+    # unique keys list every vertex's neighbours in ascending order, and
+    # searchsorted finds where each vertex's run starts
+    tails = faces[:, [0, 0, 1, 1, 2, 2]].ravel()
+    heads = faces[:, [1, 2, 0, 2, 0, 1]].ravel()
+    rows, nbrs = np.divmod(np.unique(tails * n + heads), n)
+    slot = 1 + np.arange(len(rows)) - np.searchsorted(rows, rows)
     nbr_pad = np.tile(np.arange(n, dtype=np.int64)[:, None], (1, 7))
+    nbr_pad[rows, slot] = nbrs
     nbr_mask = np.zeros((n, 7), dtype=bool)
     nbr_mask[:, 0] = True
-    for i, nb in enumerate(neighbors):
-        nbr_pad[i, 1 : 1 + len(nb)] = nb
-        nbr_mask[i, 1 : 1 + len(nb)] = True
+    nbr_mask[rows, slot] = True
 
+    # a stable sort of the corners by vertex keeps each vertex's faces in
+    # ascending order
+    corners = faces.ravel()
+    by_vertex = np.argsort(corners, kind="stable")
+    owner = corners[by_vertex]
     vertex_faces = np.full((n, 6), -1, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    for f, tri in enumerate(faces):
-        for v in tri:
-            vertex_faces[v, counts[v]] = f
-            counts[v] += 1
+    vertex_faces[owner, np.arange(len(owner))
+                 - np.searchsorted(owner, owner)] = by_vertex // 3
 
     return Icosphere(
         order=order,
         vertices=vertices,
         faces=faces,
-        neighbors=neighbors,
         midpoint_edges=midpoint_edges,
         nbr_pad=nbr_pad,
         nbr_mask=nbr_mask,
@@ -402,19 +393,33 @@ def _block_nearest(points, order, queries, start, stop):
     return found
 
 
-def locate_faces(sphere: Icosphere, queries: np.ndarray) -> np.ndarray:
-    """Find, per unit query point, the face containing it.
+def locate_warped_faces(endpoints: np.ndarray, sphere: Icosphere,
+                        queries: np.ndarray) -> np.ndarray:
+    """Per unit query, the face of the sphere's mesh that contains it once
+    the vertices move to ``endpoints``; ``sphere.vertices`` locates on the
+    sphere itself (the identity warp).
 
-    Exhaustive search at order <= 2, then hierarchical descent through the
-    subdivision children (face f at order k splits into faces 4f..4f+3 at
-    order k+1).  Ties on shared edges resolve to the lowest face index.
+    Candidates come from the one- then two-ring of the nearest endpoint
+    (``nearest_vertex`` on a grid of the sphere's longest edge), with an
+    exhaustive sweep for any stragglers, so the result is deterministic
+    even when the warp slightly shears the mesh.  A query on a shared edge
+    or corner goes to the earliest candidate face that holds it.  Time and
+    memory are near-linear in the vertex count for warps that keep
+    neighbours near each other.
     """
-    base = build_icosphere(min(sphere.order, 2))
-    faces, _, _ = best_face(base.vertices, base.faces, queries)
-    for level in range(base.order + 1, sphere.order + 1):
-        fine = build_icosphere(level)
-        cand = faces[:, None] * 4 + np.arange(4)[None, :]  # (N, 4)
-        faces, _, _ = best_face(fine.vertices, fine.faces, queries, cand)
+    nearest = nearest_vertex(endpoints, queries, longest_edge(sphere.order))
+    faces, score, _ = best_face(endpoints, sphere.faces, queries,
+                                sphere.vertex_faces[nearest])
+    missing = np.nonzero(score < -1e-9)[0]
+    if len(missing):
+        ring2 = sphere.vertex_faces[sphere.nbr_pad[nearest[missing]]]
+        faces[missing], score[missing], _ = best_face(
+            endpoints, sphere.faces, queries[missing],
+            ring2.reshape(len(missing), -1))
+        missing = missing[score[missing] < -1e-9]
+        if len(missing):
+            faces[missing], _, _ = best_face(endpoints, sphere.faces,
+                                             queries[missing])
     return faces
 
 
@@ -428,7 +433,7 @@ def barycentric_map(sphere: Icosphere, queries: np.ndarray) -> BarycentricMap:
     if np.any(norms < 1e-12):
         raise ValueError("degenerate (zero) query point")
     queries = queries / norms[:, None]
-    faces = locate_faces(sphere, queries)
+    faces = locate_warped_faces(sphere.vertices, sphere, queries)
     _, _, w = best_face(sphere.vertices, sphere.faces, queries, faces[:, None])
     w = np.clip(w, 0.0, None)
     w /= w.sum(axis=1, keepdims=True)
@@ -473,7 +478,8 @@ def gradient_coefficients(order: int) -> np.ndarray:
     sphere = build_icosphere(order)
     e1, e2 = tangent_basis(sphere.vertices)
     coeffs = np.zeros((sphere.n_vertices, 2, 7))
-    for i, nb in enumerate(sphere.neighbors):
+    for i in range(sphere.n_vertices):
+        nb = sphere.nbr_pad[i, 1:][sphere.nbr_mask[i, 1:]]
         off = sphere.vertices[nb] - sphere.vertices[i]
         p = np.stack([off @ e1[i], off @ e2[i]], axis=1)  # (deg, 2)
         w = np.linalg.solve(p.T @ p, p.T)  # (2, deg)

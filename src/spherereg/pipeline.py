@@ -45,10 +45,14 @@ class SyntheticWarpSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_angle < 0 or self.smoothness <= 0:
-            raise ValueError("bad warp amplitude or smoothness")
-        if self.n_components < 0:
-            raise ValueError("bad component count")
+        if not self.smoothness > 0:
+            raise ValueError("synthetic warp: smoothness must be positive, "
+                             f"got {self.smoothness!r}")
+        for name, low in (("max_angle", 0), ("n_components", 0),
+                          ("field_degree", 1), ("n_channels", 1)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"synthetic warp: {name} must be >= {low}, "
+                                 f"got {getattr(self, name)!r}")
 
 
 def _random_field(points: np.ndarray, rng: np.random.Generator,
@@ -155,6 +159,7 @@ class StageConfig:
 
     def __post_init__(self):
         self.net_config()  # validate architecture consistency
+        self.crf_config()  # and the CRF settings
         if self.lam_sm < 0:
             raise ValueError(f"lam_sm must be nonnegative, got {self.lam_sm}")
 
@@ -472,9 +477,11 @@ _STAGE_SECTION = re.compile(r"stage\.([1-9][0-9]*)")
 
 
 def _read_ini(path, cp: configparser.ConfigParser) -> None:
+    """Parse the INI file at ``path`` into ``cp``.  A file that cannot be
+    opened raises OSError, a malformed one ValueError."""
     try:
-        if not cp.read(path):
-            raise ValueError(f"cannot read {path}")
+        with open(path) as fh:
+            cp.read_file(fh)
     except configparser.Error as exc:
         raise ValueError(" ".join(str(exc).split())) from None
 
@@ -504,7 +511,10 @@ def read_run_config(path) -> RunConfig:
     raises ValueError."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                    interpolation=None)
-    _read_ini(path, cp)
+    try:
+        _read_ini(path, cp)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
     numbered = {}
     for name in cp.sections():
         match = _STAGE_SECTION.fullmatch(name)
@@ -549,6 +559,11 @@ def read_run_config(path) -> RunConfig:
                        .split(","))
     except ValueError as exc:
         raise ValueError(f"{path} [data]: {exc}") from None
+    if len(ratios) != 3 or not all(r >= 0 for r in ratios) \
+            or not abs(sum(ratios) - 1.0) <= 1e-9:
+        raise ValueError(f"{path} [data]: bad value {data['split']!r} for "
+                         "key 'split': need three nonnegative ratios that "
+                         "sum to 1")
     return RunConfig(manifest=data["manifest"], seed=seed, stages=stages,
                      ratios=ratios)
 
@@ -565,7 +580,8 @@ def write_stage_cfg(path, stage: StageConfig) -> None:
 def read_stage_cfg(path) -> dict:
     """The settings ``write_stage_cfg`` persisted, as ``StageConfig``
     keyword arguments.  Other keys are skipped: checkpoints written by
-    earlier versions carry settings that no longer exist."""
+    earlier versions carry settings that no longer exist.  A missing file
+    raises OSError."""
     cp = configparser.ConfigParser(interpolation=None)
     _read_ini(path, cp)
     if "stage" not in cp:

@@ -1,7 +1,9 @@
 """The discrete deformation alphabet and everything that moves features
 around the sphere: per-control-point candidate endpoints, probability-
 weighted deformation, barycentric upsampling of control displacements, and
-resampling of moving features through a warped vertex cloud."""
+resampling of moving features through a warped vertex cloud.  Warped-face
+location is ``mesh.locate_warped_faces``, the one face search, re-exported
+here."""
 
 from __future__ import annotations
 
@@ -16,11 +18,9 @@ from .mesh import (
     Icosphere,
     SphericalFeatureMap,
     barycentric_map,
-    best_face,
     build_icosphere,
     interpolate,
-    longest_edge,
-    nearest_vertex,
+    locate_warped_faces,
     read_header,
     read_rows,
     vertex_count,
@@ -142,33 +142,6 @@ def upsample_deformation(coarse: DeformationField,
     out = upsample_deformation_tensor(ad.constant(coarse.endpoints),
                                       coarse.order, target.order)
     return DeformationField(target.order, out.value)
-
-
-def locate_warped_faces(endpoints: np.ndarray, sphere: Icosphere,
-                        queries: np.ndarray) -> np.ndarray:
-    """Per query, the face of the warped vertex cloud containing it.
-
-    Candidates come from the one- then two-ring of the nearest warped
-    vertex (``mesh.nearest_vertex`` on a grid of the sphere's longest edge),
-    with an exhaustive sweep for any stragglers, so the result is
-    deterministic even when the warp slightly shears the mesh.  Time and
-    memory are near-linear in the vertex count for warps that keep
-    neighbours near each other.
-    """
-    nearest = nearest_vertex(endpoints, queries, longest_edge(sphere.order))
-    faces, score, _ = best_face(endpoints, sphere.faces, queries,
-                                sphere.vertex_faces[nearest])
-    missing = np.nonzero(score < -1e-9)[0]
-    if len(missing):
-        ring2 = sphere.vertex_faces[sphere.nbr_pad[nearest[missing]]]
-        faces[missing], score[missing], _ = best_face(
-            endpoints, sphere.faces, queries[missing],
-            ring2.reshape(len(missing), -1))
-        missing = missing[score[missing] < -1e-9]
-        if len(missing):
-            faces[missing], _, _ = best_face(endpoints, sphere.faces,
-                                             queries[missing])
-    return faces
 
 
 def resample_tensor(moving_values: np.ndarray, endpoints: Tensor,

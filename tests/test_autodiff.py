@@ -44,11 +44,11 @@ class TestBackward:
     def test_quadratic_closed_form(self):
         g = rng(4)
         w = ad.Tensor(g.standard_normal((4, 3)))
-        x = ad.constant(g.standard_normal(3))
+        x = ad.constant(g.standard_normal((3, 1)))
         y = w @ x
         loss = 0.5 * ad.sum_(y * y)
         loss.backward()
-        expected = np.outer(w.value @ x.value, x.value)
+        expected = (w.value @ x.value) @ x.value.T
         assert np.abs(w.grad - expected).max() < 1e-10
 
     def test_backward_needs_scalar(self):
@@ -58,12 +58,12 @@ class TestBackward:
 
     def test_gradient_linearity_in_cotangent(self):
         x = ad.Tensor(rng(5).standard_normal((3, 3)))
-        y = ad.exp(x)
+        y = ad.normalize_rows(x)
         seed = rng(6).standard_normal((3, 3))
         y.backward(seed)
         g1 = x.grad.copy()
         x2 = ad.Tensor(x.value.copy())
-        y2 = ad.exp(x2)
+        y2 = ad.normalize_rows(x2)
         y2.backward(3.0 * seed)
         assert np.abs(x2.grad - 3.0 * g1).max() < 1e-12
 
@@ -86,7 +86,8 @@ class TestBackward:
             g = rng(8)
             x = ad.Tensor(g.standard_normal((10, 4)))
             w = ad.Tensor(g.standard_normal((4, 4)))
-            loss = ad.sum_(ad.softmax_rows(ad.leaky_relu(x @ w)) ** 2)
+            q = ad.softmax_rows(ad.leaky_relu(x @ w))
+            loss = ad.sum_(q * q)
             loss.backward()
             return loss.value.copy(), x.grad.copy(), w.grad.copy()
 
@@ -118,8 +119,10 @@ class TestRegisteredOps:
         onehot = np.eye(4)[target]
 
         def loss_fn(p):
-            q = ad.softmax_rows(p["u"])
-            return -ad.sum_(ad.log(q) * onehot)
+            # softmax scored against one-hot targets by squared error: the
+            # tape has no log op, as the program takes no logarithm
+            miss = ad.softmax_rows(p["u"]) - onehot
+            return ad.sum_(miss * miss)
 
         assert grad_check(loss_fn, store, n_probes=20) < 1e-4
 

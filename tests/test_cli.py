@@ -77,6 +77,23 @@ def test_synth_order_out_of_range(tmp_path):
     assert out.returncode == 1
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--smoothness", "0", "smoothness"), ("--max-angle", "-1", "max_angle"),
+    ("--components", "-1", "n_components"),
+    ("--field-degree", "0", "field_degree"), ("--channels", "0", "n_channels")])
+def test_synth_rejects_settings_it_cannot_generate(tmp_path, capsys, flag,
+                                                   value, field):
+    from spherereg import cli
+
+    code = cli.main(["synth", "--order", "1", "--pairs", "1", "--seed", "0",
+                     "--out", str(tmp_path / "d"), flag, value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: synthetic warp: {field} must be ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "d").exists()
+
+
 def test_synth_requires_seed(tmp_path):
     out = run_cli("synth", "--order", "2", "--pairs", "1",
                   "--out", str(tmp_path / "d"))
@@ -346,6 +363,22 @@ def test_register_write_failure_is_an_io_error(three_stage_ckpt, tmp_path,
     assert err.startswith("error: cannot write: ") and err.count("\n") == 1
 
 
+def test_register_requires_every_stage_cfg(three_stage_ckpt, tmp_path,
+                                          capsys):
+    import shutil
+
+    root, ckpt = three_stage_ckpt
+    partial = tmp_path / "partial"
+    shutil.copytree(ckpt, partial)
+    (partial / "stage2.cfg").unlink()
+    code = _register_in_process(root, partial, tmp_path / "o.sfm",
+                                tmp_path / "o.def")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(partial / "stage2.cfg") in err and err.count("\n") == 1
+    assert not (tmp_path / "o.sfm").exists()
+
+
 def test_register_rejects_gap_in_stages(three_stage_ckpt, tmp_path):
     import shutil
 
@@ -594,4 +627,26 @@ def test_train_rejects_data_that_misfits_a_stage(small_cohort, capsys):
     assert capsys.readouterr().err == (
         f"error: {root / 'p2_m.sfm'}: 1 channels at order 1, but "
         f"[stage.1] of {cfg} expects 1 at order 2\n")
+    assert not (root / "ckpt").exists()
+
+
+@pytest.mark.parametrize("old, new, where, key", [
+    ("epochs = 1\n", "epochs = 1\ngamma = 0\n", "[stage.1]", "gamma"),
+    ("epochs = 1\n", "epochs = 1\ncrf_iterations = 0\n", "[stage.1]",
+     "crf_iterations"),
+    ("split = 0.6,0.4,0.0", "split = 0.5,0.2,0.2", "[data]", "split"),
+    ("split = 0.6,0.4,0.0", "split = 1.2,-0.2,0", "[data]", "split"),
+    ("split = 0.6,0.4,0.0", "split = 0.6,0.4", "[data]", "split")])
+def test_train_rejects_settings_training_cannot_use(small_cohort, capsys, old,
+                                                    new, where, key):
+    from spherereg import cli
+
+    root, cfg = small_cohort
+    cfg.write_text(cfg.read_text().replace(old, new))
+    code = cli.main(["train", "--config", str(cfg), "--out",
+                     str(root / "ckpt"), "--seed", "0"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {cfg} {where}: bad value ")
+    assert f"key {key!r}" in err and err.count("\n") == 1
     assert not (root / "ckpt").exists()

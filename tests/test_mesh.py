@@ -52,7 +52,7 @@ class TestIcosphere:
     @pytest.mark.parametrize("order", range(4))
     def test_degrees(self, order):
         s = build_icosphere(order)
-        degrees = np.array([len(n) for n in s.neighbors])
+        degrees = s.nbr_mask[:, 1:].sum(axis=1)
         assert (degrees[:12] == 5).all()
         assert (degrees[12:] == 6).all()
 
@@ -143,7 +143,8 @@ class TestPooling:
         vals[hot] = 1.0
         out = pool_features(SphericalFeatureMap(2, vals))
         for i in range(42):
-            expect = 1.0 if (i == hot or hot in sphere.neighbors[i]) else 0.0
+            ring = sphere.nbr_pad[i][sphere.nbr_mask[i]]  # i and its one-ring
+            expect = 1.0 if hot in ring else 0.0
             assert out.values[i, 0] == expect
 
     def test_max_ge_mean_for_nonnegative(self):
@@ -234,24 +235,60 @@ def _oracle_scores(vertices, faces, queries):
 @pytest.mark.parametrize("order", range(5))
 def test_locate_faces_matches_brute_force_oracle(order):
     # random queries plus finer-sphere vertices: the edge midpoints and the
-    # shared corners are ties, which only have to land in a containing face
+    # shared corners are ties, which only have to land in a containing
+    # face.  Up to order 2 the finer vertices are all those of the spheres
+    # one to three orders finer, the queries of the transfer maps.
     s = build_icosphere(order)
-    finer = build_icosphere(order + 1).vertices
-    pick = rng(order).choice(len(finer), size=min(len(finer), 300),
-                             replace=False)
-    q = np.concatenate([random_unit(300, seed=order), finer[pick]])
-    score, w = _oracle_scores(s.vertices, s.faces, q)
-    top2 = np.sort(score, axis=1)[:, -2:]
-    clear = top2[:, 1] - top2[:, 0] > 1e-9
-    assert clear[:300].all()
+    if order <= 2:
+        finer = np.concatenate([build_icosphere(k).vertices
+                                for k in range(order + 1, order + 4)])
+    else:
+        finer = build_icosphere(order + 1).vertices
+        finer = finer[rng(order).choice(len(finer), size=300, replace=False)]
+    q = np.concatenate([random_unit(300, seed=order), finer])
     bmap = barycentric_map(s, q)
-    rows = np.arange(len(q))
-    for faces in (mesh.locate_faces(s, q), bmap.face_index):
-        assert (score[rows, faces] >= -1e-9).all()
+    for lo in range(0, len(q), 2000):  # the oracle is (N, F): keep N small
+        rows = np.arange(lo, min(lo + 2000, len(q)))
+        score, w = _oracle_scores(s.vertices, s.faces, q[rows])
+        top2 = np.sort(score, axis=1)[:, -2:]
+        clear = top2[:, 1] - top2[:, 0] > 1e-9
+        assert clear[rows < 300].all()
+        faces = bmap.face_index[rows]
+        local = np.arange(len(rows))
+        assert (score[local, faces] >= -1e-9).all()
         assert np.array_equal(faces[clear], np.argmax(score[clear], axis=1))
-    expect = np.clip(w[:, rows, bmap.face_index].T, 0.0, None)
-    expect /= expect.sum(axis=1, keepdims=True)
-    assert np.abs(bmap.weights - expect).max() < 1e-12
+        expect = np.clip(w[:, local, faces].T, 0.0, None)
+        expect /= expect.sum(axis=1, keepdims=True)
+        assert np.abs(bmap.weights[rows] - expect).max() < 1e-12
+    # the coarse vertex coordinates interpolate back to every query
+    recon = interpolate(bmap, SphericalFeatureMap(order, s.vertices))
+    recon /= np.linalg.norm(recon, axis=1, keepdims=True)
+    assert np.abs(recon - q).max() < 1e-12
+
+
+@pytest.mark.parametrize("order", range(6))
+def test_tables_match_brute_force_oracle(order):
+    # every table rebuilt from the face list with Python sets and lists
+    s = build_icosphere(order)
+    ring = [set() for _ in range(s.n_vertices)]
+    incident = [[] for _ in range(s.n_vertices)]
+    for f, tri in enumerate(s.faces.tolist()):
+        for v in tri:
+            ring[v].update(tri)
+            incident[v].append(f)
+    for v in range(s.n_vertices):
+        nbrs = sorted(ring[v] - {v})
+        pad = 6 - len(nbrs)
+        assert s.nbr_pad[v].tolist() == [v, *nbrs] + [v] * pad
+        assert s.nbr_mask[v].tolist() == [True] * (7 - pad) + [False] * pad
+        assert s.vertex_faces[v].tolist() == \
+            sorted(incident[v]) + [-1] * (6 - len(incident[v]))
+    edges = set()
+    if order:
+        for a, b, c in build_icosphere(order - 1).faces.tolist():
+            edges |= {tuple(sorted(e)) for e in ((a, b), (b, c), (c, a))}
+    assert s.midpoint_edges.shape == (len(edges), 2)
+    assert s.midpoint_edges.tolist() == [list(e) for e in sorted(edges)]
 
 
 def test_best_face_skips_padding_and_far_side():
@@ -390,7 +427,7 @@ class TestHexGradient:
         vals = np.zeros((162, 1))
         vals[33] = 1.0
         g = _gradient_magnitude(2, vals)[:, 0]
-        support = {33, *s.neighbors[33]}
+        support = set(s.nbr_pad[33][s.nbr_mask[33]])
         for i in range(162):
             if i in support:
                 assert g[i] > 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spherereg import autodiff as ad
-from spherereg import warp
+from spherereg import mesh, warp
 from spherereg.mesh import SphericalFeatureMap, build_icosphere, vertex_count
 from spherereg.optim import ParamStore, grad_check
 from spherereg.warp import (
@@ -165,6 +165,10 @@ def test_compose_order_mismatch_rejected():
 
 # -- face location and resampling ------------------------------------------
 
+def test_warp_reexports_the_one_face_search():
+    assert warp.locate_warped_faces is mesh.locate_warped_faces
+
+
 def test_locate_warped_faces_identity_contains_queries():
     sphere = build_icosphere(2)
     rng = np.random.Generator(np.random.Philox(9))
@@ -198,7 +202,7 @@ def test_locate_warped_faces_matches_brute_force_oracle(order, amplitude,
     # exhaustive tiers must still find a containing face
     sphere = build_icosphere(order)
     tiers = {"ring2": 0, "exhaustive": 0}
-    search = warp.best_face
+    search = mesh.best_face
 
     def counted(vertices, faces, queries, cand=None):
         if cand is None:
@@ -207,7 +211,7 @@ def test_locate_warped_faces_matches_brute_force_oracle(order, amplitude,
             tiers["ring2"] += len(queries)
         return search(vertices, faces, queries, cand)
 
-    monkeypatch.setattr(warp, "best_face", counted)
+    monkeypatch.setattr(mesh, "best_face", counted)
     for seed in range(5):
         rng = np.random.Generator(np.random.Philox(seed))
         ends = sphere.vertices + amplitude * rng.standard_normal(
