@@ -256,7 +256,9 @@ def gather(a, index):
         out = np.bincount(bins, weights=np.ravel(g), minlength=n * cols)
         return out.reshape(a.value.shape)
 
-    return Tensor(a.value[index], (a,), (vjp,), requires_grad=a.requires_grad)
+    # np.take gathers rows several times faster than fancy indexing
+    return Tensor(np.take(a.value, index, axis=0), (a,), (vjp,),
+                  requires_grad=a.requires_grad)
 
 
 def max_reduce(a, axis):

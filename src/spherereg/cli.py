@@ -273,7 +273,7 @@ def cmd_selftest(args) -> int:
 
     from .crf import CrfConfig, crf_forward, meanfield_reference
     from .mesh import barycentric_map, best_face, build_icosphere, \
-        longest_edge, nearest_vertex, vertex_count
+        face_normals, longest_edge, nearest_vertex, vertex_count
     from .metrics import distortion_stats
     from .optim import ParamStore, check_registered_ops
     from .warp import DeformationField, build_label_space, control_grid, \
@@ -308,10 +308,11 @@ def cmd_selftest(args) -> int:
     dense = [np.argmax(ends @ v) for v in sphere.vertices]
     check("nearest warped vertex matches the dense search",
           np.array_equal(nearest, dense))
-    ring1 = best_face(ends, sphere.faces, sphere.vertices,
+    normals = face_normals(ends, sphere.faces)
+    ring1 = best_face(normals, sphere.vertices,
                       sphere.vertex_faces[nearest])[1]
     faces = locate_warped_faces(ends, sphere, sphere.vertices)
-    score = best_face(ends, sphere.faces, sphere.vertices, faces[:, None])[1]
+    score = best_face(normals, sphere.vertices, faces[:, None])[1]
     check("warped face location past the one-ring",
           bool((ring1 < -1e-9).any() and (score >= -1e-9).all()))
 

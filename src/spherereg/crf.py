@@ -82,7 +82,8 @@ def gaussian_message(q: Tensor, partner_endpoints: Tensor, labels: LabelSpace,
     ``omega`` is used as given, minus its diagonal; ``crf_forward_tensor``
     passes the row-normalized weights.  The message is one node on the tape
     with hand-written VJPs, so the dense (N_l, N_c, N_c) kernel is built
-    once per call and reused by the backward pass.
+    once per call and reused by the backward pass; the tape keeps it apart
+    from the filtered kernel only when ``omega`` takes a gradient.
     """
     q, partner_endpoints, omega = (ad.as_tensor(q),
                                    ad.as_tensor(partner_endpoints),
@@ -102,7 +103,13 @@ def gaussian_message(q: Tensor, partner_endpoints: Tensor, labels: LabelSpace,
     kernel -= scale * b
     np.exp(kernel, out=kernel)
     offdiag = ~np.eye(n_c, dtype=bool)
-    filtered = kernel * np.where(offdiag, omega.value, 0.0)  # (N_l, N_c, N_c)
+    weights = np.where(offdiag, omega.value, 0.0)
+    if omega.requires_grad:
+        filtered = kernel * weights  # (N_l, N_c, N_c)
+    else:
+        # only vjp_omega reads the kernel: filter in place and let it go
+        kernel *= weights
+        filtered, kernel = kernel, None
     qt = q.value.T  # (N_l, N_c)
     msg = (filtered @ qt[:, :, None])[:, :, 0].T
 

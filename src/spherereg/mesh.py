@@ -16,7 +16,12 @@ it composition and the coarse-to-fine transfer maps).  It seeds its
 candidate faces from ``nearest_vertex``, which finds the point with the
 largest dot product per query on a uniform grid in near-linear time and
 memory, and scores them through ``best_face``, the one point-in-triangle
-test.  Every table of an icosphere is built from sorted integer keys.
+test, against a table of each face's edge normals (``face_normals``)
+computed once per call.  Given a hint, such as the faces of the previous
+refinement step, it first keeps each query whose hinted face holds it
+strictly inside, which is the search's own answer whenever the warped
+faces cannot overlap, and searches only the rest.  Every table of an
+icosphere is built from sorted integer keys.
 """
 
 from __future__ import annotations
@@ -258,28 +263,35 @@ class BarycentricMap:
     weights: np.ndarray
 
 
-def best_face(vertices: np.ndarray, faces: np.ndarray, queries: np.ndarray,
+def face_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """(F, 3, 3) edge normals ``b x c, c x a, a x b`` of each face (a, b, c):
+    the triple product of a point with normal ``i`` is its unnormalized
+    barycentric weight on corner ``i``."""
+    a, b, c = (np.take(vertices, faces[:, k], axis=0) for k in range(3))
+    return np.stack([np.cross(b, c), np.cross(c, a), np.cross(a, b)], axis=1)
+
+
+def best_face(normals: np.ndarray, queries: np.ndarray,
               cand: np.ndarray | None = None):
     """Per unit query, the candidate face that best contains it.
 
-    ``cand`` is an (N, K) table of candidate faces padded with -1; None
-    makes every face a candidate.  A face's unnormalized weights are the
-    triple products of the query with its three edge normals; its score is
-    the smallest weight over their sum, positive iff the query's gnomonic
-    projection lies inside the face, and -inf on the far side (sum <=
-    1e-12) and for padding.  Ties go to the earliest candidate.
+    ``normals`` is the (F, 3, 3) table of ``face_normals``.  ``cand`` is an
+    (N, K) table of candidate faces padded with -1; None makes every face a
+    candidate.  A face's unnormalized weights are the triple products of
+    the query with its three edge normals; its score is the smallest weight
+    over their sum, positive iff the query's gnomonic projection lies
+    inside the face, and -inf on the far side (sum <= 1e-12) and for
+    padding.  Ties go to the earliest candidate.
 
     Returns (face, score, w): per query the best face, its score and its
     (N, 3) unnormalized weights.
     """
-    tri = vertices[faces if cand is None else faces[np.clip(cand, 0, None)]]
-    a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
-    normals = np.stack([np.cross(b, c), np.cross(c, a), np.cross(a, b)],
-                       axis=-2)  # (F, 3, 3) or (N, K, 3, 3)
     if cand is None:
         w = (queries @ normals.reshape(-1, 3).T).reshape(len(queries), -1, 3)
     else:
-        w = np.einsum("nj,nkij->nki", queries, normals)
+        # np.take gathers rows several times faster than fancy indexing
+        w = np.einsum("nj,nkij->nki", queries,
+                      np.take(normals, np.clip(cand, 0, None), axis=0))
     w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
     s = w0 + w1 + w2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -393,8 +405,12 @@ def _block_nearest(points, order, queries, start, stop):
     return found
 
 
+HINT_MARGIN = 1e-6  # score a query must exceed to keep its hinted face
+
+
 def locate_warped_faces(endpoints: np.ndarray, sphere: Icosphere,
-                        queries: np.ndarray) -> np.ndarray:
+                        queries: np.ndarray,
+                        hint: np.ndarray | None = None) -> np.ndarray:
     """Per unit query, the face of the sphere's mesh that contains it once
     the vertices move to ``endpoints``; ``sphere.vertices`` locates on the
     sphere itself (the identity warp).
@@ -406,20 +422,56 @@ def locate_warped_faces(endpoints: np.ndarray, sphere: Icosphere,
     or corner goes to the earliest candidate face that holds it.  Time and
     memory are near-linear in the vertex count for warps that keep
     neighbours near each other.
+
+    ``hint`` is an optional guess of one face per query, such as the faces
+    of a nearby earlier warp (Devillers, Pion & Teillaud 2002 start their
+    walks the same way).  It never changes the answer.  When the warped
+    faces cover the sphere exactly once (``_covers_once``) no two of them
+    overlap, so a query that scores above ``HINT_MARGIN`` in its hinted
+    face lies in no other face, and it keeps the hint; every other query,
+    and every query of a warp that folds, takes the search above.
     """
+    normals = face_normals(endpoints, sphere.faces)
+    if hint is None or not _covers_once(endpoints, sphere.faces, normals):
+        return _search_faces(endpoints, sphere, normals, queries)
+    faces = np.array(hint, dtype=np.int64)
+    cold = np.nonzero(best_face(normals, queries, faces[:, None])[1]
+                      <= HINT_MARGIN)[0]
+    if len(cold):
+        faces[cold] = _search_faces(endpoints, sphere, normals, queries[cold])
+    return faces
+
+
+def _covers_once(vertices, faces, normals) -> bool:
+    """Whether every face, carried to the unit ``vertices``, is positively
+    oriented and their solid angles sum to one sphere (4 pi, not 8 pi or
+    more): then the piecewise map covers the sphere once, and the faces
+    do not overlap."""
+    a, b, c = (np.take(vertices, faces[:, k], axis=0) for k in range(3))
+    det = np.einsum("ij,ij->i", a, normals[:, 0])  # a . (b x c)
+    if not (det > 0).all():
+        return False
+    # tan(omega / 2) = det / (1 + a.b + b.c + c.a), Van Oosterom &
+    # Strackee 1983
+    cos = 1.0 + np.einsum("ij,ij->i", a, b) + np.einsum("ij,ij->i", b, c) \
+        + np.einsum("ij,ij->i", c, a)
+    return 2.0 * np.arctan2(det, cos).sum() < 6.0 * np.pi
+
+
+def _search_faces(endpoints, sphere, normals, queries):
+    """``locate_warped_faces`` without a hint: ring 1 and ring 2 of the
+    nearest endpoint, then every face."""
     nearest = nearest_vertex(endpoints, queries, longest_edge(sphere.order))
-    faces, score, _ = best_face(endpoints, sphere.faces, queries,
+    faces, score, _ = best_face(normals, queries,
                                 sphere.vertex_faces[nearest])
     missing = np.nonzero(score < -1e-9)[0]
     if len(missing):
         ring2 = sphere.vertex_faces[sphere.nbr_pad[nearest[missing]]]
         faces[missing], score[missing], _ = best_face(
-            endpoints, sphere.faces, queries[missing],
-            ring2.reshape(len(missing), -1))
+            normals, queries[missing], ring2.reshape(len(missing), -1))
         missing = missing[score[missing] < -1e-9]
         if len(missing):
-            faces[missing], _, _ = best_face(endpoints, sphere.faces,
-                                             queries[missing])
+            faces[missing], _, _ = best_face(normals, queries[missing])
     return faces
 
 
@@ -434,7 +486,8 @@ def barycentric_map(sphere: Icosphere, queries: np.ndarray) -> BarycentricMap:
         raise ValueError("degenerate (zero) query point")
     queries = queries / norms[:, None]
     faces = locate_warped_faces(sphere.vertices, sphere, queries)
-    _, _, w = best_face(sphere.vertices, sphere.faces, queries, faces[:, None])
+    _, _, w = best_face(face_normals(sphere.vertices, sphere.faces), queries,
+                        faces[:, None])
     w = np.clip(w, 0.0, None)
     w /= w.sum(axis=1, keepdims=True)
     return BarycentricMap(sphere.order, faces, w)

@@ -49,7 +49,8 @@ class SyntheticWarpSpec:
             raise ValueError("synthetic warp: smoothness must be positive, "
                              f"got {self.smoothness!r}")
         for name, low in (("max_angle", 0), ("n_components", 0),
-                          ("field_degree", 1), ("n_channels", 1)):
+                          ("field_degree", 1), ("n_channels", 1),
+                          ("noise", 0)):
             if not getattr(self, name) >= low:
                 raise ValueError(f"synthetic warp: {name} must be >= {low}, "
                                  f"got {getattr(self, name)!r}")
@@ -238,19 +239,21 @@ class StageModel:
                                            self.stage.input_order)
 
     def _loss(self, moving: SphericalFeatureMap, fixed: SphericalFeatureMap,
-              logits: Tensor, crf: bool) -> Tensor:
-        """The training loss of the registration that ``logits`` decode to."""
+              logits: Tensor, crf: bool, hint: np.ndarray | None = None):
+        """The training loss of the registration that ``logits`` decode to,
+        and the warped faces its resampling located (``hint`` is the
+        ``resample_tensor`` hint)."""
         endpoints = self._endpoints(logits, crf)
-        warped = resample_tensor(moving.values, endpoints,
-                                 self.stage.input_order)
+        warped, faces = resample_tensor(moving.values, endpoints,
+                                        self.stage.input_order, hint)
         return total_loss(fixed, warped, endpoints, self.stage.input_order,
-                          self.stage.lam_sm, moving.mask)
+                          self.stage.lam_sm, moving.mask), faces
 
     def pair_loss(self, moving: SphericalFeatureMap,
                   fixed: SphericalFeatureMap) -> Tensor:
         return self._loss(moving, fixed,
                           self.net.logits(moving.values, fixed.values),
-                          self.stage.use_crf)
+                          self.stage.use_crf)[0]
 
     def register(self, moving: SphericalFeatureMap,
                  fixed: SphericalFeatureMap, logits: np.ndarray | None = None):
@@ -295,9 +298,11 @@ class StageModel:
         logits = opt.add("logits", init.copy())
         steps = self.stage.refine_steps
         first_crf = steps - CRF_REFINE_STEPS if self.stage.use_crf else steps
+        faces = None  # each step's warped faces hint the next step's search
         for step in range(steps):
             opt.zero_grad()
-            loss = self._loss(moving, fixed, logits, step >= first_crf)
+            loss, faces = self._loss(moving, fixed, logits, step >= first_crf,
+                                     faces)
             if not np.isfinite(loss.value):
                 raise FloatingPointError("non-finite refinement loss")
             loss.backward()
@@ -539,7 +544,18 @@ def read_run_config(path) -> RunConfig:
                              f"[stage.{n}]; number stages 1, 2, ... in order")
     defaults = {}
     if "crf" in cp:
-        defaults = _stage_settings(cp["crf"], f"{path} [crf]", _CRF_KEYS)
+        where = f"{path} [crf]"
+        defaults = _stage_settings(cp["crf"], where, _CRF_KEYS)
+        # the [crf] keys are CrfConfig's fields: check the defaults here,
+        # so that an error names the section and the key the user wrote
+        try:
+            CrfConfig(**{key: defaults[name] for key, name in _CRF_KEYS.items()
+                         if name in defaults and key != "enabled"})
+        except ValueError as exc:
+            message = str(exc)
+            for key, name in _CRF_KEYS.items():
+                message = message.replace(f"key {name!r}", f"key {key!r}")
+            raise ValueError(f"{where}: {message}") from None
     stages = []
     for n in sorted(numbered):
         where = f"{path} [stage.{n}]"

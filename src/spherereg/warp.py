@@ -145,17 +145,22 @@ def upsample_deformation(coarse: DeformationField,
 
 
 def resample_tensor(moving_values: np.ndarray, endpoints: Tensor,
-                    order: int) -> Tensor:
+                    order: int, hint: np.ndarray | None = None):
     """Pull moving features through the warp onto the fixed sphere.
 
     The moving vertices are carried to ``endpoints``; each fixed-sphere
     vertex is then interpolated inside the warped face containing it.  The
     weights stay differentiable w.r.t. the endpoints; the face assignment
-    itself is a constant of the tape.
+    itself is a constant of the tape.  ``hint`` is passed on to
+    ``locate_warped_faces`` and does not change the result.
+
+    Returns the warped values and the warped face of each fixed vertex,
+    the hint for a nearby warp.
     """
     sphere = build_icosphere(order)
-    faces = locate_warped_faces(endpoints.value, sphere, sphere.vertices)
-    return _interpolate_warped(moving_values, endpoints, sphere, faces)
+    faces = locate_warped_faces(endpoints.value, sphere, sphere.vertices,
+                                hint=hint)
+    return _interpolate_warped(moving_values, endpoints, sphere, faces), faces
 
 
 def _interpolate_warped(moving_values: np.ndarray, endpoints: Tensor,

@@ -80,7 +80,8 @@ def test_synth_order_out_of_range(tmp_path):
 @pytest.mark.parametrize("flag, value, field", [
     ("--smoothness", "0", "smoothness"), ("--max-angle", "-1", "max_angle"),
     ("--components", "-1", "n_components"),
-    ("--field-degree", "0", "field_degree"), ("--channels", "0", "n_channels")])
+    ("--field-degree", "0", "field_degree"), ("--channels", "0", "n_channels"),
+    ("--noise", "-1", "noise")])
 def test_synth_rejects_settings_it_cannot_generate(tmp_path, capsys, flag,
                                                    value, field):
     from spherereg import cli
@@ -634,6 +635,9 @@ def test_train_rejects_data_that_misfits_a_stage(small_cohort, capsys):
     ("epochs = 1\n", "epochs = 1\ngamma = 0\n", "[stage.1]", "gamma"),
     ("epochs = 1\n", "epochs = 1\ncrf_iterations = 0\n", "[stage.1]",
      "crf_iterations"),
+    ("[stage.1]\n", "[crf]\niterations = 0\n[stage.1]\n", "[crf]",
+     "iterations"),
+    ("[stage.1]\n", "[crf]\ngamma = 0\n[stage.1]\n", "[crf]", "gamma"),
     ("split = 0.6,0.4,0.0", "split = 0.5,0.2,0.2", "[data]", "split"),
     ("split = 0.6,0.4,0.0", "split = 1.2,-0.2,0", "[data]", "split"),
     ("split = 0.6,0.4,0.0", "split = 0.6,0.4", "[data]", "split")])

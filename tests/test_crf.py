@@ -103,6 +103,27 @@ def test_message_diagonal_excluded():
     assert np.allclose(msg[0], 0.7 * kern * q[1], atol=1e-12)
 
 
+def test_frozen_filter_weights_free_the_kernel_and_change_no_bits():
+    # only the omega VJP reads the unfiltered kernel; with omega frozen the
+    # tape must not hold it, and the message and the other gradients keep
+    # their bits
+    labels, u, omega, _ = _instance(5)
+    probe = np.random.Generator(np.random.Philox(6)).standard_normal(u.shape)
+    out = {}
+    for trained in (True, False):
+        q = ad.Tensor(_softmax(u))
+        msg = gaussian_message(q, soft_deform_tensor(labels, q), labels,
+                               ad.Tensor(omega, requires_grad=trained),
+                               CrfConfig())
+        ad.sum_(msg * probe).backward()
+        out[trained] = msg.value, q.grad
+        held = [cell.cell_contents for cell in msg.vjps[2].__closure__
+                if np.ndim(cell.cell_contents) == 3]
+        assert len(held) == trained
+    for a, b in zip(out[True], out[False]):
+        assert np.array_equal(a, b)
+
+
 # -- staged implementation vs the naive oracle -----------------------------
 
 def test_staged_matches_naive_reference():

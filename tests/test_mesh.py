@@ -296,18 +296,35 @@ def test_best_face_skips_padding_and_far_side():
     centre = s.vertices[s.faces[0]].sum(axis=0)
     q = np.concatenate([random_unit(50, seed=7),
                         centre[None] / np.linalg.norm(centre)])
-    every, score, w = mesh.best_face(s.vertices, s.faces, q)
+    normals = mesh.face_normals(s.vertices, s.faces)
+    every, score, w = mesh.best_face(normals, q)
     assert (score > -1e-9).all() and every[-1] == 0
     # a table of only far-side faces scores -inf
-    far = mesh.best_face(s.vertices, s.faces, -q, every[:, None])[1]
+    far = mesh.best_face(normals, -q, every[:, None])[1]
     assert np.isneginf(far).all()
     # padding never wins, not even against face 0 that it would index
     pad = np.full(len(q), -1)
     cand = np.stack([pad, every, pad], axis=1)
-    face, got, w1 = mesh.best_face(s.vertices, s.faces, q, cand)
+    face, got, w1 = mesh.best_face(normals, q, cand)
     assert np.array_equal(face, every)
     assert np.allclose(got, score, atol=1e-15)
     assert np.allclose(w1, w, atol=1e-15)
+
+
+def test_face_normals_match_per_candidate_cross_products():
+    # one table per call gives the bits that crossing each gathered
+    # (query, candidate) corner triple gave
+    s = build_icosphere(2)
+    ends = s.vertices + 0.05 * rng(3).standard_normal(s.vertices.shape)
+    ends /= np.linalg.norm(ends, axis=1, keepdims=True)
+    cand = s.vertex_faces[rng(4).integers(0, s.n_vertices, 300)]
+    tri = ends[s.faces[np.clip(cand, 0, None)]]  # (N, 6, 3, 3)
+    a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
+    per_candidate = np.stack([np.cross(b, c), np.cross(c, a),
+                              np.cross(a, b)], axis=-2)
+    normals = mesh.face_normals(ends, s.faces)
+    assert normals.shape == (s.n_faces, 3, 3)
+    assert np.array_equal(normals[np.clip(cand, 0, None)], per_candidate)
 
 
 def _dense_nearest(points, queries):

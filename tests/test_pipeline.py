@@ -184,6 +184,51 @@ def test_refined_logits_do_not_leak_into_the_next_pair():
     assert not np.array_equal(refined.endpoints, plain.endpoints)
 
 
+def _unfolding_stage(**kw):
+    # labels one order finer than the input keep every warped face the
+    # right way round, so the refine steps can use their hints
+    return _tiny_stage(input_order=3, control_order=1, label_order=3,
+                       lam_sm=1.0, use_crf=True, **kw)
+
+
+def test_refine_hints_each_step_with_the_last_steps_faces(monkeypatch):
+    from spherereg import mesh, warp
+
+    pair = _tiny_pairs(1, order=3)[0]
+    model = StageModel(_unfolding_stage(refine_steps=4), seed=4)
+    model.register(*pair)  # builds the cached transfer maps
+    cold, calls = [], []
+    nearest, locate = mesh.nearest_vertex, warp.locate_warped_faces
+
+    def count_nearest(points, queries, cell):
+        cold.append(len(queries))
+        return nearest(points, queries, cell)
+
+    def count_locate(endpoints, sphere, queries, hint=None):
+        before = sum(cold)
+        faces = locate(endpoints, sphere, queries, hint)
+        calls.append((len(queries), hint is not None, sum(cold) - before))
+        return faces
+
+    monkeypatch.setattr(mesh, "nearest_vertex", count_nearest)
+    monkeypatch.setattr(warp, "locate_warped_faces", count_locate)
+    model.refine(*pair)
+    assert calls[0] == (642, False, 642)
+    hinted = calls[1:]
+    assert len(hinted) == 3 and all(h for _, h, _ in hinted)
+    assert sum(c for _, _, c in hinted) < 0.2 * sum(n for n, _, _ in hinted)
+
+
+def test_refining_one_pair_leaves_the_next_pairs_logits_alone():
+    pairs = _tiny_pairs(2, order=3)
+    stage = _unfolding_stage(refine_steps=3)
+    model = StageModel(stage, seed=4)
+    model.refine(*pairs[0])
+    after = model.refine(*pairs[1])
+    alone = StageModel(stage, seed=4).refine(*pairs[1])
+    assert np.array_equal(after, alone)
+
+
 def test_refine_without_steps_returns_none():
     pairs = _tiny_pairs(1)
     assert StageModel(_tiny_stage(), seed=0).refine(*pairs[0]) is None

@@ -204,12 +204,12 @@ def test_locate_warped_faces_matches_brute_force_oracle(order, amplitude,
     tiers = {"ring2": 0, "exhaustive": 0}
     search = mesh.best_face
 
-    def counted(vertices, faces, queries, cand=None):
+    def counted(normals, queries, cand=None):
         if cand is None:
             tiers["exhaustive"] += len(queries)
         elif cand.shape[1] > 6:
             tiers["ring2"] += len(queries)
-        return search(vertices, faces, queries, cand)
+        return search(normals, queries, cand)
 
     monkeypatch.setattr(mesh, "best_face", counted)
     for seed in range(5):
@@ -248,6 +248,106 @@ def test_locate_warped_faces_memory_is_near_linear():
     assert len(faces) == sphere.n_vertices
 
 
+def _jitter(sphere, amplitude, rng):
+    ends = sphere.vertices + amplitude * rng.standard_normal(
+        sphere.vertices.shape)
+    return ends / np.linalg.norm(ends, axis=1, keepdims=True)
+
+
+def _count_cold_queries(monkeypatch):
+    """A list that collects how many queries each call of
+    ``nearest_vertex`` (the start of the cold search) gets."""
+    seen = []
+    nearest = mesh.nearest_vertex
+
+    def counted(points, queries, cell):
+        seen.append(len(queries))
+        return nearest(points, queries, cell)
+
+    monkeypatch.setattr(mesh, "nearest_vertex", counted)
+    return seen
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_hinted_location_matches_cold_location(order, monkeypatch):
+    sphere = build_icosphere(order)
+    rng = np.random.Generator(np.random.Philox(order))
+    # the fixed vertices, and the midpoints of the warped edges, which lie
+    # on the edge two faces share
+    edges = np.concatenate([sphere.faces[:, [0, 1]], sphere.faces[:, [1, 2]]])
+    # jitter of a tenth of an edge keeps every face the right way round;
+    # jitter of three tenths folds the mesh, and the hint is ignored
+    for share, folds in ((0.02, False), (0.1, False), (0.3, True)):
+        amplitude = share * mesh.longest_edge(order)
+        ends = _jitter(sphere, amplitude, rng)
+        mids = ends[edges[:, 0]] + ends[edges[:, 1]]
+        q = np.concatenate(
+            [sphere.vertices, mids / np.linalg.norm(mids, axis=1,
+                                                    keepdims=True)])
+        cold = locate_warped_faces(ends, sphere, q)
+        hints = {"exact": cold, "shifted": np.roll(cold, 1),
+                 "random": rng.integers(0, sphere.n_faces, len(q)),
+                 "identity": locate_warped_faces(sphere.vertices, sphere, q),
+                 "previous": locate_warped_faces(
+                     _jitter(sphere, amplitude, rng), sphere, q)}
+        seen = _count_cold_queries(monkeypatch)
+        for name, hint in hints.items():
+            got = locate_warped_faces(ends, sphere, q, hint=hint)
+            assert np.array_equal(got, cold), name
+        # on a mesh that does not fold, an exact hint settles every query
+        # strictly inside its face, which is all but those near an edge
+        score = mesh.best_face(mesh.face_normals(ends, sphere.faces), q,
+                               cold[:, None])[1]
+        near_edge = int((score <= mesh.HINT_MARGIN).sum())
+        assert near_edge < len(mids) + sphere.n_vertices // 10
+        assert seen[0] == (len(q) if folds else near_edge)
+        monkeypatch.undo()
+
+
+def test_hint_changes_nothing_on_a_folded_warp(monkeypatch):
+    sphere = build_icosphere(3)
+    ends = _jitter(sphere, 0.01, np.random.Generator(np.random.Philox(2)))
+    # swapping a vertex with its neighbour turns their shared faces over
+    ends[[0, sphere.nbr_pad[0, 1]]] = ends[[sphere.nbr_pad[0, 1], 0]]
+    normals = mesh.face_normals(ends, sphere.faces)
+    det = np.einsum("ij,ij->i", ends[sphere.faces[:, 0]], normals[:, 0])
+    assert (det <= 0).any()
+    cold = locate_warped_faces(ends, sphere, sphere.vertices)
+    seen = _count_cold_queries(monkeypatch)
+    got = locate_warped_faces(ends, sphere, sphere.vertices, hint=cold)
+    assert np.array_equal(got, cold)
+    assert seen == [sphere.n_vertices]
+
+
+def test_hint_changes_nothing_on_a_double_cover():
+    # z -> z^2 in a stereographic chart through vertex 0: every face keeps
+    # its orientation, but the warped mesh wraps the sphere twice, so most
+    # queries lie inside two faces and a hint may name the wrong one
+    sphere = build_icosphere(3)
+    z = sphere.vertices[0]
+    x = np.cross(z, [0.0, 0.0, 1.0])
+    x /= np.linalg.norm(x)
+    frame = np.stack([x, np.cross(z, x), z])
+    p = sphere.vertices @ frame.T
+    theta = 2 * np.arctan(np.tan(np.arccos(np.clip(p[:, 2], -1, 1)) / 2) ** 2)
+    phi = 2 * np.arctan2(p[:, 1], p[:, 0])
+    ends = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                     np.cos(theta)], axis=1) @ frame
+    normals = mesh.face_normals(ends, sphere.faces)
+    det = np.einsum("ij,ij->i", ends[sphere.faces[:, 0]], normals[:, 0])
+    assert (det > 0).all()
+    q = sphere.vertices
+    cold = locate_warped_faces(ends, sphere, q)
+    w = np.einsum("nj,fij->nfi", q, normals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inside = w.min(axis=2) / w.sum(axis=2) > mesh.HINT_MARGIN
+    inside[np.arange(len(q)), cold] = False
+    other = np.where(inside.any(axis=1), np.argmax(inside, axis=1), cold)
+    assert (other != cold).sum() > len(q) // 2
+    got = locate_warped_faces(ends, sphere, q, hint=other)
+    assert np.array_equal(got, cold)
+
+
 def test_resample_moving_locates_masked_map_once(monkeypatch):
     sphere = build_icosphere(2)
     rng = np.random.Generator(np.random.Philox(3))
@@ -258,14 +358,14 @@ def test_resample_moving_locates_masked_map_once(monkeypatch):
     calls = []
     locate = warp.locate_warped_faces
 
-    def counted(endpoints, sphere, queries):
+    def counted(endpoints, sphere, queries, hint=None):
         calls.append(len(queries))
-        return locate(endpoints, sphere, queries)
+        return locate(endpoints, sphere, queries, hint)
 
     monkeypatch.setattr(warp, "locate_warped_faces", counted)
     out = resample_moving(moving, DeformationField(2, ends), sphere)
     assert calls == [162]
-    expect = resample_tensor(moving.values, ad.constant(ends), 2).value
+    expect = resample_tensor(moving.values, ad.constant(ends), 2)[0].value
     assert np.array_equal(out.values, expect)
     faces = locate(ends, sphere, sphere.vertices)
     assert np.array_equal(out.mask, mask[sphere.faces[faces]].all(axis=1))
@@ -324,7 +424,7 @@ def test_resample_gradients_finite_difference():
     probe = rng.standard_normal((42, 2))
 
     def loss_fn(params):
-        out = resample_tensor(vals, params["end"], 1)
+        out, _ = resample_tensor(vals, params["end"], 1)
         return ad.sum_(out * probe)
 
     assert grad_check(loss_fn, store, n_probes=20, seed=5) < 1e-4
