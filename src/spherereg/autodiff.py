@@ -84,9 +84,12 @@ class Tensor:
                 if not parent.requires_grad:
                     continue
                 contrib = vjp(g)
+                # out of place: a VJP may return a view of ``g`` or an array
+                # its node still holds, so no gradient is written into
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.value)
-                parent.grad = parent.grad + contrib
+                    parent.grad = contrib
+                else:
+                    parent.grad = parent.grad + contrib
 
 
 def _toposort(root: Tensor):
@@ -174,15 +177,6 @@ def matmul(a, b):
                   requires_grad=a.requires_grad or b.requires_grad)
 
 
-def sqrt(a, eps: float = 0.0):
-    """Square root; a small ``eps`` inside keeps the backward pass finite
-    at exact zeros (needed by gradient-magnitude penalties)."""
-    a = as_tensor(a)
-    out = np.sqrt(a.value + eps)
-    return Tensor(out, (a,), (lambda g: g * 0.5 / out,),
-                  requires_grad=a.requires_grad)
-
-
 def leaky_relu(a):
     a = as_tensor(a)
     pos = a.value > 0
@@ -202,12 +196,6 @@ def sum_(a, axis=None, keepdims=False):
         return np.broadcast_to(gg, a.value.shape).copy()
 
     return Tensor(out, (a,), (vjp,), requires_grad=a.requires_grad)
-
-
-def mean_(a, axis=None):
-    a = as_tensor(a)
-    n = a.value.size if axis is None else a.value.shape[axis]
-    return mul(sum_(a, axis=axis), 1.0 / n)
 
 
 def reshape(a, shape):
@@ -321,19 +309,6 @@ def bmm(a, b):
     )
 
 
-def cross(a, b):
-    """Cross product along the last axis (3-vectors)."""
-    a, b = as_tensor(a), as_tensor(b)
-    return Tensor(
-        np.cross(a.value, b.value), (a, b),
-        (
-            lambda g: _unbroadcast(np.cross(b.value, g), a.value.shape),
-            lambda g: _unbroadcast(np.cross(g, a.value), b.value.shape),
-        ),
-        requires_grad=a.requires_grad or b.requires_grad,
-    )
-
-
 def softmax_rows(a):
     """Numerically stable softmax along the last axis."""
     a = as_tensor(a)
@@ -349,9 +324,15 @@ def softmax_rows(a):
 
 
 def normalize_rows(a):
-    """Scale the last axis to unit Euclidean norm."""
-    norm = sqrt(sum_(mul(a, a), axis=-1, keepdims=True))
-    return div(a, norm)
+    """Scale the last axis to unit Euclidean norm; one tape node."""
+    a = as_tensor(a)
+    norm = np.sqrt((a.value * a.value).sum(axis=-1, keepdims=True))
+    out = a.value / norm
+
+    def vjp(g):
+        return (g - out * (g * out).sum(axis=-1, keepdims=True)) / norm
+
+    return Tensor(out, (a,), (vjp,), requires_grad=a.requires_grad)
 
 
 # -- primitive registry for gradient verification -------------------------
@@ -376,10 +357,8 @@ OP_REGISTRY = {
     "mul_broadcast": (mul, _rand([(4, 1, 3), (1, 5, 3)])),
     "div": (div, _randpos([(4, 3), (4, 3)])),
     "matmul": (matmul, _rand([(4, 3), (3, 5)])),
-    "sqrt": (sqrt, _randpos([(4, 3)])),
     "leaky_relu": (leaky_relu, _rand([(4, 3)])),
     "sum": (lambda a: sum_(a, axis=1), _rand([(4, 3)])),
-    "mean": (lambda a: mean_(a, axis=0), _rand([(4, 3)])),
     "reshape": (lambda a: reshape(a, (3, 4)), _rand([(4, 3)])),
     "transpose": (lambda a: transpose(a, (1, 0)), _rand([(4, 3)])),
     "concat": (lambda a, b: concat([a, b], axis=1), _rand([(4, 3), (4, 2)])),
@@ -394,7 +373,6 @@ OP_REGISTRY = {
     ),
     "einsum": (lambda a, b: einsum("vsj,vsc->vjc", a, b), _rand([(4, 5, 2), (4, 5, 3)])),
     "bmm": (bmm, _rand([(4, 2, 5), (4, 5, 3)])),
-    "cross": (cross, _rand([(4, 3), (4, 3)])),
     "softmax_rows": (softmax_rows, _rand([(4, 6)])),
     "normalize_rows": (normalize_rows, _rand([(4, 3)])),
 }

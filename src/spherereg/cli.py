@@ -7,7 +7,8 @@ thread, which guarantees bitwise-reproducible runs.  The cap is set
 through the environment, which the BLAS reads when numpy is first
 imported: it acts in the ``spherereg`` command, but a ``main()`` called in
 a process that has already imported numpy runs with the threads that
-process has.
+process has, and warns when the process's thread variables differ from
+the request.
 """
 
 from __future__ import annotations
@@ -23,10 +24,23 @@ EXIT_IO = 2
 EXIT_BUDGET = 3
 
 
+# the first three are the ones a BLAS reads
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+               "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
 def _set_threads(n: int) -> None:
-    # must happen before numpy (and its BLAS) is imported
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    """Cap the numerical libraries at ``n`` threads.  The cap must be set
+    before numpy (and its BLAS) is imported; when numpy is already loaded
+    and a BLAS thread variable differs from ``n``, warn that the cap may
+    not hold."""
+    if "numpy" in sys.modules:
+        differ = [f"{var}={os.environ.get(var, 'unset')}"
+                  for var in THREAD_VARS[:3] if os.environ.get(var) != str(n)]
+        if differ:
+            print(f"warning: --threads {n} may not apply: numpy was loaded "
+                  f"before it with {', '.join(differ)}", file=sys.stderr)
+    for var in THREAD_VARS:
         os.environ[var] = str(n)
 
 

@@ -42,52 +42,75 @@ def similarity_loss(fixed: SphericalFeatureMap, warped, moving_mask=None) -> Ten
 
     ``warped`` may be a Tensor (training) or an array/feature map.  A
     zero-variance channel contributes zero correlation with a warning.
+    One tape node on ``warped``.
     """
     warped_t = warped if isinstance(warped, Tensor) else ad.constant(_as_values(warped))
     if warped_t.shape != fixed.values.shape:
         raise ValueError("fixed and warped maps differ in shape")
     idx = _valid_index(fixed, moving_mask)
     f = fixed.values[idx]
-    m = ad.gather(warped_t, idx)
+    m = np.take(warped_t.value, idx, axis=0)
     diff = m - f
-    mse = ad.mean_(ad.sum_(diff * diff, axis=1))
-
     n = len(idx)
-    cc_terms = []
+    mse = (diff * diff).sum(axis=1).sum() * (1.0 / n)
+
+    # d cc / d m = (fz / cov - mz / var_m) * cc / n per kept channel; the
+    # channel means drop out of the gradient because fz and mz sum to zero
+    cc_sum = 0.0
+    cc_grad = np.zeros_like(m)
+    kept = 0
     for ch in range(fixed.channels):
-        fc = f[:, ch]
-        mc = ad.gather(ad.transpose(m), ch)
+        fc, mc = f[:, ch], m[:, ch]
         f_var = fc.var()
-        m_var = float(np.var(mc.value))
+        m_var = float(np.var(mc))
         if f_var < 1e-30 or m_var < 1e-30:
             warnings.warn(f"zero-variance channel {ch}; correlation term set to 0")
             continue
         fz = fc - fc.mean()
-        mz = mc - float(np.mean(mc.value))
-        cov = ad.sum_(mz * fz) / n
-        denom = ad.sqrt(ad.sum_(mz * mz) / n) * float(np.sqrt(f_var))
-        cc_terms.append(cov / denom)
-    if cc_terms:
-        cc = cc_terms[0]
-        for t in cc_terms[1:]:
-            cc = cc + t
-        cc = cc / len(cc_terms)
-    else:
-        cc = ad.constant(0.0)
-    return mse - cc
+        mz = mc - float(np.mean(mc))
+        var_m = (mz * mz).sum() / n
+        denom = np.sqrt(var_m) * float(np.sqrt(f_var))
+        cc = (mz * fz).sum() / n / denom
+        cc_sum = cc_sum + cc
+        cc_grad[:, ch] = (fz / denom - mz * (cc / var_m)) / n
+        kept += 1
+    loss = mse - (cc_sum / kept if kept else 0.0)
+
+    def vjp(g):
+        grad = np.zeros_like(warped_t.value)
+        step = 2.0 / n * diff
+        if kept:
+            step -= cc_grad / kept
+        grad[idx] = g * step
+        return grad
+
+    return Tensor(loss, (warped_t,), (vjp,),
+                  requires_grad=warped_t.requires_grad)
 
 
 def smoothness_loss(endpoints, order: int) -> Tensor:
     """Diffusion penalty: mean over vertices of the summed tangent-gradient
-    magnitudes of the three displacement components."""
+    magnitudes of the three displacement components.  One tape node; the
+    (V, 2, 7) stencil is applied as a batched matrix product."""
     endpoints_t = endpoints if isinstance(endpoints, Tensor) else ad.constant(
         np.asarray(endpoints))
     sphere = build_icosphere(order)
-    disp = endpoints_t - sphere.vertices
-    gathered = ad.gather(disp, sphere.nbr_pad)  # (V, 7, 3)
-    gvec = ad.einsum("vds,vsc->vdc", gradient_coefficients(order), gathered)
-    mag = ad.sqrt(ad.sum_(gvec * gvec, axis=1), eps=GRAD_EPS)  # (V, 3)
-    return ad.mean_(ad.sum_(mag, axis=1))
+    coef = gradient_coefficients(order)
+    disp = endpoints_t.value - sphere.vertices
+    gathered = np.take(disp, sphere.nbr_pad, axis=0)  # (V, 7, 3)
+    gvec = coef @ gathered  # (V, 2, 3)
+    mag = np.sqrt((gvec * gvec).sum(axis=1) + GRAD_EPS)  # (V, 3)
+    n = len(mag)
+    loss = mag.sum(axis=1).sum() * (1.0 / n)
+
+    def vjp(g):
+        ggathered = coef.transpose(0, 2, 1) @ (gvec * ((g / n) / mag)[:, None])
+        rows = sphere.nbr_pad.ravel()
+        return np.stack([np.bincount(rows, weights=ggathered[:, :, d].ravel(),
+                                     minlength=n) for d in range(3)], axis=1)
+
+    return Tensor(loss, (endpoints_t,), (vjp,),
+                  requires_grad=endpoints_t.requires_grad)
 
 
 def total_loss(fixed: SphericalFeatureMap, warped, endpoints, order: int,

@@ -163,24 +163,50 @@ def resample_tensor(moving_values: np.ndarray, endpoints: Tensor,
     return _interpolate_warped(moving_values, endpoints, sphere, faces), faces
 
 
+def _cross_rows(u, v):
+    """Cross products of (3, N) component rows, as (3, N) rows."""
+    return np.stack([u[1] * v[2] - u[2] * v[1],
+                     u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
+
+
 def _interpolate_warped(moving_values: np.ndarray, endpoints: Tensor,
                         sphere: Icosphere, faces: np.ndarray) -> Tensor:
     """Interpolate the moving values at ``sphere``'s vertices inside the
-    given warped faces, differentiably in the endpoints."""
-    queries = sphere.vertices
-    corner_idx = sphere.faces[faces]  # (V, 3)
-    a = ad.gather(endpoints, corner_idx[:, 0])
-    b = ad.gather(endpoints, corner_idx[:, 1])
-    c = ad.gather(endpoints, corner_idx[:, 2])
-    w0 = ad.sum_(queries * ad.cross(b, c), axis=1, keepdims=True)
-    w1 = ad.sum_(queries * ad.cross(c, a), axis=1, keepdims=True)
-    w2 = ad.sum_(queries * ad.cross(a, b), axis=1, keepdims=True)
-    total = w0 + w1 + w2
-    vals = moving_values
-    out = (w0 / total) * vals[corner_idx[:, 0]] + \
-          (w1 / total) * vals[corner_idx[:, 1]] + \
-          (w2 / total) * vals[corner_idx[:, 2]]
-    return out
+    given warped faces, differentiably in the endpoints.
+
+    One tape node.  Corner ``k``'s weight is the triple product of the
+    query with the opposite edge's corners, ``w0 = q . (b x c)``, over the
+    weight sum.  Vectors are held as (3, V) component rows."""
+    q = sphere.vertices.T
+    corner_idx = np.take(sphere.faces, faces, axis=0)  # (V, 3)
+    a, b, c = (np.take(endpoints.value, corner_idx[:, k], axis=0).T
+               for k in range(3))
+    w = [(q * _cross_rows(b, c)).sum(axis=0)[:, None],
+         (q * _cross_rows(c, a)).sum(axis=0)[:, None],
+         (q * _cross_rows(a, b)).sum(axis=0)[:, None]]
+    total = w[0] + w[1] + w[2]
+    vals = [np.take(moving_values, corner_idx[:, k], axis=0) for k in range(3)]
+    out = (w[0] / total) * vals[0] + \
+          (w[1] / total) * vals[1] + \
+          (w[2] / total) * vals[2]
+
+    def vjp(g):
+        # d out / d w_k = (v_k - out) / total; d w0 / d b = c x q and
+        # d w0 / d c = q x b, cyclically, so corner a takes
+        # q x (gw1 c - gw2 b)
+        gw = [(g * (v - out)).sum(axis=1) / total[:, 0] for v in vals]
+        grads = np.stack([_cross_rows(q, gw[1] * c - gw[2] * b),
+                          _cross_rows(q, gw[2] * a - gw[0] * c),
+                          _cross_rows(q, gw[0] * b - gw[1] * a)],
+                         axis=1)  # (3 components, 3 corners, V)
+        rows = corner_idx.T.ravel()
+        n = len(endpoints.value)
+        return np.stack([np.bincount(rows, weights=gd.ravel(), minlength=n)
+                         for gd in grads], axis=1)
+
+    return Tensor(out, (endpoints,), (vjp,),
+                  requires_grad=endpoints.requires_grad)
 
 
 def resample_moving(moving: SphericalFeatureMap, warped: DeformationField,

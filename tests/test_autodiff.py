@@ -81,6 +81,51 @@ class TestBackward:
         loss.backward()
         assert store["b"].grad is None
 
+    def test_accumulation_matches_zero_fill_and_never_writes_in_place(self):
+        # one leaf reaches the loss by three paths: a reshape view, a
+        # broadcast add and a gather
+        g = rng(14)
+        x = ad.Tensor(g.standard_normal((4, 3)))
+        bias = ad.Tensor(g.standard_normal((2, 4, 3)))
+        w = [g.standard_normal(s) for s in ((12,), (2, 4, 3), (5, 3))]
+        paths = [ad.reshape(x, (12,)), ad.add(x, bias),
+                 ad.gather(x, np.array([0, 2, 2, 3, 0]))]
+        loss = ad.sum_(paths[0] * w[0]) + ad.sum_(paths[1] * w[1]) + \
+            ad.sum_(paths[2] * w[2])
+        order = ad._toposort(loss)
+
+        # a copy of the cotangent each node hands to its VJPs
+        seen = {}
+
+        def recording(node, vjp):
+            def wrapped(g):
+                seen.setdefault(id(node), g.copy())
+                return vjp(g)
+            return wrapped
+
+        for node in order:
+            node.vjps = tuple(recording(node, vjp) for vjp in node.vjps)
+        loss.backward()
+        for node in order:
+            if id(node) in seen:
+                assert node.grad.tobytes() == seen[id(node)].tobytes()
+
+        # the zero-fill rule the lean backward replaces
+        for node in order:
+            node.grad = None
+        loss.grad = np.ones(())
+        for node in order:
+            for parent, vjp in zip(node.parents, node.vjps):
+                if node.grad is not None and parent.requires_grad:
+                    if parent.grad is None:
+                        parent.grad = np.zeros_like(parent.value)
+                    parent.grad = parent.grad + vjp(node.grad)
+        reference = x.grad.copy()
+        for node in order:
+            node.grad = None
+        loss.backward()
+        assert x.grad.tobytes() == reference.tobytes()
+
     def test_determinism(self):
         def run():
             g = rng(8)

@@ -43,6 +43,38 @@ def test_mesh_order_out_of_range():
     assert "usage" in out.stderr
 
 
+IN_PROCESS_MAIN = ("import sys, numpy\n"
+                   "from spherereg.cli import main\n"
+                   "sys.exit(main(['--threads', '1', 'mesh', '--order', '0']))\n")
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("pinned", [(), BLAS_VARS[:2]])
+def test_threads_after_numpy_import_warns(pinned):
+    # numpy is loaded before main() sees --threads, with the BLAS thread
+    # variables unset or only partly pinned: one warning, same exit code
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update({var: "1" for var in pinned})
+    out = subprocess.run([sys.executable, "-c", IN_PROCESS_MAIN],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0
+    assert out.stdout.strip() == "vertices=12 edges=30 faces=20"
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning:")
+    assert "MKL_NUM_THREADS=unset" in lines[0]
+
+
+def test_threads_after_numpy_import_pinned_is_silent():
+    # the benchmark's case: every BLAS variable pinned before numpy loads
+    env = dict(os.environ, **{var: "1" for var in BLAS_VARS})
+    out = subprocess.run([sys.executable, "-c", IN_PROCESS_MAIN],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0
+    assert out.stderr == ""
+    # the command itself loads numpy after the cap is set
+    assert run_cli("--threads", "2", "mesh", "--order", "0").stderr == ""
+
+
 def test_synth_writes_cohort(tmp_path):
     out = run_cli("synth", "--order", "2", "--pairs", "2", "--seed", "7",
                   "--out", str(tmp_path / "data"))

@@ -125,6 +125,22 @@ def test_monet_channel_mismatch_rejected():
         layer.forward(pseudo_coords(1), ad.constant(np.zeros((42, 5))))
 
 
+def test_gaussian_weights_grad_check():
+    # the fused kernel-weight node alone, in both the means and the factors
+    pc = pseudo_coords(1)
+    rng = np.random.Generator(np.random.Philox(8))
+    store = ParamStore()
+    store.add("mu", 0.1 * rng.standard_normal((4, 2)))
+    store.add("lraw", conv._initial_lraw(4) + 0.1 * rng.standard_normal((4, 3)))
+    probe = rng.standard_normal((42, 7, 4))
+
+    def loss_fn(params):
+        w = conv._gaussian_weights(pc, params["mu"], params["lraw"])
+        return ad.sum_(w * probe)
+
+    assert grad_check(loss_fn, store, n_probes=20, seed=9) < 1e-4
+
+
 def test_monet_gradients_finite_difference():
     store = ParamStore()
     rng = np.random.Generator(np.random.Philox(7))

@@ -220,3 +220,22 @@ def test_crf_gradients_finite_difference():
         return ad.sum_(q * probe)
 
     assert grad_check(loss_fn, store, n_probes=25, seed=29) < 1e-4
+
+
+def test_gaussian_message_grad_check():
+    # the message node alone, in all three inputs
+    labels, u, omega, _ = _instance(31, n_l=3)
+    cfg = CrfConfig(gamma=0.7)
+    rng = np.random.Generator(np.random.Philox(31))
+    store = ParamStore()
+    store.add("q", _softmax(u))
+    store.add("partner", soft_deform_tensor(labels, ad.constant(_softmax(u))).value)
+    store.add("omega", omega)
+    probe = rng.standard_normal((12, 3))
+
+    def loss_fn(params):
+        msg = gaussian_message(params["q"], params["partner"], labels,
+                               params["omega"], cfg)
+        return ad.sum_(msg * probe)
+
+    assert grad_check(loss_fn, store, n_probes=20, seed=32) < 1e-4

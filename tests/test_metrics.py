@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from spherereg import autodiff as ad
-from spherereg.mesh import SphericalFeatureMap, build_icosphere
+from spherereg.mesh import (
+    SphericalFeatureMap,
+    build_icosphere,
+    gradient_coefficients,
+)
 from spherereg.metrics import (
+    GRAD_EPS,
     ClusterMassReport,
     cc_similarity,
     cluster_mass,
@@ -109,6 +114,37 @@ def test_similarity_gradients_finite_difference():
     assert grad_check(loss_fn, store, n_probes=20, seed=5) < 1e-4
 
 
+def test_similarity_matches_numpy_recomputation():
+    # plain numpy over the valid rows of both masks, within 1e-12
+    rng = np.random.Generator(np.random.Philox(11))
+    f = rng.standard_normal((162, 3))
+    w = rng.standard_normal((162, 3))
+    mask = rng.random(162) > 0.2
+    moving_mask = rng.random(162) > 0.2
+    keep = mask & moving_mask
+    fk, wk = f[keep], w[keep]
+    mse = ((wk - fk) ** 2).sum(axis=1).mean()
+    fz, wz = fk - fk.mean(axis=0), wk - wk.mean(axis=0)
+    cc = (fz * wz).mean(axis=0) / (fz.std(axis=0) * wz.std(axis=0))
+    got = similarity_loss(SphericalFeatureMap(2, f, mask), ad.Tensor(w),
+                          moving_mask)
+    assert abs(float(got.value) - (mse - cc.mean())) < 1e-12
+
+
+def test_similarity_grad_check_with_masks():
+    rng = np.random.Generator(np.random.Philox(12))
+    fixed = SphericalFeatureMap(2, rng.standard_normal((162, 2)),
+                                rng.random(162) > 0.2)
+    moving_mask = rng.random(162) > 0.2
+    store = ParamStore()
+    store.add("w", rng.standard_normal((162, 2)))
+
+    def loss_fn(params):
+        return similarity_loss(fixed, params["w"], moving_mask)
+
+    assert grad_check(loss_fn, store, n_probes=20, seed=13) < 1e-4
+
+
 def test_cc_similarity_matches_corrcoef():
     rng = np.random.Generator(np.random.Philox(6))
     f = rng.standard_normal((162, 2))
@@ -167,6 +203,24 @@ def test_smoothness_gradients_finite_difference():
         return smoothness_loss(params["end"], 1)
 
     assert grad_check(loss_fn, store, n_probes=20, seed=9) < 1e-4
+
+
+def test_smoothness_matches_numpy_recomputation():
+    # per vertex and component, the least-squares tangent gradient from the
+    # one-ring stencil, then the mean over vertices of summed magnitudes
+    sphere = build_icosphere(2)
+    rng = np.random.Generator(np.random.Philox(14))
+    end = sphere.vertices + 0.02 * rng.standard_normal((162, 3))
+    end /= np.linalg.norm(end, axis=1, keepdims=True)
+    coef = gradient_coefficients(2)
+    disp = end - sphere.vertices
+    expect = 0.0
+    for v in range(sphere.n_vertices):
+        grad = coef[v] @ disp[sphere.nbr_pad[v]]  # (2, 3)
+        expect += np.sqrt((grad**2).sum(axis=0) + GRAD_EPS).sum()
+    expect /= sphere.n_vertices
+    got = float(smoothness_loss(ad.Tensor(end), 2).value)
+    assert abs(got - expect) < 1e-12
 
 
 def test_total_loss_combines_terms():

@@ -430,6 +430,44 @@ def test_resample_gradients_finite_difference():
     assert grad_check(loss_fn, store, n_probes=20, seed=5) < 1e-4
 
 
+def _jittered_warp(order, seed, scale=0.02):
+    sphere = build_icosphere(order)
+    rng = np.random.Generator(np.random.Philox(seed))
+    end = sphere.vertices + scale * rng.standard_normal(sphere.vertices.shape)
+    return sphere, end / np.linalg.norm(end, axis=1, keepdims=True)
+
+
+def test_interpolate_warped_matches_barycentric_reference():
+    # numpy reference: the edge-normal weights of each located warped face,
+    # normalized and applied by mesh.interpolate
+    sphere, end = _jittered_warp(2, 11)
+    vals = np.random.Generator(np.random.Philox(12)).standard_normal((162, 2))
+    faces = locate_warped_faces(end, sphere, sphere.vertices)
+    _, _, w = mesh.best_face(mesh.face_normals(end, sphere.faces),
+                             sphere.vertices, faces[:, None])
+    bmap = mesh.BarycentricMap(2, faces, w / w.sum(axis=1, keepdims=True))
+    expect = mesh.interpolate(bmap, SphericalFeatureMap(2, vals))
+    got = warp._interpolate_warped(vals, ad.constant(end), sphere, faces)
+    assert np.abs(got.value - expect).max() < 1e-12
+
+
+def test_interpolate_warped_grad_check():
+    # the fused node alone: faces fixed, weights differentiable
+    sphere, end = _jittered_warp(2, 13)
+    rng = np.random.Generator(np.random.Philox(14))
+    vals = rng.standard_normal((162, 2))
+    faces = locate_warped_faces(end, sphere, sphere.vertices)
+    store = ParamStore()
+    store.add("end", end)
+    probe = rng.standard_normal((162, 2))
+
+    def loss_fn(params):
+        out = warp._interpolate_warped(vals, params["end"], sphere, faces)
+        return ad.sum_(out * probe)
+
+    assert grad_check(loss_fn, store, n_probes=20, seed=15) < 1e-4
+
+
 # -- deformation field I/O -------------------------------------------------
 
 def test_field_shape_validation():
