@@ -233,6 +233,8 @@ def cmd_register(args) -> int:
         field, warped, report = register_pair(stages, moving, fixed)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    except FloatingPointError as exc:
+        return _fail(f"registration diverged: {exc}", EXIT_BUDGET)
     try:
         write_sfm(args.out, warped)
         if args.deform:
@@ -329,6 +331,16 @@ def cmd_selftest(args) -> int:
     score = best_face(normals, sphere.vertices, faces[:, None])[1]
     check("warped face location past the one-ring",
           bool((ring1 < -1e-9).any() and (score >= -1e-9).all()))
+    # the identity warp's faces as a hint: on the jittered warp, which
+    # folds, and on a fifth of its jitter, which covers the sphere once
+    start = locate_warped_faces(sphere.vertices, sphere, sphere.vertices)
+    mild = sphere.vertices + 0.2 * (ends - sphere.vertices)
+    mild /= np.linalg.norm(mild, axis=1, keepdims=True)
+    check("warm face location matches the cold search", all(
+        np.array_equal(locate_warped_faces(w, sphere, sphere.vertices,
+                                           hint=start),
+                       locate_warped_faces(w, sphere, sphere.vertices))
+        for w in (ends, mild)))
 
     errs = check_registered_ops(n_probes=10, seed=0)
     check("primitive gradient checks", max(errs.values()) < 1e-4)

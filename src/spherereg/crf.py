@@ -20,6 +20,7 @@ minimizes is ``crf_energy`` evaluated on the row-normalized weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,6 +74,31 @@ def _normalized_filter(omega: Tensor) -> Tensor:
     return off / ad.where_const(rows.value != 0.0, rows, 1.0)
 
 
+@lru_cache(maxsize=None)
+def _label_rows(labels: LabelSpace, gamma: float):
+    """The label side of the message, fixed by the label space and the
+    bandwidth: the exponent rows ``[2s d, -s |d|^2, -s]`` per (label k,
+    point i), (N_l * N_c, 5) with ``s = 1 / (2 gamma^2)`` and ``d`` the
+    label's displacement, and the displacements as (N_l, 3, N_c)
+    component rows.  Built once per key; the arrays are read-only because
+    every caller shares them."""
+    scale = 1.0 / (2.0 * gamma**2)
+    centers = build_icosphere(labels.control_order).vertices
+    # label-major layout: arrays indexed [label k, point i, partner j] make
+    # every contraction over points a batched matrix product
+    disp = np.swapaxes(labels.endpoints - centers[:, None, :], 0, 1)
+    n_l, n_c, _ = disp.shape
+    rows = np.empty((n_l, n_c, 5))
+    rows[:, :, :3] = (2.0 * scale) * disp
+    rows[:, :, 3] = -scale * (disp * disp).sum(axis=2)
+    rows[:, :, 4] = -scale
+    rows = rows.reshape(-1, 5)
+    disp = np.ascontiguousarray(disp.transpose(0, 2, 1))
+    rows.setflags(write=False)
+    disp.setflags(write=False)
+    return rows, disp
+
+
 def gaussian_message(q: Tensor, partner_endpoints: Tensor, labels: LabelSpace,
                      omega: Tensor, config: CrfConfig) -> Tensor:
     """Message passing: for each (control point, label), the filter-weighted
@@ -81,56 +107,60 @@ def gaussian_message(q: Tensor, partner_endpoints: Tensor, labels: LabelSpace,
 
     ``omega`` is used as given, minus its diagonal; ``crf_forward_tensor``
     passes the row-normalized weights.  The message is one node on the tape
-    with hand-written VJPs, so the dense (N_l, N_c, N_c) kernel is built
-    once per call and reused by the backward pass; the tape keeps it apart
-    from the filtered kernel only when ``omega`` takes a gradient.
+    with hand-written VJPs.  The forward forms the dense (N_l, N_c, N_c)
+    kernel's exponent with one matrix product, the cached label rows of
+    ``_label_rows`` against ``[p; 1; |p|^2]`` for the partner displacements
+    ``p``, and filters the kernel in place unless ``omega`` takes a
+    gradient; only then does the tape keep the unfiltered kernel.  The
+    backward reads the filtered kernel once for ``q`` and the endpoints
+    together.
     """
     q, partner_endpoints, omega = (ad.as_tensor(q),
                                    ad.as_tensor(partner_endpoints),
                                    ad.as_tensor(omega))
     scale = 1.0 / (2.0 * config.gamma**2)
-    n_c = labels.endpoints.shape[0]
-    centers = build_icosphere(labels.control_order).vertices
-    # label-major layout: arrays indexed [label k, point i, partner j] make
-    # every contraction over points a batched matrix product
-    disp = np.swapaxes(labels.endpoints - centers[:, None, :], 0, 1)  # (N_l, N_c, 3)
-    a_const = (disp * disp).sum(axis=2)[:, :, None]  # (N_l, N_c, 1)
-    partner_disp = partner_endpoints.value - centers
-    b = (partner_disp * partner_disp).sum(axis=1)  # (N_c,)
-    # kernel = exp(-scale * (a + b - 2 cross)), built in place
-    kernel = (disp * (2.0 * scale)) @ partner_disp.T
-    kernel -= scale * a_const
-    kernel -= scale * b
+    rows, disp = _label_rows(labels, config.gamma)
+    n_l, _, n_c = disp.shape
+    partner_disp = partner_endpoints.value - \
+        build_icosphere(labels.control_order).vertices
+    partner = np.empty((5, n_c))
+    partner[:3] = partner_disp.T
+    partner[3] = 1.0
+    partner[4] = (partner_disp * partner_disp).sum(axis=1)
+    # kernel = exp(-scale |d - p|^2), no message from a point to itself
+    kernel = (rows @ partner).reshape(n_l, n_c, n_c)
     np.exp(kernel, out=kernel)
-    offdiag = ~np.eye(n_c, dtype=bool)
-    weights = np.where(offdiag, omega.value, 0.0)
+    kernel.reshape(n_l, -1)[:, ::n_c + 1] = 0.0
     if omega.requires_grad:
-        filtered = kernel * weights  # (N_l, N_c, N_c)
+        filtered = kernel * omega.value  # (N_l, N_c, N_c)
     else:
         # only vjp_omega reads the kernel: filter in place and let it go
-        kernel *= weights
+        kernel *= omega.value
         filtered, kernel = kernel, None
     qt = q.value.T  # (N_l, N_c)
     msg = (filtered @ qt[:, :, None])[:, :, 0].T
+    shared = []
 
     def back(g):
-        # [k, j] = sum_i g[i, k] filtered[k, i, j]
-        return (g.T[:, None, :] @ filtered)[:, 0, :]
+        # [k, 0, j] = sum_i g[i, k] filtered[k, i, j], and rows 1-3 the
+        # same sum weighted by disp[k, :, i]: one pass over the kernel per
+        # cotangent, shared by vjp_q and vjp_endpoints
+        if not shared or shared[0] is not g:
+            gt = g.T[:, None, :]
+            shared[:] = [g, np.concatenate([gt, gt * disp], axis=1) @ filtered]
+        return shared[1]
 
     def vjp_q(g):
-        return back(g).T
+        return back(g)[:, 0, :].T
 
     def vjp_endpoints(g):
         # d kernel[k, i, j] / d partner_disp[j]
         #   = kernel * (disp[k, i] - partner_disp[j]) / gamma^2
-        toward = np.einsum("kj,kdj->jd", qt,
-                           (g.T[:, None, :] * disp.transpose(0, 2, 1)) @ filtered)
-        mass = (qt * back(g)).sum(axis=0)
-        return (toward - partner_disp * mass[:, None]) * (2.0 * scale)
+        sums = (qt[:, None, :] * back(g)).sum(axis=0)  # (4, N_c)
+        return (sums[1:].T - partner_disp * sums[0][:, None]) * (2.0 * scale)
 
     def vjp_omega(g):
-        t = np.einsum("kij,ki->ij", kernel * qt[:, None, :], g.T)
-        return np.where(offdiag, t, 0.0)
+        return np.einsum("kij,ki->ij", kernel * qt[:, None, :], g.T)
 
     return Tensor(msg, (q, partner_endpoints, omega),
                   (vjp_q, vjp_endpoints, vjp_omega),

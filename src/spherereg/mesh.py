@@ -17,11 +17,13 @@ candidate faces from ``nearest_vertex``, which finds the point with the
 largest dot product per query on a uniform grid in near-linear time and
 memory, and scores them through ``best_face``, the one point-in-triangle
 test, against a table of each face's edge normals (``face_normals``)
-computed once per call.  Given a hint, such as the faces of the previous
-refinement step, it first keeps each query whose hinted face holds it
-strictly inside, which is the search's own answer whenever the warped
-faces cannot overlap, and searches only the rest.  Every table of an
-icosphere is built from sorted integer keys.
+computed once per call from (3, V) component rows.  Given a hint, such
+as the faces of the previous refinement step, it walks instead of
+searching: a query keeps its hinted face, or else one of the faces around
+that face's corners, when the face holds it strictly inside, which is the
+search's own answer whenever the warped faces cannot overlap; only the
+rest are searched.  Every table of an icosphere is built from sorted
+integer keys.
 """
 
 from __future__ import annotations
@@ -263,12 +265,32 @@ class BarycentricMap:
     weights: np.ndarray
 
 
+def cross_rows(u, v):
+    """Cross products of (3, N) component rows, as (3, N) rows."""
+    return np.stack([u[1] * v[2] - u[2] * v[1],
+                     u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
+
+
+def _face_rows(vertices, faces):
+    """Each face's corners (a, b, c) and edge normals (b x c, c x a,
+    a x b), all as (3, F) component rows."""
+    vt = np.ascontiguousarray(vertices.T)
+    a, b, c = (np.take(vt, faces[:, k], axis=1) for k in range(3))
+    return (a, b, c), (cross_rows(b, c), cross_rows(c, a), cross_rows(a, b))
+
+
+def _normal_table(rows):
+    """The (F, 3, 3) table of ``face_normals`` from its component rows."""
+    return np.concatenate(rows).T.reshape(-1, 3, 3).copy()
+
+
 def face_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """(F, 3, 3) edge normals ``b x c, c x a, a x b`` of each face (a, b, c):
     the triple product of a point with normal ``i`` is its unnormalized
-    barycentric weight on corner ``i``."""
-    a, b, c = (np.take(vertices, faces[:, k], axis=0) for k in range(3))
-    return np.stack([np.cross(b, c), np.cross(c, a), np.cross(a, b)], axis=1)
+    barycentric weight on corner ``i``.  Built from component rows, with
+    the arithmetic of ``np.cross`` and so its bits."""
+    return _normal_table(_face_rows(vertices, faces)[1])
 
 
 def best_face(normals: np.ndarray, queries: np.ndarray,
@@ -405,7 +427,7 @@ def _block_nearest(points, order, queries, start, stop):
     return found
 
 
-HINT_MARGIN = 1e-6  # score a query must exceed to keep its hinted face
+HINT_MARGIN = 1e-6  # score that settles a query in a hinted or walked face
 
 
 def locate_warped_faces(endpoints: np.ndarray, sphere: Icosphere,
@@ -424,37 +446,48 @@ def locate_warped_faces(endpoints: np.ndarray, sphere: Icosphere,
     neighbours near each other.
 
     ``hint`` is an optional guess of one face per query, such as the faces
-    of a nearby earlier warp (Devillers, Pion & Teillaud 2002 start their
-    walks the same way).  It never changes the answer.  When the warped
-    faces cover the sphere exactly once (``_covers_once``) no two of them
-    overlap, so a query that scores above ``HINT_MARGIN`` in its hinted
-    face lies in no other face, and it keeps the hint; every other query,
-    and every query of a warp that folds, takes the search above.
+    of a nearby earlier warp, where a walk starts (Devillers, Pion &
+    Teillaud 2002).  It never changes the answer.  When the warped faces
+    cover the sphere exactly once (``_covers_once``) no two of them
+    overlap, so a query that scores above ``HINT_MARGIN`` in a face lies
+    in no other face, and that face is the search's answer.  A query keeps
+    its hinted face when it scores so there; otherwise the walk takes one
+    step, to the faces around the hinted face's corners, and the query
+    keeps the one it scores so in.  The queries left, and every query of a
+    warp that folds, take the search above.
     """
-    normals = face_normals(endpoints, sphere.faces)
-    if hint is None or not _covers_once(endpoints, sphere.faces, normals):
+    corners, rows = _face_rows(endpoints, sphere.faces)
+    normals = _normal_table(rows)
+    if hint is None or not _covers_once(corners, rows[0]):
         return _search_faces(endpoints, sphere, normals, queries)
     faces = np.array(hint, dtype=np.int64)
     cold = np.nonzero(best_face(normals, queries, faces[:, None])[1]
                       <= HINT_MARGIN)[0]
     if len(cold):
+        ring = sphere.vertex_faces[sphere.faces[faces[cold]]]
+        found, score, _ = best_face(normals, queries[cold],
+                                    ring.reshape(len(cold), -1))
+        inside = score > HINT_MARGIN
+        faces[cold[inside]] = found[inside]
+        cold = cold[~inside]
+    if len(cold):
         faces[cold] = _search_faces(endpoints, sphere, normals, queries[cold])
     return faces
 
 
-def _covers_once(vertices, faces, normals) -> bool:
-    """Whether every face, carried to the unit ``vertices``, is positively
-    oriented and their solid angles sum to one sphere (4 pi, not 8 pi or
-    more): then the piecewise map covers the sphere once, and the faces
-    do not overlap."""
-    a, b, c = (np.take(vertices, faces[:, k], axis=0) for k in range(3))
-    det = np.einsum("ij,ij->i", a, normals[:, 0])  # a . (b x c)
+def _covers_once(corners, normals_a) -> bool:
+    """Whether every face, its unit ``corners`` (a, b, c) and edge normal
+    ``b x c`` given as (3, F) rows, is positively oriented and their solid
+    angles sum to one sphere (4 pi, not 8 pi or more): then the piecewise
+    map covers the sphere once, and the faces do not overlap."""
+    a, b, c = corners
+    det = (a * normals_a).sum(axis=0)  # a . (b x c)
     if not (det > 0).all():
         return False
     # tan(omega / 2) = det / (1 + a.b + b.c + c.a), Van Oosterom &
     # Strackee 1983
-    cos = 1.0 + np.einsum("ij,ij->i", a, b) + np.einsum("ij,ij->i", b, c) \
-        + np.einsum("ij,ij->i", c, a)
+    cos = 1.0 + (a * b).sum(axis=0) + (b * c).sum(axis=0) \
+        + (c * a).sum(axis=0)
     return 2.0 * np.arctan2(det, cos).sum() < 6.0 * np.pi
 
 

@@ -19,6 +19,7 @@ from .mesh import (
     SphericalFeatureMap,
     barycentric_map,
     build_icosphere,
+    cross_rows,
     interpolate,
     locate_warped_faces,
     read_header,
@@ -39,9 +40,10 @@ def control_grid(order: int) -> ControlGrid:
     return ControlGrid(order, build_icosphere(order).vertices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelSpace:
-    """Ordered candidate endpoints per control point, nearest first."""
+    """Ordered candidate endpoints per control point, nearest first.
+    Compared and hashed by identity, so that it can key a cache."""
 
     control_order: int
     label_order: int
@@ -125,14 +127,31 @@ def _transfer_map(coarse_order: int, fine_order: int):
 def upsample_deformation_tensor(endpoints: Tensor, coarse_order: int,
                                 target_order: int) -> Tensor:
     """Interpolate the coarse displacement field barycentrically onto the
-    target sphere's vertices and renormalize."""
+    target sphere's vertices and renormalize.
+
+    One tape node.  The VJP takes the renormalization back, weights the
+    result per corner and scatter-adds it with one ``bincount`` per
+    component."""
     coarse = build_icosphere(coarse_order)
     target = build_icosphere(target_order)
     bmap = _transfer_map(coarse_order, target_order)
-    disp = endpoints - coarse.vertices
-    corners = ad.gather(disp, coarse.faces[bmap.face_index])  # (V_t, 3, 3)
-    interp = ad.einsum("nk,nkd->nd", bmap.weights, corners)
-    return ad.normalize_rows(interp + target.vertices)
+    corner_idx = np.take(coarse.faces, bmap.face_index, axis=0)  # (V_t, 3)
+    disp = endpoints.value - coarse.vertices
+    moved = np.einsum("nk,nkd->nd", bmap.weights,
+                      np.take(disp, corner_idx, axis=0)) + target.vertices
+    norm = np.sqrt((moved * moved).sum(axis=-1, keepdims=True))
+    out = moved / norm
+
+    def vjp(g):
+        g_moved = (g - out * (g * out).sum(axis=-1, keepdims=True)) / norm
+        rows = corner_idx.ravel()
+        n = len(endpoints.value)
+        return np.stack([np.bincount(rows, minlength=n, weights=(
+                             bmap.weights * g_moved[:, d:d + 1]).ravel())
+                         for d in range(3)], axis=1)
+
+    return Tensor(out, (endpoints,), (vjp,),
+                  requires_grad=endpoints.requires_grad)
 
 
 def upsample_deformation(coarse: DeformationField,
@@ -163,13 +182,6 @@ def resample_tensor(moving_values: np.ndarray, endpoints: Tensor,
     return _interpolate_warped(moving_values, endpoints, sphere, faces), faces
 
 
-def _cross_rows(u, v):
-    """Cross products of (3, N) component rows, as (3, N) rows."""
-    return np.stack([u[1] * v[2] - u[2] * v[1],
-                     u[2] * v[0] - u[0] * v[2],
-                     u[0] * v[1] - u[1] * v[0]])
-
-
 def _interpolate_warped(moving_values: np.ndarray, endpoints: Tensor,
                         sphere: Icosphere, faces: np.ndarray) -> Tensor:
     """Interpolate the moving values at ``sphere``'s vertices inside the
@@ -182,9 +194,9 @@ def _interpolate_warped(moving_values: np.ndarray, endpoints: Tensor,
     corner_idx = np.take(sphere.faces, faces, axis=0)  # (V, 3)
     a, b, c = (np.take(endpoints.value, corner_idx[:, k], axis=0).T
                for k in range(3))
-    w = [(q * _cross_rows(b, c)).sum(axis=0)[:, None],
-         (q * _cross_rows(c, a)).sum(axis=0)[:, None],
-         (q * _cross_rows(a, b)).sum(axis=0)[:, None]]
+    w = [(q * cross_rows(b, c)).sum(axis=0)[:, None],
+         (q * cross_rows(c, a)).sum(axis=0)[:, None],
+         (q * cross_rows(a, b)).sum(axis=0)[:, None]]
     total = w[0] + w[1] + w[2]
     vals = [np.take(moving_values, corner_idx[:, k], axis=0) for k in range(3)]
     out = (w[0] / total) * vals[0] + \
@@ -196,9 +208,9 @@ def _interpolate_warped(moving_values: np.ndarray, endpoints: Tensor,
         # d w0 / d c = q x b, cyclically, so corner a takes
         # q x (gw1 c - gw2 b)
         gw = [(g * (v - out)).sum(axis=1) / total[:, 0] for v in vals]
-        grads = np.stack([_cross_rows(q, gw[1] * c - gw[2] * b),
-                          _cross_rows(q, gw[2] * a - gw[0] * c),
-                          _cross_rows(q, gw[0] * b - gw[1] * a)],
+        grads = np.stack([cross_rows(q, gw[1] * c - gw[2] * b),
+                          cross_rows(q, gw[2] * a - gw[0] * c),
+                          cross_rows(q, gw[0] * b - gw[1] * a)],
                          axis=1)  # (3 components, 3 corners, V)
         rows = corner_idx.T.ravel()
         n = len(endpoints.value)

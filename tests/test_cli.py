@@ -567,6 +567,26 @@ def test_register_rejects_non_finite_moving(three_stage_ckpt, tmp_path,
         f"error: {tmp_path / 'moving.sfm'}: line 19: value is not finite\n"
 
 
+def test_register_divergence_is_a_budget_error(three_stage_ckpt, tmp_path,
+                                               capsys):
+    # finite but huge values overflow the refinement loss: one line and
+    # exit 3, as training reports divergence, not a traceback
+    from spherereg.mesh import read_sfm, write_sfm
+
+    root, ckpt = three_stage_ckpt
+    for name in ("moving.sfm", "fixed.sfm"):
+        fmap = read_sfm(root / name)
+        fmap.values *= 1e200
+        write_sfm(tmp_path / name, fmap)
+    code = _register_in_process(tmp_path, ckpt, tmp_path / "o.sfm",
+                                tmp_path / "o.def")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: registration diverged: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o.sfm").exists()
+
+
 @pytest.mark.parametrize("header, problem", [
     (b"\n", "garbled header of block 1"),
     (b"alpha two 3\n", "garbled header of block 1"),

@@ -124,6 +124,35 @@ def test_frozen_filter_weights_free_the_kernel_and_change_no_bits():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("trained", [True, False])
+def test_message_vjps_match_explicit_formulas(trained):
+    # msg[i, k] = sum_{j != i} omega[i, j] K[i, j, k] q[j, k] with
+    # K = exp(-|d_ik - p_j|^2 / (2 gamma^2)): the q and endpoint VJPs of
+    # the one shared backward pass against their einsum expansions
+    labels, u, omega, _ = _instance(37)
+    cfg = CrfConfig(gamma=0.7)
+    rng = np.random.Generator(np.random.Philox(38))
+    q = ad.Tensor(_softmax(u))
+    partner = ad.Tensor(soft_deform_tensor(labels, ad.constant(q.value)).value)
+    msg = gaussian_message(q, partner, labels,
+                           ad.Tensor(omega, requires_grad=trained), cfg)
+    g = rng.standard_normal(u.shape)
+    ad.sum_(msg * g).backward()
+    centers = build_icosphere(0).vertices
+    d = labels.endpoints - centers[:, None, :]  # (N_c, N_l, 3)
+    p = partner.value - centers
+    diff = d[:, None, :, :] - p[None, :, None, :]  # [i, j, k, :]
+    kern = np.exp(-(diff**2).sum(axis=3) / (2 * cfg.gamma**2))
+    w = omega * (1.0 - np.eye(len(omega)))
+    assert np.abs(msg.value - np.einsum("ij,ijk,jk->ik", w, kern, q.value)
+                  ).max() < 1e-12
+    grad_q = np.einsum("ik,ij,ijk->jk", g, w, kern)
+    grad_p = np.einsum("ik,ij,jk,ijk,ijkd->jd", g, w, q.value, kern,
+                       diff) / cfg.gamma**2
+    assert np.abs(q.grad - grad_q).max() < 1e-12
+    assert np.abs(partner.grad - grad_p).max() < 1e-12
+
+
 # -- staged implementation vs the naive oracle -----------------------------
 
 def test_staged_matches_naive_reference():

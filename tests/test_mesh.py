@@ -327,6 +327,20 @@ def test_face_normals_match_per_candidate_cross_products():
     assert np.array_equal(normals[np.clip(cand, 0, None)], per_candidate)
 
 
+def test_face_normals_from_rows_equal_the_cross_table():
+    # the table is built from (3, V) component rows with the arithmetic of
+    # np.cross, so it keeps np.cross's bits
+    s = build_icosphere(3)
+    ends = s.vertices + 0.02 * rng(5).standard_normal(s.vertices.shape)
+    ends /= np.linalg.norm(ends, axis=1, keepdims=True)
+    a, b, c = (ends[s.faces[:, k]] for k in range(3))
+    crossed = np.stack([np.cross(b, c), np.cross(c, a), np.cross(a, b)],
+                       axis=1)
+    normals = mesh.face_normals(ends, s.faces)
+    assert normals.flags.c_contiguous
+    assert np.array_equal(normals, crossed)
+
+
 def _dense_nearest(points, queries):
     return np.argmax(queries @ points.T, axis=1)
 

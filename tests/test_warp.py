@@ -304,6 +304,29 @@ def test_hinted_location_matches_cold_location(order, monkeypatch):
         monkeypatch.undo()
 
 
+def test_nearby_hint_walks_instead_of_searching(monkeypatch):
+    # the faces of a nearby warp miss many queries by a face; the walk to
+    # the faces around the hinted face's corners settles most of them, so
+    # fewer queries take the cold search than leave their hinted face
+    sphere = build_icosphere(4)
+    rng = np.random.Generator(np.random.Philox(41))
+    amplitude = 0.05 * mesh.longest_edge(4)
+    ends = _jitter(sphere, amplitude, rng)
+    nearby = ends + amplitude * rng.standard_normal(ends.shape)
+    nearby /= np.linalg.norm(nearby, axis=1, keepdims=True)
+    q = sphere.vertices
+    cold = locate_warped_faces(ends, sphere, q)
+    hint = locate_warped_faces(nearby, sphere, q)
+    normals = mesh.face_normals(ends, sphere.faces)
+    missed = int((mesh.best_face(normals, q, hint[:, None])[1]
+                  <= mesh.HINT_MARGIN).sum())
+    seen = _count_cold_queries(monkeypatch)
+    got = locate_warped_faces(ends, sphere, q, hint=hint)
+    assert np.array_equal(got, cold)
+    assert missed > 100
+    assert sum(seen) < missed
+
+
 def test_hint_changes_nothing_on_a_folded_warp(monkeypatch):
     sphere = build_icosphere(3)
     ends = _jitter(sphere, 0.01, np.random.Generator(np.random.Philox(2)))
@@ -466,6 +489,34 @@ def test_interpolate_warped_grad_check():
         return ad.sum_(out * probe)
 
     assert grad_check(loss_fn, store, n_probes=20, seed=15) < 1e-4
+
+
+def test_upsample_deformation_matches_barycentric_reference():
+    # numpy reference: the coarse displacements interpolated by
+    # mesh.interpolate at the target vertices, added to them, normalized
+    coarse, end = _jittered_warp(1, 43, scale=0.05)
+    target = build_icosphere(3)
+    bmap = mesh.barycentric_map(coarse, target.vertices)
+    moved = target.vertices + mesh.interpolate(
+        bmap, SphericalFeatureMap(1, end - coarse.vertices))
+    expect = moved / np.linalg.norm(moved, axis=1, keepdims=True)
+    got = warp.upsample_deformation_tensor(ad.constant(end), 1, 3)
+    assert np.abs(got.value - expect).max() < 1e-12
+
+
+def test_upsample_deformation_grad_check():
+    # the fused node alone, in the coarse endpoints
+    _, end = _jittered_warp(1, 44, scale=0.05)
+    store = ParamStore()
+    store.add("end", end)
+    probe = np.random.Generator(np.random.Philox(45)).standard_normal(
+        (vertex_count(3), 3))
+
+    def loss_fn(params):
+        out = warp.upsample_deformation_tensor(params["end"], 1, 3)
+        return ad.sum_(out * probe)
+
+    assert grad_check(loss_fn, store, n_probes=20, seed=46) < 1e-4
 
 
 # -- deformation field I/O -------------------------------------------------
