@@ -198,21 +198,6 @@ def sum_(a, axis=None, keepdims=False):
     return Tensor(out, (a,), (vjp,), requires_grad=a.requires_grad)
 
 
-def reshape(a, shape):
-    a = as_tensor(a)
-    return Tensor(a.value.reshape(shape), (a,),
-                  (lambda g: g.reshape(a.value.shape),),
-                  requires_grad=a.requires_grad)
-
-
-def transpose(a, axes=None):
-    a = as_tensor(a)
-    inv = None if axes is None else np.argsort(axes)
-    return Tensor(np.transpose(a.value, axes), (a,),
-                  (lambda g: np.transpose(g, inv),),
-                  requires_grad=a.requires_grad)
-
-
 def concat(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
     sizes = [t.value.shape[axis] for t in tensors]
@@ -250,16 +235,15 @@ def gather(a, index):
 
 
 def max_reduce(a, axis):
-    """Max along one axis; the gradient routes to the first argmax."""
+    """Max along one axis; the gradient routes to the first argmax.  One
+    reduction: the values are read at the argmax."""
     a = as_tensor(a)
-    out = a.value.max(axis=axis)
-    arg = a.value.argmax(axis=axis)
+    arg = np.expand_dims(a.value.argmax(axis=axis), axis)
+    out = np.take_along_axis(a.value, arg, axis=axis).squeeze(axis)
 
     def vjp(g):
         grad = np.zeros_like(a.value)
-        idx = list(np.indices(out.shape))
-        idx.insert(axis if axis >= 0 else a.value.ndim + axis, arg)
-        grad[tuple(idx)] = g
+        np.put_along_axis(grad, arg, np.expand_dims(g, axis), axis=axis)
         return grad
 
     return Tensor(out, (a,), (vjp,), requires_grad=a.requires_grad)
@@ -291,22 +275,6 @@ def einsum(spec: str, a, b):
 
     return Tensor(np.einsum(spec, a.value, b.value), (a, b), (vjp_a, vjp_b),
                   requires_grad=a.requires_grad or b.requires_grad)
-
-
-def bmm(a, b):
-    """Batched matrix multiply on (..., n, k) @ (..., k, m) stacks; leading
-    batch shapes must match exactly."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.value.shape[:-2] != b.value.shape[:-2]:
-        raise ValueError("bmm requires identical batch shapes")
-    return Tensor(
-        np.matmul(a.value, b.value), (a, b),
-        (
-            lambda g: np.matmul(g, b.value.swapaxes(-1, -2)),
-            lambda g: np.matmul(a.value.swapaxes(-1, -2), g),
-        ),
-        requires_grad=a.requires_grad or b.requires_grad,
-    )
 
 
 def softmax_rows(a):
@@ -359,8 +327,6 @@ OP_REGISTRY = {
     "matmul": (matmul, _rand([(4, 3), (3, 5)])),
     "leaky_relu": (leaky_relu, _rand([(4, 3)])),
     "sum": (lambda a: sum_(a, axis=1), _rand([(4, 3)])),
-    "reshape": (lambda a: reshape(a, (3, 4)), _rand([(4, 3)])),
-    "transpose": (lambda a: transpose(a, (1, 0)), _rand([(4, 3)])),
     "concat": (lambda a, b: concat([a, b], axis=1), _rand([(4, 3), (4, 2)])),
     "gather": (
         lambda a: gather(a, np.array([[0, 1], [2, 2], [3, 0]])),
@@ -372,7 +338,6 @@ OP_REGISTRY = {
         _rand([(4, 3)]),
     ),
     "einsum": (lambda a, b: einsum("vsj,vsc->vjc", a, b), _rand([(4, 5, 2), (4, 5, 3)])),
-    "bmm": (bmm, _rand([(4, 2, 5), (4, 5, 3)])),
     "softmax_rows": (softmax_rows, _rand([(4, 6)])),
     "normalize_rows": (normalize_rows, _rand([(4, 3)])),
 }

@@ -17,6 +17,7 @@ import argparse
 import os
 import re
 import sys
+import warnings
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -229,12 +230,17 @@ def cmd_register(args) -> int:
                        for k in range(1, len(stages) + 1)])
     if problem:
         return _fail(problem, EXIT_USAGE)
-    try:
-        field, warped, report = register_pair(stages, moving, fixed)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except FloatingPointError as exc:
-        return _fail(f"registration diverged: {exc}", EXIT_BUDGET)
+    # numpy warnings are shown only if the registration completes, so a
+    # divergence prints its one line alone
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            field, warped, report = register_pair(stages, moving, fixed)
+        except ValueError as exc:
+            return _fail(str(exc), EXIT_USAGE)
+        except FloatingPointError as exc:
+            return _fail(f"registration diverged: {exc}", EXIT_BUDGET)
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     try:
         write_sfm(args.out, warped)
         if args.deform:

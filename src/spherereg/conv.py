@@ -6,6 +6,12 @@ Kernel weights are Gaussians of learnable mean/covariance evaluated on
 spherical-polar pseudo-coordinates of each one-ring edge; aggregation is
 the mean over the vertex and its one-ring, so 5- and 6-neighbor vertices
 are directly comparable.
+
+A convolution is two tape nodes.  ``_gaussian_weights`` forms the kernel
+exponent, a quadratic in the fixed offsets, as one GEMM of per-order
+quadratic features against a (6, J) parameter matrix.  ``_aggregate``
+gathers the ring, forms the weighted patches and mixes them with one GEMM;
+its backward sums the features' gradient over a reverse ring table.
 """
 
 from __future__ import annotations
@@ -28,12 +34,19 @@ _POLE_TOL = 1e-6
 class PseudoCoords:
     """Per directed one-ring edge: (polar offset, azimuthal offset scaled by
     sin of the center's polar angle).  Aligned with ``Icosphere.nbr_pad``;
-    the self slot and padding carry (0, 0)."""
+    the self slot and padding carry (0, 0).  ``quad`` holds each slot's
+    quadratic features, ``pad`` the flat padded slots, and row k of ``rev``
+    a flat slot holding each vertex: every vertex fills seven slots (its
+    own, one in each neighbour's ring, and a pentagon's padding, which
+    repeats the center).  The arrays are shared, so read-only."""
 
     order: int
     offsets: np.ndarray  # (V, 7, 2)
     mask: np.ndarray  # (V, 7) bool
     counts: np.ndarray  # (V,) including the center
+    quad: np.ndarray  # (V * 7, 6)
+    pad: np.ndarray  # flat indices of the padded slots
+    rev: np.ndarray  # (7, V) flat ring slots
 
     @property
     def box(self) -> float:
@@ -75,50 +88,118 @@ def pseudo_coords(order: int) -> PseudoCoords:
     offsets = np.stack([d_theta, d_phi * sin_t[:, None]], axis=2)
     offsets[~sphere.nbr_mask] = 0.0
     offsets[:, 0, :] = 0.0  # self edge
-    return PseudoCoords(order, offsets, sphere.nbr_mask.copy(),
-                        sphere.nbr_mask.sum(axis=1).astype(np.float64))
+    ox, oy = offsets[:, :, 0].ravel(), offsets[:, :, 1].ravel()
+    quad = np.stack([ox * ox, 2 * ox * oy, oy * oy, ox, oy,
+                     np.ones_like(ox)], axis=1)
+    rev = np.argsort(nbr.ravel(), kind="stable").reshape(-1, 7).T
+    coords = PseudoCoords(order, offsets, sphere.nbr_mask.copy(),
+                          sphere.nbr_mask.sum(axis=1).astype(np.float64),
+                          quad, np.flatnonzero(~sphere.nbr_mask),
+                          np.ascontiguousarray(rev))
+    for table in (coords.offsets, coords.mask, coords.counts, coords.quad,
+                  coords.pad, coords.rev):
+        table.setflags(write=False)
+    return coords
 
 
 def _gaussian_weights(coords: PseudoCoords, mu: Tensor, lraw: Tensor) -> Tensor:
-    """Fused evaluation of the Gaussian kernel weights with a hand-written
-    backward pass.
+    """Gaussian kernel weights per (vertex, ring slot, kernel), zero at
+    padding; one tape node with a hand-written backward pass.
 
     ``lraw`` holds, per kernel, (log l11, l21, log l22) of the covariance's
-    lower-triangular factor; the precision matrix is formed in closed form.
-    The fused op keeps the hot path to a handful of array passes instead of
-    a long chain of elementwise tape nodes.
+    lower-triangular factor; the precision matrix ``P`` is formed in closed
+    form.  The exponent ``-1/2 (o - mu)^T P (o - mu)`` is a quadratic in
+    the fixed offsets ``o``, so it is ``coords.quad @ R``: the cached rows
+    ``[ox^2, 2 ox oy, oy^2, ox, oy, 1]`` per ring slot against a (6, J)
+    matrix ``R`` of the precision entries and their products with ``mu``.
+    The forward is one GEMM, one ``exp`` and the mask; the backward is one
+    GEMM, ``quad^T @ (g w)``, shared by both parents, after which the chain
+    rule to ``mu`` and ``lraw`` runs on (6, J) arrays.
     """
     a_, b_, c_ = lraw.value[:, 0], lraw.value[:, 1], lraw.value[:, 2]
+    mx, my = mu.value[:, 0], mu.value[:, 1]
     # precision matrix entries of (L L^T)^-1 for L = [[e^a, 0], [b, e^c]]
-    p_a = (b_**2 + np.exp(2 * c_)) * np.exp(-2 * a_ - 2 * c_)
-    p_b = -b_ * np.exp(-a_ - 2 * c_)
+    e_2a2c, e_a2c = np.exp(-2 * a_ - 2 * c_), np.exp(-a_ - 2 * c_)
+    p_a = (b_**2 + np.exp(2 * c_)) * e_2a2c
+    p_b = -b_ * e_a2c
     p_c = np.exp(-2 * c_)
-    dx = coords.offsets[:, :, 0, None] - mu.value[:, 0]  # (V, 7, J)
-    dy = coords.offsets[:, :, 1, None] - mu.value[:, 1]
-    quad = p_a * dx**2 + 2 * p_b * (dx * dy) + p_c * dy**2
-    w = np.exp(-0.5 * quad)
-    w[~coords.mask] = 0.0
+    lin_x = p_a * mx + p_b * my  # P mu
+    lin_y = p_b * mx + p_c * my
+    r = np.stack([-0.5 * p_a, -0.5 * p_b, -0.5 * p_c, lin_x, lin_y,
+                  -0.5 * (mx * lin_x + my * lin_y)])
+    w = coords.quad @ r  # (V * 7, J)
+    np.exp(w, out=w)
+    w[coords.pad] = 0.0
+    w = w.reshape(coords.offsets.shape[0], 7, -1)
+    shared = []
 
-    def vjp_mu(g):
-        gq = -0.5 * g * w  # d loss / d quad, (V, 7, J)
-        g0 = -np.einsum("vsj,vsj->j", gq, 2 * p_a * dx + 2 * p_b * dy)
-        g1 = -np.einsum("vsj,vsj->j", gq, 2 * p_b * dx + 2 * p_c * dy)
-        return np.stack([g0, g1], axis=1)
+    def back(g):
+        # d loss / d R is one GEMM, quad^T (g w); the chain rule to mu and
+        # lraw runs on its rows, once for both VJPs
+        if not shared or shared[0] is not g:
+            gr = coords.quad.T @ (g * w).reshape(-1, w.shape[2])
+            hx = gr[3] - 0.5 * mx * gr[5]  # d loss / d (P mu)
+            hy = gr[4] - 0.5 * my * gr[5]
+            g_pa = -0.5 * gr[0] + hx * mx
+            g_pb = -0.5 * gr[1] + hx * my + hy * mx
+            g_pc = -0.5 * gr[2] + hy * my
+            g_mu = np.stack([gr[3] * p_a + gr[4] * p_b - gr[5] * lin_x,
+                             gr[3] * p_b + gr[4] * p_c - gr[5] * lin_y], axis=1)
+            g_lraw = np.stack([
+                -2 * p_a * g_pa - p_b * g_pb,
+                2 * b_ * e_2a2c * g_pa - e_a2c * g_pb,
+                -2 * b_**2 * e_2a2c * g_pa - 2 * p_b * g_pb - 2 * p_c * g_pc,
+            ], axis=1)
+            shared[:] = [g, g_mu, g_lraw]
+        return shared
 
-    def vjp_lraw(g):
-        gq = -0.5 * g * w
-        g_pa = np.einsum("vsj,vsj->j", gq, dx * dx)
-        g_pb = np.einsum("vsj,vsj->j", gq, 2 * dx * dy)
-        g_pc = np.einsum("vsj,vsj->j", gq, dy * dy)
-        ga = -2 * p_a * g_pa - p_b * g_pb
-        gb = 2 * b_ * np.exp(-2 * a_ - 2 * c_) * g_pa \
-            - np.exp(-a_ - 2 * c_) * g_pb
-        gc = -2 * b_**2 * np.exp(-2 * a_ - 2 * c_) * g_pa \
-            - 2 * p_b * g_pb - 2 * p_c * g_pc
-        return np.stack([ga, gb, gc], axis=1)
-
-    return Tensor(w, (mu, lraw), (vjp_mu, vjp_lraw),
+    return Tensor(w, (mu, lraw), (lambda g: back(g)[1], lambda g: back(g)[2]),
                   requires_grad=mu.requires_grad or lraw.requires_grad)
+
+
+def _aggregate(coords: PseudoCoords, features: Tensor, w: Tensor, g: Tensor,
+               b: Tensor) -> Tensor:
+    """One tape node: the ring mean of the kernel-weighted features, mixed
+    by ``g`` (J, C_in, C_out) with one GEMM, plus ``b``.  The backward
+    forms ``g_out @ mixing^T`` once for all four VJPs and sums the
+    features' gradient over ``coords.rev`` instead of scattering it."""
+    ring = build_icosphere(coords.order).nbr_pad
+    n, _, n_k = w.shape
+    c_in = features.shape[1]
+    mixing = g.value.reshape(n_k * c_in, -1)
+    counts = coords.counts[:, None]
+    gathered = np.take(features.value, ring, axis=0)  # (V, 7, C_in)
+    patches = np.matmul(w.value.transpose(0, 2, 1), gathered).reshape(n, -1)
+    out = patches @ mixing
+    out /= counts
+    out += b.value
+    shared = []
+
+    def back(g_out):
+        # the mean's 1/count, and d loss / d patches as (V, J, C_in)
+        if not shared or shared[0] is not g_out:
+            g_mean = g_out / counts
+            shared[:] = [g_out, g_mean,
+                         (g_mean @ mixing.T).reshape(n, n_k, c_in)]
+        return shared[1], shared[2]
+
+    def vjp_features(g_out):
+        slots = np.matmul(w.value, back(g_out)[1]).reshape(-1, c_in)
+        return np.take(slots, coords.rev, axis=0).sum(axis=0)
+
+    def vjp_weights(g_out):
+        return np.matmul(gathered, back(g_out)[1].transpose(0, 2, 1))
+
+    def vjp_g(g_out):
+        return (patches.T @ back(g_out)[0]).reshape(g.shape)
+
+    def vjp_b(g_out):
+        return g_out.sum(axis=0)
+
+    return Tensor(out, (features, w, g, b),
+                  (vjp_features, vjp_weights, vjp_g, vjp_b),
+                  requires_grad=(features.requires_grad or w.requires_grad
+                                 or g.requires_grad or b.requires_grad))
 
 
 def _initial_lraw(n_kernels: int) -> np.ndarray:
@@ -135,8 +216,6 @@ class MoNetLayer:
                  n_kernels: int, coord_box: float, rng: np.random.Generator):
         self.prefix = prefix
         self.c_in = c_in
-        self.c_out = c_out
-        self.n_kernels = n_kernels
         # blocks a trained store holds are kept; the rest are drawn from rng
         box = coord_box
         store.ensure(f"{prefix}.mu", (n_kernels, 2),
@@ -161,16 +240,9 @@ class MoNetLayer:
                 f"{self.prefix}: expected {self.c_in} input channels, "
                 f"got {features.shape[1]}"
             )
-        sphere = build_icosphere(coords.order)
-        w = self.kernel_weights(coords)  # (V, 7, J)
-        gathered = ad.gather(features, sphere.nbr_pad)  # (V, 7, C_in)
-        # mean-aggregated patches: (V, J, 7) @ (V, 7, C) -> (V, J, C)
-        patches = ad.bmm(ad.transpose(w, (0, 2, 1)),
-                         gathered / coords.counts[:, None, None])
-        mixing = ad.reshape(self.store[f"{self.prefix}.g"],
-                            (self.n_kernels * self.c_in, self.c_out))
-        out = ad.reshape(patches, (-1, self.n_kernels * self.c_in)) @ mixing
-        return out + self.store[f"{self.prefix}.b"]
+        return _aggregate(coords, features, self.kernel_weights(coords),
+                          self.store[f"{self.prefix}.g"],
+                          self.store[f"{self.prefix}.b"])
 
 
 # -- tape-level resolution transfers --------------------------------------

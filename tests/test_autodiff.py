@@ -18,7 +18,10 @@ class TestForward:
     def test_identity_chain_bitwise(self):
         x = rng(1).standard_normal((4, 4))
         t = ad.Tensor(x)
-        out = ad.reshape(ad.transpose(ad.transpose(t, (1, 0)), (1, 0)), (4, 4))
+        perm = np.array([2, 0, 3, 1])
+        out = ad.where_const(np.ones((4, 4), dtype=bool),
+                             ad.gather(ad.gather(t, perm), np.argsort(perm)),
+                             0.0)
         assert np.array_equal(out.value, x)
 
     def test_composition_matches_manual(self):
@@ -32,6 +35,30 @@ class TestForward:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             _ = ad.Tensor(np.ones((2, 3))) @ ad.Tensor(np.ones((2, 3)))
+
+    def test_max_reduce_matches_np_max_with_ties_and_padding(self):
+        # ties, -inf padding as tape_maxpool uses it, and an all -inf row
+        a = rng(15).integers(-2, 3, size=(6, 7, 3)).astype(np.float64)
+        a[0, 5:, :] = -np.inf
+        a[1] = -np.inf
+        a[2, :, 1] = 2.0
+        for axis in (0, 1, -1):
+            out = ad.max_reduce(ad.constant(a), axis=axis)
+            assert out.value.tobytes() == np.max(a, axis=axis).tobytes()
+
+    def test_max_reduce_gradient_routes_to_first_argmax(self):
+        a = rng(16).integers(-2, 3, size=(5, 7, 2)).astype(np.float64)
+        a[0, 4:, :] = -np.inf
+        a[1] = -np.inf
+        x = ad.Tensor(a)
+        seed = rng(17).standard_normal((5, 2))
+        ad.max_reduce(x, axis=1).backward(seed)
+        expect = np.zeros_like(a)
+        for i in range(5):
+            for c in range(2):
+                expect[i, list(a[i, :, c]).index(a[i, :, c].max()), c] = \
+                    seed[i, c]
+        assert np.array_equal(x.grad, expect)
 
 
 class TestBackward:
@@ -82,13 +109,15 @@ class TestBackward:
         assert store["b"].grad is None
 
     def test_accumulation_matches_zero_fill_and_never_writes_in_place(self):
-        # one leaf reaches the loss by three paths: a reshape view, a
-        # broadcast add and a gather
+        # one leaf reaches the loss by three paths: a concat (whose VJP
+        # returns a view of its cotangent), a broadcast add and a gather
         g = rng(14)
         x = ad.Tensor(g.standard_normal((4, 3)))
         bias = ad.Tensor(g.standard_normal((2, 4, 3)))
-        w = [g.standard_normal(s) for s in ((12,), (2, 4, 3), (5, 3))]
-        paths = [ad.reshape(x, (12,)), ad.add(x, bias),
+        w = [g.standard_normal(s) for s in ((4, 5), (2, 4, 3), (5, 3))]
+        paths = [ad.concat([x, ad.constant(g.standard_normal((4, 2)))],
+                           axis=1),
+                 ad.add(x, bias),
                  ad.gather(x, np.array([0, 2, 2, 3, 0]))]
         loss = ad.sum_(paths[0] * w[0]) + ad.sum_(paths[1] * w[1]) + \
             ad.sum_(paths[2] * w[2])

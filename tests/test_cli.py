@@ -587,6 +587,40 @@ def test_register_divergence_is_a_budget_error(three_stage_ckpt, tmp_path,
     assert not (tmp_path / "o.sfm").exists()
 
 
+def test_register_divergence_prints_one_line_in_a_process(three_stage_ckpt,
+                                                         tmp_path):
+    # in a real process numpy's overflow warnings would reach stderr ahead
+    # of the error; the diverged run must print the error line alone
+    from spherereg.mesh import read_sfm, write_sfm
+
+    root, ckpt = three_stage_ckpt
+    for name in ("moving.sfm", "fixed.sfm"):
+        fmap = read_sfm(root / name)
+        fmap.values *= 1e200
+        write_sfm(tmp_path / name, fmap)
+    out = _register(tmp_path, ckpt, "o")
+    assert out.returncode == 3
+    assert out.stderr.startswith("error: registration diverged: ")
+    assert out.stderr.count("\n") == 1
+    assert not (tmp_path / "o.sfm").exists()
+
+
+def test_register_shows_the_warnings_of_a_completed_run(three_stage_ckpt,
+                                                        tmp_path):
+    # the warnings held back while registering are shown when it completes
+    from spherereg.mesh import read_sfm, write_sfm
+
+    root, ckpt = three_stage_ckpt
+    for name in ("moving.sfm", "fixed.sfm"):
+        fmap = read_sfm(root / name)
+        fmap.values[:] = 1.0
+        write_sfm(tmp_path / name, fmap)
+    with pytest.warns(UserWarning, match="zero-variance"):
+        code = _register_in_process(tmp_path, ckpt, tmp_path / "o.sfm",
+                                    tmp_path / "o.def")
+    assert code == 0
+
+
 @pytest.mark.parametrize("header, problem", [
     (b"\n", "garbled header of block 1"),
     (b"alpha two 3\n", "garbled header of block 1"),

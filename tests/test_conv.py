@@ -155,6 +155,60 @@ def test_monet_gradients_finite_difference():
     assert grad_check(loss_fn, store, n_probes=20, seed=1) < 1e-4
 
 
+def test_aggregate_matches_unfused_composition():
+    # [DERIVED] the aggregation node against the unfused form: ring gather,
+    # mean over the ring, (V, J, 7) @ (V, 7, C_in) patches, mixing, bias
+    for order in (1, 2, 3, 4):
+        pc = pseudo_coords(order)
+        rng = np.random.Generator(np.random.Philox(order))
+        store = ParamStore()
+        layer = MoNetLayer(store, "m", 3, 5, 4, pc.box, rng)
+        store["m.b"].value = rng.standard_normal(5)
+        x = rng.standard_normal((vertex_count(order), 3))
+        out = layer.forward(pc, ad.constant(x)).value
+        w = layer.kernel_weights(pc).value
+        gathered = x[build_icosphere(order).nbr_pad] / pc.counts[:, None, None]
+        patches = np.matmul(np.transpose(w, (0, 2, 1)), gathered)
+        expect = patches.reshape(len(x), -1) @ \
+            store["m.g"].value.reshape(12, 5) + store["m.b"].value
+        assert np.abs(out - expect).max() < 1e-12
+
+
+def test_aggregate_grad_check():
+    # the aggregation node with the features, the kernel parameters, the
+    # mixing and the bias all in the store
+    pc = pseudo_coords(2)
+    rng = np.random.Generator(np.random.Philox(12))
+    store = ParamStore()
+    layer = MoNetLayer(store, "m", 3, 2, 4, pc.box, rng)
+    store["m.b"].value = rng.standard_normal(2)
+    store.add("x", rng.standard_normal((vertex_count(2), 3)))
+    probe = rng.standard_normal((vertex_count(2), 2))
+
+    def loss_fn(params):
+        out = conv._aggregate(pc, params["x"], layer.kernel_weights(pc),
+                              params["m.g"], params["m.b"])
+        return ad.sum_(out * probe)
+
+    assert grad_check(loss_fn, store, n_probes=20, seed=13) < 1e-4
+
+
+def test_ring_tables_read_only_and_reverse_complete():
+    for order in range(5):
+        pc = pseudo_coords(order)
+        for table in (pc.offsets, pc.mask, pc.counts, pc.quad, pc.pad,
+                      pc.rev):
+            assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            pc.quad[0, 0] = 1.0
+        # every flat ring slot once, and row k maps back to every vertex
+        ring = build_icosphere(order).nbr_pad.ravel()
+        n = vertex_count(order)
+        assert np.array_equal(np.sort(pc.rev.ravel()), np.arange(7 * n))
+        assert all(np.array_equal(ring[row], np.arange(n)) for row in pc.rev)
+        assert np.array_equal(pc.pad, np.flatnonzero(~pc.mask))
+
+
 # -- tape-level transfers match the numpy references -----------------------
 
 def test_tape_transfers_match_feature_ops():

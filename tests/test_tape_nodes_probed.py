@@ -67,8 +67,9 @@ def test_every_hand_written_node_is_probed():
         if path.name != "autodiff.py":
             fused |= _fused_nodes(path.read_text())
     # the check must see the nodes it guards
-    assert {"gaussian_message", "_gaussian_weights", "_interpolate_warped",
-            "similarity_loss", "smoothness_loss"} <= fused
+    assert {"gaussian_message", "_gaussian_weights", "_aggregate",
+            "_interpolate_warped", "similarity_loss",
+            "smoothness_loss"} <= fused
     assert sorted(fused - _probed_names()) == []
 
 
