@@ -86,19 +86,21 @@ def cmd_synth(args) -> int:
     except OSError as exc:
         return _fail(f"cannot create {args.out}: {exc}", EXIT_IO)
     entries = []
-    for i, spec in enumerate(specs):
-        try:
+    try:
+        for i, spec in enumerate(specs):
             moving, fixed, truth = generate_synthetic_pair(spec, args.order)
-        except RuntimeError as exc:
-            return _fail(str(exc), EXIT_BUDGET)
-        paths = (os.path.join(args.out, f"pair{i:04d}_moving.sfm"),
-                 os.path.join(args.out, f"pair{i:04d}_fixed.sfm"),
-                 os.path.join(args.out, f"pair{i:04d}_truth.def"))
-        write_sfm(paths[0], moving)
-        write_sfm(paths[1], fixed)
-        write_def(paths[2], truth)
-        entries.append(PairEntry(*paths))
-    write_manifest(os.path.join(args.out, "manifest.txt"), entries)
+            paths = (os.path.join(args.out, f"pair{i:04d}_moving.sfm"),
+                     os.path.join(args.out, f"pair{i:04d}_fixed.sfm"),
+                     os.path.join(args.out, f"pair{i:04d}_truth.def"))
+            write_sfm(paths[0], moving)
+            write_sfm(paths[1], fixed)
+            write_def(paths[2], truth)
+            entries.append(PairEntry(*paths))
+        write_manifest(os.path.join(args.out, "manifest.txt"), entries)
+    except RuntimeError as exc:
+        return _fail(str(exc), EXIT_BUDGET)
+    except OSError as exc:
+        return _fail(f"cannot write: {exc}", EXIT_IO)
     print(f"wrote {args.pairs} pairs to {args.out}")
     return EXIT_OK
 
@@ -157,6 +159,8 @@ def cmd_train(args) -> int:
     pairs = [(maps[i][1], maps[i + 1][1]) for i in range(0, len(maps), 2)]
     try:
         train_run(cfg, pairs, args.out, log=log)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_USAGE)
     except FloatingPointError as exc:
         return _fail(f"training diverged: {exc}", EXIT_BUDGET)
     except OSError as exc:
@@ -192,7 +196,10 @@ def _load_stages(ckpt_dir):
         settings = asdict(read_arch(base + ".arch"))
         store = read_gmw(base + ".gmw")
         settings.update(read_stage_cfg(base + ".cfg"))
-        stage = StageConfig(**settings, use_crf="crf.omega" in store)
+        # a .cfg without the switch: the CRF is on when the .gmw holds the
+        # weight blocks that checkpoints carried then (they are not read)
+        settings.setdefault("use_crf", "crf.omega" in store)
+        stage = StageConfig(**settings)
         try:
             StageModel(stage, store)  # the store holds every block it needs
         except ValueError as exc:
@@ -416,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train registration stages")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, default=None,
+                   help="training seed (default: [data] seed of the INI)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("register", help="register one pair")

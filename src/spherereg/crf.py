@@ -2,12 +2,12 @@
 unrolled mean-field iterations so it trains end to end.
 
 The pairwise potential couples control-point displacements through a
-Gaussian kernel with learnable per-pair filter weights and a learnable
-label compatibility transform: two control points agree when they move
-the same way, not when they move to the same place.  During message
-passing the partner's displacement is taken to its current
-probability-weighted (expected) endpoint, which keeps every stage
-differentiable.
+Gaussian kernel with fixed per-pair filter weights, a geodesic falloff
+between control points, and a fixed Potts label compatibility: two
+control points agree when they move the same way, not when they move to
+the same place.  During message passing the partner's displacement is
+taken to its current probability-weighted (expected) endpoint, which
+keeps every stage differentiable in the label scores.
 
 The filter weights enter inference row-normalized, so each message is a
 weighted average over partners rather than a sum, and successive plain
@@ -29,7 +29,8 @@ from .autodiff import Tensor
 from .optim import ParamStore
 from .warp import LabelSpace, build_icosphere, soft_deform_tensor
 
-OMEGA_INIT_SCALE = 0.2
+# the filter weights' falloff is exp(-geodesic^2 / OMEGA_SCALE)
+OMEGA_SCALE = 0.2
 # squared residual change below which the secant mixing takes a plain step
 MIX_FLOOR = 1e-30
 
@@ -48,30 +49,30 @@ class CrfConfig:
                              "bandwidth must be positive")
 
 
-def init_crf_params(store: ParamStore, control_order: int,
-                    n_labels: int) -> None:
-    """Add the filter-weight and label-compatibility blocks to the store,
-    or check the shapes of those it holds.
-
-    Filter weights start from a geodesic Gaussian falloff; compatibility
-    starts Potts-like (no cost for agreement, uniform otherwise).
-    """
+@lru_cache(maxsize=None)
+def default_weights(control_order: int, n_labels: int):
+    """The CRF's fixed weights for a stage: the filter weights ``omega``, a
+    geodesic Gaussian falloff between control points, and the Potts label
+    compatibility ``mu`` (no cost for agreement, unit cost otherwise).
+    Built once per key; the arrays are read-only because every caller
+    shares them."""
     points = build_icosphere(control_order).vertices
     geo = np.arccos(np.clip(points @ points.T, -1.0, 1.0))
-    omega = np.exp(-(geo**2) / OMEGA_INIT_SCALE)
-    store.ensure("crf.omega", omega.shape, lambda: omega)
-    store.ensure("crf.mu", (n_labels, n_labels),
-                 lambda: 1.0 - np.eye(n_labels))
+    omega = np.exp(-(geo**2) / OMEGA_SCALE)
+    mu = 1.0 - np.eye(n_labels)
+    omega.setflags(write=False)
+    mu.setflags(write=False)
+    return omega, mu
 
 
-def _normalized_filter(omega: Tensor) -> Tensor:
+def _normalized_filter(omega: np.ndarray) -> np.ndarray:
     """Off-diagonal filter weights divided by their row sums, so that every
     message is a weighted average over partners.  A row whose off-diagonal
     sum is zero is left as it is."""
     n = omega.shape[0]
-    off = ad.where_const(~np.eye(n, dtype=bool), omega, 0.0)
-    rows = ad.sum_(off, axis=1, keepdims=True)
-    return off / ad.where_const(rows.value != 0.0, rows, 1.0)
+    off = np.where(~np.eye(n, dtype=bool), omega, 0.0)
+    rows = off.sum(axis=1, keepdims=True)
+    return off / np.where(rows != 0.0, rows, 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -100,7 +101,7 @@ def _label_rows(labels: LabelSpace, gamma: float):
 
 
 def gaussian_message(q: Tensor, partner_endpoints: Tensor, labels: LabelSpace,
-                     omega: Tensor, config: CrfConfig) -> Tensor:
+                     omega: np.ndarray, config: CrfConfig) -> Tensor:
     """Message passing: for each (control point, label), the filter-weighted
     sum over partners of kernel(label displacement, partner's current
     expected displacement) times the partner's probability of that label.
@@ -110,14 +111,11 @@ def gaussian_message(q: Tensor, partner_endpoints: Tensor, labels: LabelSpace,
     with hand-written VJPs.  The forward forms the dense (N_l, N_c, N_c)
     kernel's exponent with one matrix product, the cached label rows of
     ``_label_rows`` against ``[p; 1; |p|^2]`` for the partner displacements
-    ``p``, and filters the kernel in place unless ``omega`` takes a
-    gradient; only then does the tape keep the unfiltered kernel.  The
-    backward reads the filtered kernel once for ``q`` and the endpoints
-    together.
+    ``p``, and filters the kernel by ``omega`` in place, so the tape keeps
+    only the filtered kernel.  The backward reads it once for ``q`` and the
+    endpoints together.
     """
-    q, partner_endpoints, omega = (ad.as_tensor(q),
-                                   ad.as_tensor(partner_endpoints),
-                                   ad.as_tensor(omega))
+    q, partner_endpoints = ad.as_tensor(q), ad.as_tensor(partner_endpoints)
     scale = 1.0 / (2.0 * config.gamma**2)
     rows, disp = _label_rows(labels, config.gamma)
     n_l, _, n_c = disp.shape
@@ -128,15 +126,10 @@ def gaussian_message(q: Tensor, partner_endpoints: Tensor, labels: LabelSpace,
     partner[3] = 1.0
     partner[4] = (partner_disp * partner_disp).sum(axis=1)
     # kernel = exp(-scale |d - p|^2), no message from a point to itself
-    kernel = (rows @ partner).reshape(n_l, n_c, n_c)
-    np.exp(kernel, out=kernel)
-    kernel.reshape(n_l, -1)[:, ::n_c + 1] = 0.0
-    if omega.requires_grad:
-        filtered = kernel * omega.value  # (N_l, N_c, N_c)
-    else:
-        # only vjp_omega reads the kernel: filter in place and let it go
-        kernel *= omega.value
-        filtered, kernel = kernel, None
+    filtered = (rows @ partner).reshape(n_l, n_c, n_c)
+    np.exp(filtered, out=filtered)
+    filtered.reshape(n_l, -1)[:, ::n_c + 1] = 0.0
+    filtered *= omega
     qt = q.value.T  # (N_l, N_c)
     msg = (filtered @ qt[:, :, None])[:, :, 0].T
     shared = []
@@ -159,18 +152,14 @@ def gaussian_message(q: Tensor, partner_endpoints: Tensor, labels: LabelSpace,
         sums = (qt[:, None, :] * back(g)).sum(axis=0)  # (4, N_c)
         return (sums[1:].T - partner_disp * sums[0][:, None]) * (2.0 * scale)
 
-    def vjp_omega(g):
-        return np.einsum("kij,ki->ij", kernel * qt[:, None, :], g.T)
-
-    return Tensor(msg, (q, partner_endpoints, omega),
-                  (vjp_q, vjp_endpoints, vjp_omega),
+    return Tensor(msg, (q, partner_endpoints), (vjp_q, vjp_endpoints),
                   requires_grad=(q.requires_grad
-                                 or partner_endpoints.requires_grad
-                                 or omega.requires_grad))
+                                 or partner_endpoints.requires_grad))
 
 
-def meanfield_step(u: Tensor, k1: Tensor, labels: LabelSpace, omega: Tensor,
-                   mu: Tensor, config: CrfConfig) -> Tensor:
+def meanfield_step(u: Tensor, k1: Tensor, labels: LabelSpace,
+                   omega: np.ndarray, mu: np.ndarray,
+                   config: CrfConfig) -> Tensor:
     """One plain mean-field update: the logits ``u - message @ mu`` that
     the current row-stochastic estimate ``k1`` induces, with the messages
     mixed across labels by the compatibility matrix ``mu``."""
@@ -182,8 +171,8 @@ def meanfield_step(u: Tensor, k1: Tensor, labels: LabelSpace, omega: Tensor,
     return updated
 
 
-def crf_forward_tensor(u: Tensor, labels: LabelSpace, omega: Tensor,
-                       mu: Tensor, config: CrfConfig):
+def crf_forward_tensor(u: Tensor, labels: LabelSpace, omega: np.ndarray,
+                       mu: np.ndarray, config: CrfConfig):
     """Run the unrolled mean-field iterations.
 
     The filter weights are row-normalized (``_normalized_filter``), which
@@ -197,10 +186,11 @@ def crf_forward_tensor(u: Tensor, labels: LabelSpace, omega: Tensor,
     parallel updates can oscillate in 2-cycles; the mixed ones reach the
     fixed point within a few iterations.
 
-    Returns the regularized probabilities and the deformed control grid
-    they induce, both on the tape.
+    ``omega`` and ``mu`` are constants of the tape.  Returns the
+    regularized probabilities and the deformed control grid they induce,
+    both on the tape.
     """
-    weights = _normalized_filter(ad.as_tensor(omega))
+    weights = _normalized_filter(omega)
     z = ad.as_tensor(u)
     g_prev = r_prev = None
     for _ in range(config.iterations):
@@ -219,8 +209,12 @@ def crf_forward_tensor(u: Tensor, labels: LabelSpace, omega: Tensor,
 
 def crf_forward(u: np.ndarray, labels: LabelSpace, store: ParamStore,
                 config: CrfConfig):
+    """``crf_forward_tensor`` on constant unaries, with the filter weights
+    and compatibility held in ``store`` as ``crf.omega`` and ``crf.mu``;
+    returns the probabilities and endpoints as arrays."""
     q_bar, endpoints = crf_forward_tensor(
-        ad.constant(u), labels, store["crf.omega"], store["crf.mu"], config,
+        ad.constant(u), labels, store["crf.omega"].value,
+        store["crf.mu"].value, config,
     )
     return q_bar.value, endpoints.value
 

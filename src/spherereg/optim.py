@@ -44,24 +44,15 @@ class ParamStore:
     def names(self):
         return sorted(self._blocks)
 
-    def freeze(self, *names: str) -> None:
-        """Make blocks constants of the tape: backward computes no gradient
-        for them, and Adam leaves them as they are."""
-        for name in names:
-            if name not in self._blocks:
-                raise KeyError(f"no parameter block {name!r}")
-            self._blocks[name].requires_grad = False
-
     def zero_grad(self) -> None:
         for t in self._blocks.values():
             t.grad = None
 
     def copy(self) -> "ParamStore":
-        """Deep copy of values and frozen marks; gradients and Adam state
-        start fresh."""
+        """Deep copy of the values; gradients and Adam state start fresh."""
         out = ParamStore()
         for name, t in self._blocks.items():
-            out.add(name, t.value.copy()).requires_grad = t.requires_grad
+            out.add(name, t.value.copy())
         return out
 
     def ensure(self, name: str, shape: tuple, init) -> Tensor:
@@ -77,13 +68,11 @@ class ParamStore:
 
     # -- Adam --------------------------------------------------------------
     def adam_step(self, lr: float) -> None:
-        """Standard bias-corrected Adam update of the unfrozen blocks;
-        gradients are zeroed after."""
+        """Standard bias-corrected Adam update of every block; gradients
+        are zeroed after."""
         beta1, beta2 = ADAM_BETA1, ADAM_BETA2
         for name in self.names():
             t = self._blocks[name]
-            if not t.requires_grad:
-                continue
             g = t.grad if t.grad is not None else np.zeros_like(t.value)
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError(f"non-finite gradient in block {name!r}")
@@ -118,20 +107,11 @@ def grad_check(loss_fn, params: ParamStore, n_probes: int = 20,
     O(step * J), so kinked intervals are discarded and redrawn.  The
     screen depends only on the sampled loss values, so it cannot mask an
     incorrect analytic gradient.  ``loss_fn(params)`` must return a
-    scalar Tensor built from the store's blocks.  Frozen blocks are probed
-    too: they take gradients while the analytic tape is built.
+    scalar Tensor built from the store's blocks.
     """
-    frozen = [params[name] for name in params.names()
-              if not params[name].requires_grad]
-    for t in frozen:
-        t.requires_grad = True
     params.zero_grad()
-    try:
-        loss = loss_fn(params)
-        loss.backward()
-    finally:
-        for t in frozen:
-            t.requires_grad = False
+    loss = loss_fn(params)
+    loss.backward()
     analytic = {name: (params[name].grad.copy()
                        if params[name].grad is not None
                        else np.zeros_like(params[name].value))

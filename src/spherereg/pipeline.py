@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .conv import DEFAULT_KERNELS, NetConfig, RegistrationNet
-from .crf import CrfConfig, crf_forward_tensor, init_crf_params
+from .crf import CrfConfig, crf_forward_tensor, default_weights
 from .mesh import SphericalFeatureMap, build_icosphere
 from .metrics import cc_similarity, total_loss
 from .optim import ParamStore
@@ -203,8 +203,11 @@ class StageModel:
 
     Without ``store`` the blocks are initialized from ``seed``.  With a
     trained ``store`` the model works on a copy of it, so the caller's store
-    gains no blocks and no frozen marks; ``seed`` is then unused, and a
-    block the stage needs but the store lacks raises ValueError.
+    gains no blocks; ``seed`` is then unused, and a block the stage needs
+    but the store lacks raises ValueError.  The CRF holds no blocks: its
+    filter weights and compatibility are the fixed ``default_weights`` of
+    the stage, so the head stays a genuine smoother (trained ones drift
+    until the classifier cancels the regularization).
     """
 
     def __init__(self, stage: StageConfig, store: ParamStore | None = None,
@@ -216,12 +219,6 @@ class StageModel:
         self.net = RegistrationNet(self.store, stage.net_config(), rng)
         self.labels = build_label_space(control_grid(stage.control_order),
                                         stage.label_order, stage.n_labels)
-        if stage.use_crf:
-            init_crf_params(self.store, stage.control_order, stage.n_labels)
-            # the head stays a genuine smoother: jointly trained filter
-            # weights and compatibilities drift until the classifier cancels
-            # the regularization
-            self.store.freeze("crf.omega", "crf.mu")
         added = sorted(set(self.store.names()) - held)
         if store is not None and added:
             raise ValueError(f"missing parameter block {added[0]!r}")
@@ -230,9 +227,10 @@ class StageModel:
         """Label scores decoded to endpoints at the input order, through
         the CRF head when ``crf`` is set and a plain softmax otherwise."""
         if crf:
-            _, coarse = crf_forward_tensor(
-                logits, self.labels, self.store["crf.omega"],
-                self.store["crf.mu"], self.stage.crf_config())
+            omega, mu = default_weights(self.stage.control_order,
+                                        self.stage.n_labels)
+            _, coarse = crf_forward_tensor(logits, self.labels, omega, mu,
+                                           self.stage.crf_config())
         else:
             coarse = soft_deform_tensor(self.labels, ad.softmax_rows(logits))
         return upsample_deformation_tensor(coarse, self.stage.control_order,
@@ -374,7 +372,8 @@ def _validation_cc(model: StageModel, pairs) -> float:
 def train_stage(stage: StageConfig, train_pairs, val_pairs, seed: int,
                 log=None):
     """Train one stage with per-epoch shuffling and best-validation
-    checkpointing.  Returns (best parameter store, epoch trace)."""
+    checkpointing; without validation pairs the last epoch's weights are
+    kept.  Returns (best parameter store, epoch trace)."""
     model = StageModel(stage, seed=seed)
     shuffle_rng = np.random.Generator(np.random.Philox(seed + 1))
     best_store = model.store.copy()
@@ -397,7 +396,7 @@ def train_stage(stage: StageConfig, train_pairs, val_pairs, seed: int,
         trace.append(record)
         if log is not None:
             log(record)
-        if val_cc > best_cc:
+        if not val_pairs or val_cc > best_cc:
             best_cc = val_cc
             best_store = model.store.copy()
     return best_store, trace
@@ -470,14 +469,10 @@ _STAGE_TYPES = {f.name: f.type for f in fields(StageConfig)}
 # [stage.N] keys of the run INI: every setting, with the CRF switch as crf
 _STAGE_KEYS = {name: name for name in _STAGE_TYPES if name != "use_crf"}
 _STAGE_KEYS["crf"] = "use_crf"
-# [crf] of the run INI: defaults for every stage
-_CRF_KEYS = {"enabled": "use_crf", "iterations": "crf_iterations",
-             "gamma": "gamma"}
 _DATA_KEYS = ("manifest", "seed", "split")
-# the settings a checkpoint's .cfg carries: what the .arch file does not,
-# except the CRF switch, which follows from the .gmw holding CRF blocks
-_CFG_FIELDS = tuple(name for name in _STAGE_TYPES if name != "use_crf"
-                    and name not in {f.name for f in fields(NetConfig)})
+# the settings a checkpoint's .cfg carries: what the .arch file does not
+_CFG_FIELDS = tuple(name for name in _STAGE_TYPES
+                    if name not in {f.name for f in fields(NetConfig)})
 _STAGE_SECTION = re.compile(r"stage\.([1-9][0-9]*)")
 
 
@@ -511,9 +506,8 @@ def _stage_settings(section, where: str, keys: dict) -> dict:
 
 
 def read_run_config(path) -> RunConfig:
-    """The run INI: [data], optional [crf] defaults and [stage.1] ...
-    [stage.K].  An unknown section or key, or a gap in the stage numbers,
-    raises ValueError."""
+    """The run INI: [data] and [stage.1] ... [stage.K].  An unknown section
+    or key, or a gap in the stage numbers, raises ValueError."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                    interpolation=None)
     try:
@@ -525,7 +519,7 @@ def read_run_config(path) -> RunConfig:
         match = _STAGE_SECTION.fullmatch(name)
         if match:
             numbered[int(match[1])] = name
-        elif name not in ("data", "crf"):
+        elif name != "data":
             raise ValueError(f"{path}: unknown section [{name}]")
     if "data" not in cp:
         raise ValueError(f"{path}: missing [data] section")
@@ -542,25 +536,10 @@ def read_run_config(path) -> RunConfig:
         if n not in numbered:
             raise ValueError(f"{path}: [stage.{max(numbered)}] without "
                              f"[stage.{n}]; number stages 1, 2, ... in order")
-    defaults = {}
-    if "crf" in cp:
-        where = f"{path} [crf]"
-        defaults = _stage_settings(cp["crf"], where, _CRF_KEYS)
-        # the [crf] keys are CrfConfig's fields: check the defaults here,
-        # so that an error names the section and the key the user wrote
-        try:
-            CrfConfig(**{key: defaults[name] for key, name in _CRF_KEYS.items()
-                         if name in defaults and key != "enabled"})
-        except ValueError as exc:
-            message = str(exc)
-            for key, name in _CRF_KEYS.items():
-                message = message.replace(f"key {name!r}", f"key {key!r}")
-            raise ValueError(f"{where}: {message}") from None
     stages = []
     for n in sorted(numbered):
         where = f"{path} [stage.{n}]"
-        settings = {**defaults,
-                    **_stage_settings(cp[numbered[n]], where, _STAGE_KEYS)}
+        settings = _stage_settings(cp[numbered[n]], where, _STAGE_KEYS)
         missing = [f.name for f in fields(StageConfig)
                    if f.default is MISSING and f.name not in settings]
         if missing:
@@ -596,8 +575,8 @@ def write_stage_cfg(path, stage: StageConfig) -> None:
 def read_stage_cfg(path) -> dict:
     """The settings ``write_stage_cfg`` persisted, as ``StageConfig``
     keyword arguments.  Other keys are skipped: checkpoints written by
-    earlier versions carry settings that no longer exist.  A missing file
-    raises OSError."""
+    earlier versions carry settings that no longer exist (and lack
+    ``use_crf``).  A missing file raises OSError."""
     cp = configparser.ConfigParser(interpolation=None)
     _read_ini(path, cp)
     if "stage" not in cp:
@@ -611,13 +590,18 @@ def read_stage_cfg(path) -> dict:
 def train_run(cfg: RunConfig, pairs, ckpt_dir, log=None):
     """Full training on the (moving, fixed) ``pairs`` of the manifest:
     split, train each stage serially, and write GMW1 checkpoints + CSV
-    traces."""
+    traces.  A split that leaves no training pair raises ValueError before
+    anything is written."""
     import os
 
     from .conv import write_arch
     from .optim import write_gmw
 
     tr, va, te = split_indices(len(pairs), cfg.seed, cfg.ratios)
+    if len(tr) == 0:
+        raise ValueError(f"{cfg.manifest}: no training pairs: split "
+                         f"{','.join(map(str, cfg.ratios))} of {len(pairs)} "
+                         "pairs")
     train_pairs = [pairs[i] for i in tr]
     val_pairs = [pairs[i] for i in va]
 

@@ -127,6 +127,19 @@ def test_synth_rejects_settings_it_cannot_generate(tmp_path, capsys, flag,
     assert not (tmp_path / "d").exists()
 
 
+def test_synth_write_failure_is_an_io_error(tmp_path, capsys):
+    from spherereg import cli
+
+    (tmp_path / "d" / "pair0000_moving.sfm").mkdir(parents=True)
+    code = cli.main(["synth", "--order", "1", "--pairs", "1", "--seed", "0",
+                     "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write: ") and err.count("\n") == 1
+    assert str(tmp_path / "d" / "pair0000_moving.sfm") in err
+    assert not (tmp_path / "d" / "manifest.txt").exists()
+
+
 def test_synth_requires_seed(tmp_path):
     out = run_cli("synth", "--order", "2", "--pairs", "1",
                   "--out", str(tmp_path / "d"))
@@ -737,6 +750,80 @@ def test_train_rejects_settings_training_cannot_use(small_cohort, capsys, old,
                      str(root / "ckpt"), "--seed", "0"])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith(f"error: {cfg} {where}: bad value ")
-    assert f"key {key!r}" in err and err.count("\n") == 1
+    if where == "[crf]":
+        # the CRF settings are stage keys: crf, crf_iterations and gamma
+        assert err == f"error: {cfg}: unknown section [crf]\n"
+    else:
+        assert err.startswith(f"error: {cfg} {where}: bad value ")
+        assert f"key {key!r}" in err and err.count("\n") == 1
     assert not (root / "ckpt").exists()
+
+
+@pytest.mark.parametrize("pairs, split", [(0, "0.8,0.1,0.1"),
+                                          (3, "0.1,0.9,0.0")])
+def test_train_without_training_pairs_writes_nothing(small_cohort, capsys,
+                                                     pairs, split):
+    from spherereg import cli
+
+    root, cfg = small_cohort
+    manifest = root / "manifest.txt"
+    manifest.write_text("".join(manifest.read_text().splitlines(True)[:pairs]))
+    cfg.write_text(cfg.read_text().replace("split = 0.6,0.4,0.0",
+                                           f"split = {split}"))
+    code = cli.main(["train", "--config", str(cfg), "--out",
+                     str(root / "ckpt"), "--seed", "0"])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith(f"error: {manifest}: no training pairs")
+    assert split in err
+    assert not (root / "ckpt").exists()
+
+
+def test_train_seed_defaults_to_the_ini_seed(small_cohort):
+    from spherereg import cli
+
+    root, cfg = small_cohort  # [data] seed = 0
+    weights = {}
+    for name, flags in (("ini", []), ("zero", ["--seed", "0"]),
+                        ("one", ["--seed", "1"])):
+        assert cli.main(["train", "--config", str(cfg), "--out",
+                         str(root / name), *flags]) == 0
+        weights[name] = (root / name / "stage1.gmw").read_bytes()
+    assert weights["ini"] == weights["zero"] != weights["one"]
+
+
+def test_register_reads_checkpoints_that_hold_crf_blocks(three_stage_ckpt,
+                                                         tmp_path):
+    # checkpoints written before the CRF weights became constants: the
+    # .cfg lacks use_crf, and the .gmw of a stage with the CRF on holds
+    # crf.omega and crf.mu at their defaults.  They register to the same
+    # bytes, the CRF switch following from the blocks.
+    import shutil
+
+    from spherereg.cli import _load_stages
+    from spherereg.crf import default_weights
+    from spherereg.optim import read_gmw, write_gmw
+
+    root, ckpt = three_stage_ckpt
+    old = tmp_path / "old_ckpt"
+    shutil.copytree(ckpt, old)
+    for k, stage in enumerate(_three_stages(), 1):
+        cfg = old / f"stage{k}.cfg"
+        cfg.write_text("".join(line for line in cfg.read_text()
+                               .splitlines(True)
+                               if not line.startswith("use_crf")))
+        if stage.use_crf:
+            store = read_gmw(old / f"stage{k}.gmw")
+            omega, mu = default_weights(stage.control_order, stage.n_labels)
+            store.add("crf.omega", omega)
+            store.add("crf.mu", mu)
+            write_gmw(old / f"stage{k}.gmw", store)
+    assert [stage for stage, _ in _load_stages(str(old))] == _three_stages()
+    new_out = _register(root, ckpt, "new")
+    old_out = _register(root, old, "old")
+    assert new_out.returncode == 0 and old_out.returncode == 0, \
+        new_out.stderr + old_out.stderr
+    assert old_out.stdout == new_out.stdout
+    for suffix in ("sfm", "def"):
+        assert (root / f"old.{suffix}").read_bytes() == \
+            (root / f"new.{suffix}").read_bytes()

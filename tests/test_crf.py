@@ -9,8 +9,8 @@ from spherereg.crf import (
     crf_energy,
     crf_forward,
     crf_forward_tensor,
+    default_weights,
     gaussian_message,
-    init_crf_params,
     meanfield_reference,
     meanfield_step,
 )
@@ -44,10 +44,12 @@ def test_config_validation():
 
 
 def test_init_crf_params():
-    store = ParamStore()
-    init_crf_params(store, 0, 5)
-    omega = store["crf.omega"].value
-    mu = store["crf.mu"].value
+    # the fixed weights of a stage: shared, cached and read-only
+    omega, mu = default_weights(0, 5)
+    assert default_weights(0, 5)[0] is omega
+    for a in (omega, mu):
+        with pytest.raises(ValueError):
+            a[0, 0] = 2.0
     assert omega.shape == (12, 12)
     assert np.allclose(omega, omega.T)
     assert np.allclose(np.diag(omega), 1.0)
@@ -94,7 +96,7 @@ def test_message_diagonal_excluded():
     omega[0, 1] = 0.7
     qt = ad.constant(q)
     endpoints = soft_deform_tensor(labels, qt)
-    msg = gaussian_message(qt, endpoints, labels, ad.constant(omega), cfg).value
+    msg = gaussian_message(qt, endpoints, labels, omega, cfg).value
     assert np.allclose(msg[1:], 0.0, atol=1e-15)
     centers = build_icosphere(0).vertices
     d = (labels.endpoints[0] - centers[0]) \
@@ -104,38 +106,44 @@ def test_message_diagonal_excluded():
 
 
 def test_frozen_filter_weights_free_the_kernel_and_change_no_bits():
-    # only the omega VJP reads the unfiltered kernel; with omega frozen the
-    # tape must not hold it, and the message and the other gradients keep
-    # their bits
+    # the filter weights are constants: the tape holds the filtered kernel
+    # alone, with no unfiltered copy, and takes no gradient in omega
     labels, u, omega, _ = _instance(5)
-    probe = np.random.Generator(np.random.Philox(6)).standard_normal(u.shape)
-    out = {}
-    for trained in (True, False):
-        q = ad.Tensor(_softmax(u))
-        msg = gaussian_message(q, soft_deform_tensor(labels, q), labels,
-                               ad.Tensor(omega, requires_grad=trained),
-                               CrfConfig())
-        ad.sum_(msg * probe).backward()
-        out[trained] = msg.value, q.grad
-        held = [cell.cell_contents for cell in msg.vjps[2].__closure__
-                if np.ndim(cell.cell_contents) == 3]
-        assert len(held) == trained
-    for a, b in zip(out[True], out[False]):
-        assert np.array_equal(a, b)
+    omega[3] = 0.0  # point 3 hears no partner
+    q = ad.Tensor(_softmax(u))
+    msg = gaussian_message(q, soft_deform_tensor(labels, q), labels, omega,
+                           CrfConfig())
+    assert len(msg.parents) == len(msg.vjps) == 2
+    kernels = {id(cell.cell_contents): cell.cell_contents
+               for vjp in msg.vjps for cell in _closure(vjp)
+               if np.shape(cell.cell_contents) == (4, 12, 12)}
+    assert len(kernels) == 1
+    (kernel,) = kernels.values()
+    # the filtered kernel: zero where omega is
+    assert np.all(kernel[:, 3] == 0.0) and np.all(kernel[:, 4, 5] > 0.0)
 
 
-@pytest.mark.parametrize("trained", [True, False])
-def test_message_vjps_match_explicit_formulas(trained):
+def _closure(fn):
+    """The cells ``fn`` closes over, and those of the functions in them."""
+    cells = list(fn.__closure__ or ())
+    for cell in list(cells):
+        cells += getattr(cell.cell_contents, "__closure__", None) or ()
+    return cells
+
+
+@pytest.mark.parametrize("partner_grad", [True, False])
+def test_message_vjps_match_explicit_formulas(partner_grad):
     # msg[i, k] = sum_{j != i} omega[i, j] K[i, j, k] q[j, k] with
     # K = exp(-|d_ik - p_j|^2 / (2 gamma^2)): the q and endpoint VJPs of
-    # the one shared backward pass against their einsum expansions
+    # the one shared backward pass against their einsum expansions; with
+    # constant endpoints the q VJP runs alone
     labels, u, omega, _ = _instance(37)
     cfg = CrfConfig(gamma=0.7)
     rng = np.random.Generator(np.random.Philox(38))
     q = ad.Tensor(_softmax(u))
-    partner = ad.Tensor(soft_deform_tensor(labels, ad.constant(q.value)).value)
-    msg = gaussian_message(q, partner, labels,
-                           ad.Tensor(omega, requires_grad=trained), cfg)
+    partner = ad.Tensor(soft_deform_tensor(labels, ad.constant(q.value)).value,
+                        requires_grad=partner_grad)
+    msg = gaussian_message(q, partner, labels, omega, cfg)
     g = rng.standard_normal(u.shape)
     ad.sum_(msg * g).backward()
     centers = build_icosphere(0).vertices
@@ -150,7 +158,10 @@ def test_message_vjps_match_explicit_formulas(trained):
     grad_p = np.einsum("ik,ij,jk,ijk,ijkd->jd", g, w, q.value, kern,
                        diff) / cfg.gamma**2
     assert np.abs(q.grad - grad_q).max() < 1e-12
-    assert np.abs(partner.grad - grad_p).max() < 1e-12
+    if partner_grad:
+        assert np.abs(partner.grad - grad_p).max() < 1e-12
+    else:
+        assert partner.grad is None
 
 
 # -- staged implementation vs the naive oracle -----------------------------
@@ -239,32 +250,28 @@ def test_crf_gradients_finite_difference():
     rng = np.random.Generator(np.random.Philox(23))
     store = ParamStore()
     store.add("u", u[:, :3])
-    store.add("crf.omega", omega)
-    store.add("crf.mu", mu[:3, :3])
     probe = rng.standard_normal((12, 3))
 
     def loss_fn(params):
-        q, _ = crf_forward_tensor(params["u"], labels, params["crf.omega"],
-                                  params["crf.mu"], cfg)
+        q, _ = crf_forward_tensor(params["u"], labels, omega, mu[:3, :3], cfg)
         return ad.sum_(q * probe)
 
     assert grad_check(loss_fn, store, n_probes=25, seed=29) < 1e-4
 
 
 def test_gaussian_message_grad_check():
-    # the message node alone, in all three inputs
+    # the message node alone, in both of its inputs
     labels, u, omega, _ = _instance(31, n_l=3)
     cfg = CrfConfig(gamma=0.7)
     rng = np.random.Generator(np.random.Philox(31))
     store = ParamStore()
     store.add("q", _softmax(u))
     store.add("partner", soft_deform_tensor(labels, ad.constant(_softmax(u))).value)
-    store.add("omega", omega)
     probe = rng.standard_normal((12, 3))
 
     def loss_fn(params):
-        msg = gaussian_message(params["q"], params["partner"], labels,
-                               params["omega"], cfg)
+        msg = gaussian_message(params["q"], params["partner"], labels, omega,
+                               cfg)
         return ad.sum_(msg * probe)
 
     assert grad_check(loss_fn, store, n_probes=20, seed=32) < 1e-4

@@ -124,6 +124,21 @@ def test_train_stage_deterministic():
     assert [r.val_cc for r in t1] == [r.val_cc for r in t2]
 
 
+def test_train_stage_without_validation_keeps_the_last_epoch():
+    pairs = _tiny_pairs(3)
+    stage = _tiny_stage(epochs=1)
+    validated, _ = train_stage(stage, pairs[:2], pairs[2:], seed=6)
+    store, trace = train_stage(stage, pairs[:2], [], seed=6)
+    assert np.isnan(trace[0].val_cc)
+    # validation only reads the weights, so one epoch's are the same
+    init = StageModel(stage, seed=6).store
+    assert store.names() == validated.names()
+    assert all(np.array_equal(store[name].value, validated[name].value)
+               for name in store.names())
+    assert not all(np.array_equal(store[name].value, init[name].value)
+                   for name in store.names())
+
+
 def test_large_smoothness_keeps_warp_near_identity():
     pairs = _tiny_pairs(3)
     stage = replace(_tiny_stage(epochs=120, lam_sm=50.0), lr=5e-3)
@@ -237,7 +252,7 @@ def test_refine_without_steps_returns_none():
 def test_model_from_trained_store_leaves_it_untouched():
     stage = _tiny_stage(use_crf=True)
     trained = StageModel(stage, seed=5).store
-    store = ParamStore()  # the same blocks, none of them frozen
+    store = ParamStore()
     for name in trained.names():
         store.add(name, trained[name].value)
     names = store.names()
@@ -246,26 +261,19 @@ def test_model_from_trained_store_leaves_it_untouched():
     # seed-independent: the network reads the trained blocks
     for name in names:
         assert np.array_equal(model.store[name].value, store[name].value)
-    # frozen marks land on the model's copy only
-    before = store["crf.mu"].value
-    store["crf.mu"].grad = np.ones_like(before)
-    store.adam_step(0.1)
-    assert not np.array_equal(store["crf.mu"].value, before)
+        assert model.store[name] is not store[name]
 
 
-def test_frozen_blocks_get_no_gradient():
+def test_crf_weights_are_constants_of_the_stage():
     stage = _tiny_stage(use_crf=True)
     model = StageModel(stage, seed=2)
+    # the CRF adds no block: its weights are the stage's default_weights
+    assert model.store.names() == StageModel(
+        replace(stage, use_crf=False), seed=2).store.names()
+    assert not any(name.startswith("crf.") for name in model.store.names())
     model.pair_loss(*_tiny_pairs(1)[0]).backward()
-    assert model.store["crf.omega"].grad is None
-    assert model.store["crf.mu"].grad is None
-    assert model.store["cls.b0.conv1.b"].grad is not None
-    # a copy keeps the marks, and Adam leaves the frozen blocks alone
-    copy = model.store.copy()
-    assert not copy["crf.mu"].requires_grad
-    mu = model.store["crf.mu"].value
-    model.store.adam_step(0.1)
-    assert model.store["crf.mu"].value is mu
+    assert all(model.store[name].grad is not None
+               for name in model.store.names())
 
 
 def test_model_from_incomplete_store_raises():
@@ -277,8 +285,8 @@ def test_model_from_incomplete_store_raises():
             partial.add(name, full[name].value)
     with pytest.raises(ValueError, match="missing parameter block"):
         StageModel(stage, partial)
-    with pytest.raises(ValueError, match="missing parameter block 'crf.mu'"):
-        StageModel(replace(stage, use_crf=True), full)
+    # the CRF needs no block of its own
+    StageModel(replace(stage, use_crf=True), full)
 
 
 def test_model_from_misshapen_store_raises():
@@ -316,10 +324,6 @@ manifest = pairs/manifest.txt
 seed = 11
 split = 0.5,0.25,0.25
 
-[crf]
-iterations = 3
-gamma = 0.4
-
 [stage.1]
 input_order = 2
 control_order = 1
@@ -329,6 +333,8 @@ fcb_channels = 4,4
 res_channels = 8,12
 epochs = 7
 lam_sm = 0.2
+crf_iterations = 3
+gamma = 0.4
 """
     path = tmp_path / "run.cfg"
     path.write_text(cfg_text)
@@ -374,10 +380,9 @@ _DATA = "[data]\nmanifest = m.txt\nseed = 1\n"
 
 def test_run_config_reads_any_number_of_stages(tmp_path):
     path = tmp_path / "run.ini"
-    path.write_text(_DATA + "[crf]\nenabled = false\n"
-                    + _stage_section(3, epochs=3)
-                    + _stage_section(1, epochs=1, crf="true")
-                    + _stage_section(2, epochs=2))
+    path.write_text(_DATA + _stage_section(3, epochs=3, crf="false")
+                    + _stage_section(1, epochs=1)
+                    + _stage_section(2, epochs=2, crf="false"))
     run = read_run_config(path)
     assert [s.epochs for s in run.stages] == [1, 2, 3]
     assert [s.use_crf for s in run.stages] == [True, False, False]
@@ -391,8 +396,8 @@ def test_run_config_reads_any_number_of_stages(tmp_path):
     pytest.param(_DATA + _stage_section(1, r=0), "'r'", id="r"),
     pytest.param(_DATA + "pretrain_epochs = 3\n" + _stage_section(1),
                  "'pretrain_epochs'", id="pretrain-epochs"),
-    pytest.param(_DATA + "[crf]\nsteps = 3\n" + _stage_section(1),
-                 "'steps'", id="unknown-crf-key"),
+    pytest.param(_DATA + "[crf]\nenabled = false\n" + _stage_section(1),
+                 "unknown section [crf]", id="unknown-crf-key"),
     pytest.param(_DATA + "[stage]\n" + _stage_section(1), "[stage]",
                  id="unknown-section"),
     pytest.param(_DATA + _stage_section(3), "[stage.1]", id="lone-stage-3"),
@@ -422,7 +427,7 @@ def test_run_config_rejects_unknown_and_malformed(tmp_path, text, named):
 
 def test_stage_cfg_round_trip_and_retired_keys(tmp_path):
     stage = _tiny_stage(gamma=0.3, lam_sm=0.7, refine_steps=4,
-                        refine_lr=0.02, crf_iterations=2)
+                        refine_lr=0.02, crf_iterations=2, use_crf=True)
     path = tmp_path / "stage1.cfg"
     write_stage_cfg(path, stage)
     written = read_stage_cfg(path)
@@ -431,3 +436,16 @@ def test_stage_cfg_round_trip_and_retired_keys(tmp_path):
     path.write_text(path.read_text().replace(
         "[stage]\n", "[stage]\ndeform_mode = soft\nr = 0\n"))
     assert read_stage_cfg(path) == written
+
+
+def test_readme_run_ini_parses(tmp_path):
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = readme.index("```ini\n") + len("```ini\n")
+    path = tmp_path / "run.ini"
+    path.write_text(readme[start:readme.index("```", start)])
+    run = read_run_config(path)
+    assert run.manifest == "data/manifest.txt" and run.seed == 123
+    assert run.ratios == (0.8, 0.1, 0.1)
+    assert run.stages == desk_scale_stages()
