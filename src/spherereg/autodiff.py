@@ -3,8 +3,9 @@
 A ``Tensor`` wraps an ndarray and remembers how it was produced; calling
 ``backward`` on a scalar walks the tape in reverse topological order and
 accumulates gradients into every reachable node.  Only the operations the
-registration pipeline needs are provided; all arithmetic is double
-precision.
+program composes on the tape are provided; its stages with hand-written
+VJPs build their own nodes and share ``scatter_rows``, the one row
+scatter-add.  All arithmetic is double precision.
 """
 
 from __future__ import annotations
@@ -214,6 +215,16 @@ def concat(tensors, axis=0):
     )
 
 
+def scatter_rows(index, values, n):
+    """The transpose of a row gather: row ``i`` of ``values`` (flattened to
+    columns) is added into row ``index[i]`` of an (n, columns) result.  One
+    ``bincount`` per column, so each output row sums in index order."""
+    index = np.ravel(index)
+    cols = np.reshape(values, (len(index), -1))
+    return np.stack([np.bincount(index, weights=cols[:, c], minlength=n)
+                     for c in range(cols.shape[1])], axis=1)
+
+
 def gather(a, index):
     """Index rows (axis 0) with an arbitrary integer array; gradients
     scatter-add back."""
@@ -221,60 +232,11 @@ def gather(a, index):
     index = np.asarray(index)
 
     def vjp(g):
-        # a single bincount over (row, column) bins: far cheaper than
-        # np.add.at, and each bin still sums in index order
-        n = a.value.shape[0]
-        cols = int(np.prod(a.value.shape[1:], dtype=int))
-        bins = (index.reshape(-1, 1) * cols + np.arange(cols)).ravel()
-        out = np.bincount(bins, weights=np.ravel(g), minlength=n * cols)
-        return out.reshape(a.value.shape)
+        return scatter_rows(index, g, a.value.shape[0]).reshape(a.value.shape)
 
     # np.take gathers rows several times faster than fancy indexing
     return Tensor(np.take(a.value, index, axis=0), (a,), (vjp,),
                   requires_grad=a.requires_grad)
-
-
-def max_reduce(a, axis):
-    """Max along one axis; the gradient routes to the first argmax.  One
-    reduction: the values are read at the argmax."""
-    a = as_tensor(a)
-    arg = np.expand_dims(a.value.argmax(axis=axis), axis)
-    out = np.take_along_axis(a.value, arg, axis=axis).squeeze(axis)
-
-    def vjp(g):
-        grad = np.zeros_like(a.value)
-        np.put_along_axis(grad, arg, np.expand_dims(g, axis), axis=axis)
-        return grad
-
-    return Tensor(out, (a,), (vjp,), requires_grad=a.requires_grad)
-
-
-def where_const(cond, a, fill):
-    """Select ``a`` where a constant boolean array holds, else ``fill``."""
-    a = as_tensor(a)
-    cond = np.asarray(cond, dtype=bool)
-    return Tensor(
-        np.where(cond, a.value, fill), (a,),
-        (lambda g: np.where(cond, g, 0.0),),
-        requires_grad=a.requires_grad,
-    )
-
-
-def einsum(spec: str, a, b):
-    """Two-operand einsum.  Every index of each operand must appear in the
-    output or in the other operand (no internal traces)."""
-    a, b = as_tensor(a), as_tensor(b)
-    ins, out_spec = spec.split("->")
-    a_spec, b_spec = ins.split(",")
-
-    def vjp_a(g):
-        return np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, b.value)
-
-    def vjp_b(g):
-        return np.einsum(f"{out_spec},{a_spec}->{b_spec}", g, a.value)
-
-    return Tensor(np.einsum(spec, a.value, b.value), (a, b), (vjp_a, vjp_b),
-                  requires_grad=a.requires_grad or b.requires_grad)
 
 
 def softmax_rows(a):
@@ -287,18 +249,6 @@ def softmax_rows(a):
     def vjp(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
         return out * (g - dot)
-
-    return Tensor(out, (a,), (vjp,), requires_grad=a.requires_grad)
-
-
-def normalize_rows(a):
-    """Scale the last axis to unit Euclidean norm; one tape node."""
-    a = as_tensor(a)
-    norm = np.sqrt((a.value * a.value).sum(axis=-1, keepdims=True))
-    out = a.value / norm
-
-    def vjp(g):
-        return (g - out * (g * out).sum(axis=-1, keepdims=True)) / norm
 
     return Tensor(out, (a,), (vjp,), requires_grad=a.requires_grad)
 
@@ -332,12 +282,5 @@ OP_REGISTRY = {
         lambda a: gather(a, np.array([[0, 1], [2, 2], [3, 0]])),
         _rand([(5, 3)]),
     ),
-    "max_reduce": (lambda a: max_reduce(a, axis=1), _rand([(4, 6)])),
-    "where_const": (
-        lambda a: where_const(np.arange(12).reshape(4, 3) % 2 == 0, a, -1.0),
-        _rand([(4, 3)]),
-    ),
-    "einsum": (lambda a, b: einsum("vsj,vsc->vjc", a, b), _rand([(4, 5, 2), (4, 5, 3)])),
     "softmax_rows": (softmax_rows, _rand([(4, 6)])),
-    "normalize_rows": (normalize_rows, _rand([(4, 3)])),
 }

@@ -121,7 +121,8 @@ def _misfit(maps, stages, where) -> str | None:
 
 def cmd_train(args) -> int:
     from .mesh import read_sfm
-    from .pipeline import read_manifest, read_run_config, train_run
+    from .pipeline import read_manifest, read_run_config, train_run, \
+        training_split
 
     try:
         cfg = read_run_config(args.config)
@@ -147,6 +148,11 @@ def cmd_train(args) -> int:
                        for k in range(1, len(cfg.stages) + 1)])
     if problem:
         return _fail(problem, EXIT_USAGE)
+    pairs = [(maps[i][1], maps[i + 1][1]) for i in range(0, len(maps), 2)]
+    try:
+        training_split(cfg, len(pairs))
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_USAGE)
     for k, stage in enumerate(cfg.stages, 1):
         print(f"stage {k}: control_order={stage.control_order} "
               f"n_labels={stage.n_labels} crf={stage.use_crf} "
@@ -156,7 +162,6 @@ def cmd_train(args) -> int:
         print(f"epoch {rec.epoch}: train_loss={rec.train_loss:.6f} "
               f"val_cc={rec.val_cc:.6f}", flush=True)
 
-    pairs = [(maps[i][1], maps[i + 1][1]) for i in range(0, len(maps), 2)]
     try:
         train_run(cfg, pairs, args.out, log=log)
     except ValueError as exc:

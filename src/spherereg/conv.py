@@ -11,7 +11,9 @@ A convolution is two tape nodes.  ``_gaussian_weights`` forms the kernel
 exponent, a quadratic in the fixed offsets, as one GEMM of per-order
 quadratic features against a (6, J) parameter matrix.  ``_aggregate``
 gathers the ring, forms the weighted patches and mixes them with one GEMM;
-its backward sums the features' gradient over a reverse ring table.
+its backward sums the features' gradient over a reverse ring table.  The
+resolution transfers, ``tape_maxpool`` and ``tape_upsample``, are one tape
+node each.
 """
 
 from __future__ import annotations
@@ -248,18 +250,40 @@ class MoNetLayer:
 # -- tape-level resolution transfers --------------------------------------
 
 def tape_upsample(x: Tensor, order: int) -> Tensor:
-    fine = build_icosphere(order + 1)
-    e = fine.midpoint_edges
-    mids = 0.5 * (ad.gather(x, e[:, 0]) + ad.gather(x, e[:, 1]))
-    return ad.concat([x, mids], axis=0)
+    """``mesh.upsample_features`` on the tape: each new edge-midpoint
+    vertex takes the mean of its edge's endpoints.  One tape node."""
+    e = build_icosphere(order + 1).midpoint_edges
+    mids = 0.5 * (np.take(x.value, e[:, 0], axis=0)
+                  + np.take(x.value, e[:, 1], axis=0))
+    n = x.shape[0]
+
+    def vjp(g):
+        half = g[n:] * 0.5
+        return (g[:n] + ad.scatter_rows(e[:, 0], half, n)
+                + ad.scatter_rows(e[:, 1], half, n))
+
+    return Tensor(np.concatenate([x.value, mids]), (x,), (vjp,),
+                  requires_grad=x.requires_grad)
 
 
 def tape_maxpool(x: Tensor, order: int) -> Tensor:
-    sphere = build_icosphere(order)
-    gathered = ad.gather(x, sphere.nbr_pad)
-    gathered = ad.where_const(sphere.nbr_mask[:, :, None], gathered, -np.inf)
-    pooled = ad.max_reduce(gathered, axis=1)
-    return ad.gather(pooled, np.arange(vertex_count(order - 1)))
+    """``mesh.pool_features`` on the tape: the max over the vertex and its
+    one-ring, kept at the coarse rows only.  One tape node; the gradient
+    goes to the first maximum of each ring.  A pentagon's padded slot
+    repeats its center, which slot 0 holds already, so padding never wins
+    the argmax and needs no mask."""
+    n, c = vertex_count(order - 1), x.shape[1]
+    ring = build_icosphere(order).nbr_pad[:n]
+    source = np.take_along_axis(
+        ring, np.take(x.value, ring, axis=0).argmax(axis=1), axis=1)  # (n, C)
+
+    def vjp(g):
+        return np.stack([np.bincount(source[:, k], weights=g[:, k],
+                                     minlength=x.shape[0])
+                         for k in range(c)], axis=1)
+
+    return Tensor(x.value[source, np.arange(c)], (x,), (vjp,),
+                  requires_grad=x.requires_grad)
 
 
 class FcbBlock:

@@ -105,9 +105,7 @@ def smoothness_loss(endpoints, order: int) -> Tensor:
 
     def vjp(g):
         ggathered = coef.transpose(0, 2, 1) @ (gvec * ((g / n) / mag)[:, None])
-        rows = sphere.nbr_pad.ravel()
-        return np.stack([np.bincount(rows, weights=ggathered[:, :, d].ravel(),
-                                     minlength=n) for d in range(3)], axis=1)
+        return ad.scatter_rows(sphere.nbr_pad, ggathered, n)
 
     return Tensor(loss, (endpoints_t,), (vjp,),
                   requires_grad=endpoints_t.requires_grad)

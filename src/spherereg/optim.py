@@ -23,7 +23,7 @@ class ParamStore:
         self._blocks: dict[str, Tensor] = {}
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
-        self._step: dict[str, int] = {}
+        self._step = 0  # Adam steps taken; blocks are added before the first
 
     def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._blocks:
@@ -32,7 +32,6 @@ class ParamStore:
         self._blocks[name] = t
         self._m[name] = np.zeros_like(t.value)
         self._v[name] = np.zeros_like(t.value)
-        self._step[name] = 0
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -71,13 +70,13 @@ class ParamStore:
         """Standard bias-corrected Adam update of every block; gradients
         are zeroed after."""
         beta1, beta2 = ADAM_BETA1, ADAM_BETA2
+        self._step += 1
+        k = self._step
         for name in self.names():
             t = self._blocks[name]
             g = t.grad if t.grad is not None else np.zeros_like(t.value)
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError(f"non-finite gradient in block {name!r}")
-            self._step[name] += 1
-            k = self._step[name]
             self._m[name] = beta1 * self._m[name] + (1 - beta1) * g
             self._v[name] = beta2 * self._v[name] + (1 - beta2) * g**2
             m_hat = self._m[name] / (1 - beta1**k)

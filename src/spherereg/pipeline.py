@@ -298,7 +298,6 @@ class StageModel:
         first_crf = steps - CRF_REFINE_STEPS if self.stage.use_crf else steps
         faces = None  # each step's warped faces hint the next step's search
         for step in range(steps):
-            opt.zero_grad()
             loss, faces = self._loss(moving, fixed, logits, step >= first_crf,
                                      faces)
             if not np.isfinite(loss.value):
@@ -383,7 +382,6 @@ def train_stage(stage: StageConfig, train_pairs, val_pairs, seed: int,
         losses = []
         for i in shuffle_rng.permutation(len(train_pairs)):
             moving, fixed = train_pairs[i]
-            model.store.zero_grad()
             loss = model.pair_loss(moving, fixed)
             if not np.isfinite(loss.value):
                 raise FloatingPointError(
@@ -587,6 +585,17 @@ def read_stage_cfg(path) -> dict:
                            {name: name for name in _CFG_FIELDS})
 
 
+def training_split(cfg: RunConfig, n_pairs: int):
+    """The run's train/validation/test split of ``n_pairs`` pairs; a split
+    that leaves no training pair raises ValueError."""
+    tr, va, te = split_indices(n_pairs, cfg.seed, cfg.ratios)
+    if len(tr) == 0:
+        raise ValueError(f"{cfg.manifest}: no training pairs: split "
+                         f"{','.join(map(str, cfg.ratios))} of {n_pairs} "
+                         "pairs")
+    return tr, va, te
+
+
 def train_run(cfg: RunConfig, pairs, ckpt_dir, log=None):
     """Full training on the (moving, fixed) ``pairs`` of the manifest:
     split, train each stage serially, and write GMW1 checkpoints + CSV
@@ -597,11 +606,7 @@ def train_run(cfg: RunConfig, pairs, ckpt_dir, log=None):
     from .conv import write_arch
     from .optim import write_gmw
 
-    tr, va, te = split_indices(len(pairs), cfg.seed, cfg.ratios)
-    if len(tr) == 0:
-        raise ValueError(f"{cfg.manifest}: no training pairs: split "
-                         f"{','.join(map(str, cfg.ratios))} of {len(pairs)} "
-                         "pairs")
+    tr, va, te = training_split(cfg, len(pairs))
     train_pairs = [pairs[i] for i in tr]
     val_pairs = [pairs[i] for i in va]
 

@@ -103,17 +103,23 @@ def soft_deform_tensor(labels: LabelSpace, q: Tensor) -> Tensor:
     """Probability-weighted label endpoints, renormalized to the sphere.
 
     Rows whose expectation nearly cancels fall back to the most probable
-    label endpoint (constant w.r.t. the tape).
+    label endpoint (constant w.r.t. the tape).  One tape node on ``q``.
     """
-    expect = ad.einsum("ik,ikd->id", q, labels.endpoints)
-    norms = np.linalg.norm(expect.value, axis=1)
-    ok = norms >= DEGENERATE_NORM
+    expect = np.einsum("ik,ikd->id", q.value, labels.endpoints)
+    ok = (np.linalg.norm(expect, axis=1) >= DEGENERATE_NORM)[:, None]
     if not ok.all():
         best = np.argmax(q.value, axis=1)
         fallback = labels.endpoints[np.arange(len(best)), best]
-        expect = ad.where_const(ok[:, None], expect, 0.0) + \
-            np.where(ok[:, None], 0.0, fallback)
-    return ad.normalize_rows(expect)
+        expect = np.where(ok, expect, 0.0) + np.where(ok, 0.0, fallback)
+    norm = np.sqrt((expect * expect).sum(axis=-1, keepdims=True))
+    out = expect / norm
+
+    def vjp(g):
+        g_expect = (g - out * (g * out).sum(axis=-1, keepdims=True)) / norm
+        return np.einsum("id,ikd->ik", np.where(ok, g_expect, 0.0),
+                         labels.endpoints)
+
+    return Tensor(out, (q,), (vjp,), requires_grad=q.requires_grad)
 
 
 @lru_cache(maxsize=None)
@@ -130,8 +136,7 @@ def upsample_deformation_tensor(endpoints: Tensor, coarse_order: int,
     target sphere's vertices and renormalize.
 
     One tape node.  The VJP takes the renormalization back, weights the
-    result per corner and scatter-adds it with one ``bincount`` per
-    component."""
+    result per corner and scatter-adds it to the corners' rows."""
     coarse = build_icosphere(coarse_order)
     target = build_icosphere(target_order)
     bmap = _transfer_map(coarse_order, target_order)
@@ -144,11 +149,8 @@ def upsample_deformation_tensor(endpoints: Tensor, coarse_order: int,
 
     def vjp(g):
         g_moved = (g - out * (g * out).sum(axis=-1, keepdims=True)) / norm
-        rows = corner_idx.ravel()
-        n = len(endpoints.value)
-        return np.stack([np.bincount(rows, minlength=n, weights=(
-                             bmap.weights * g_moved[:, d:d + 1]).ravel())
-                         for d in range(3)], axis=1)
+        return ad.scatter_rows(corner_idx, bmap.weights[:, :, None]
+                               * g_moved[:, None, :], len(endpoints.value))
 
     return Tensor(out, (endpoints,), (vjp,),
                   requires_grad=endpoints.requires_grad)
@@ -212,10 +214,8 @@ def _interpolate_warped(moving_values: np.ndarray, endpoints: Tensor,
                           cross_rows(q, gw[2] * a - gw[0] * c),
                           cross_rows(q, gw[0] * b - gw[1] * a)],
                          axis=1)  # (3 components, 3 corners, V)
-        rows = corner_idx.T.ravel()
-        n = len(endpoints.value)
-        return np.stack([np.bincount(rows, weights=gd.ravel(), minlength=n)
-                         for gd in grads], axis=1)
+        return ad.scatter_rows(corner_idx.T, grads.reshape(3, -1).T,
+                               len(endpoints.value))
 
     return Tensor(out, (endpoints,), (vjp,),
                   requires_grad=endpoints.requires_grad)
@@ -227,10 +227,8 @@ def resample_moving(moving: SphericalFeatureMap, warped: DeformationField,
         raise ValueError("deformation field is not at the moving map's order")
     if fixed_sphere.order != moving.sphere_order:
         raise ValueError("fixed sphere order differs from the moving map's")
-    faces = locate_warped_faces(warped.endpoints, fixed_sphere,
-                                fixed_sphere.vertices)
-    out = _interpolate_warped(moving.values, ad.constant(warped.endpoints),
-                              fixed_sphere, faces)
+    out, faces = resample_tensor(moving.values, ad.constant(warped.endpoints),
+                                 fixed_sphere.order)
     mask = None
     if moving.mask is not None:
         # a fixed vertex stays valid only if its whole containing warped face is

@@ -2,6 +2,13 @@ import numpy as np
 import pytest
 
 from spherereg import autodiff as ad
+from spherereg.conv import tape_maxpool
+from spherereg.mesh import (
+    SphericalFeatureMap,
+    build_icosphere,
+    pool_features,
+    vertex_count,
+)
 from spherereg.optim import ParamStore, check_registered_ops, grad_check
 
 
@@ -19,9 +26,7 @@ class TestForward:
         x = rng(1).standard_normal((4, 4))
         t = ad.Tensor(x)
         perm = np.array([2, 0, 3, 1])
-        out = ad.where_const(np.ones((4, 4), dtype=bool),
-                             ad.gather(ad.gather(t, perm), np.argsort(perm)),
-                             0.0)
+        out = ad.gather(ad.gather(t, perm), np.argsort(perm))
         assert np.array_equal(out.value, x)
 
     def test_composition_matches_manual(self):
@@ -36,29 +41,45 @@ class TestForward:
         with pytest.raises(ValueError):
             _ = ad.Tensor(np.ones((2, 3))) @ ad.Tensor(np.ones((2, 3)))
 
+    # the ring max reduction now lives in one node, conv.tape_maxpool
     def test_max_reduce_matches_np_max_with_ties_and_padding(self):
-        # ties, -inf padding as tape_maxpool uses it, and an all -inf row
-        a = rng(15).integers(-2, 3, size=(6, 7, 3)).astype(np.float64)
-        a[0, 5:, :] = -np.inf
-        a[1] = -np.inf
-        a[2, :, 1] = 2.0
-        for axis in (0, 1, -1):
-            out = ad.max_reduce(ad.constant(a), axis=axis)
-            assert out.value.tobytes() == np.max(a, axis=axis).tobytes()
+        # integer features tie inside most rings; -inf inputs and a ring
+        # that is -inf throughout in one channel; pentagon rings pad their
+        # last slot with the center
+        a = _tied_features(15)
+        out = tape_maxpool(ad.constant(a), 2)
+        ring = build_icosphere(2).nbr_pad[:vertex_count(1)]
+        assert out.value.tobytes() == np.max(a[ring], axis=1).tobytes()
+        assert out.value.tobytes() == \
+            pool_features(SphericalFeatureMap(2, a)).values.tobytes()
 
     def test_max_reduce_gradient_routes_to_first_argmax(self):
-        a = rng(16).integers(-2, 3, size=(5, 7, 2)).astype(np.float64)
-        a[0, 4:, :] = -np.inf
-        a[1] = -np.inf
+        # each coarse row's cotangent goes to the first maximum of its
+        # ring (center, then neighbours)
+        a = _tied_features(16)
         x = ad.Tensor(a)
-        seed = rng(17).standard_normal((5, 2))
-        ad.max_reduce(x, axis=1).backward(seed)
+        n = vertex_count(1)
+        seed = rng(17).standard_normal((n, 3))
+        tape_maxpool(x, 2).backward(seed)
+        sphere = build_icosphere(2)
         expect = np.zeros_like(a)
-        for i in range(5):
-            for c in range(2):
-                expect[i, list(a[i, :, c]).index(a[i, :, c].max()), c] = \
-                    seed[i, c]
+        ties = 0
+        for i in range(n):
+            ring = sphere.nbr_pad[i][sphere.nbr_mask[i]]
+            for c in range(3):
+                vals = list(a[ring, c])
+                ties += vals.count(max(vals)) > 1
+                expect[ring[vals.index(max(vals))], c] += seed[i, c]
+        assert ties > n
         assert np.array_equal(x.grad, expect)
+
+
+def _tied_features(seed):
+    a = rng(seed).integers(-2, 3, size=(vertex_count(2), 3)).astype(np.float64)
+    sphere = build_icosphere(2)
+    a[sphere.nbr_pad[0], 1] = -np.inf
+    a[sphere.nbr_pad[13][:3], 2] = -np.inf
+    return a
 
 
 class TestBackward:
@@ -85,12 +106,12 @@ class TestBackward:
 
     def test_gradient_linearity_in_cotangent(self):
         x = ad.Tensor(rng(5).standard_normal((3, 3)))
-        y = ad.normalize_rows(x)
+        y = ad.softmax_rows(x)
         seed = rng(6).standard_normal((3, 3))
         y.backward(seed)
         g1 = x.grad.copy()
         x2 = ad.Tensor(x.value.copy())
-        y2 = ad.normalize_rows(x2)
+        y2 = ad.softmax_rows(x2)
         y2.backward(3.0 * seed)
         assert np.abs(x2.grad - 3.0 * g1).max() < 1e-12
 

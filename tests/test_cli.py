@@ -772,8 +772,8 @@ def test_train_without_training_pairs_writes_nothing(small_cohort, capsys,
                                            f"split = {split}"))
     code = cli.main(["train", "--config", str(cfg), "--out",
                      str(root / "ckpt"), "--seed", "0"])
-    err = capsys.readouterr().err
-    assert code == 1 and err.count("\n") == 1
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err.count("\n") == 1
     assert err.startswith(f"error: {manifest}: no training pairs")
     assert split in err
     assert not (root / "ckpt").exists()

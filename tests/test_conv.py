@@ -222,6 +222,20 @@ def test_tape_transfers_match_feature_ops():
                           pool_features(fmap).values)
 
 
+def test_resolution_transfers_grad_check():
+    rng = np.random.Generator(np.random.Philox(17))
+    store = ParamStore()
+    store.add("x", rng.standard_normal((vertex_count(2), 3)))
+    probe_up = rng.standard_normal((vertex_count(3), 3))
+    probe_pool = rng.standard_normal((vertex_count(1), 3))
+
+    def loss_fn(params):
+        return ad.sum_(tape_upsample(params["x"], 2) * probe_up) + \
+            ad.sum_(tape_maxpool(params["x"], 2) * probe_pool)
+
+    assert grad_check(loss_fn, store, n_probes=20, seed=18) < 1e-4
+
+
 # -- blocks ----------------------------------------------------------------
 
 def test_fcb_block_shape_and_order():

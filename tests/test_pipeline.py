@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spherereg import autodiff as ad
 from spherereg.mesh import SphericalFeatureMap, build_icosphere, write_sfm
 from spherereg.metrics import cc_similarity, distortion_stats
 from spherereg.optim import ParamStore
@@ -247,6 +248,20 @@ def test_refining_one_pair_leaves_the_next_pairs_logits_alone():
 def test_refine_without_steps_returns_none():
     pairs = _tiny_pairs(1)
     assert StageModel(_tiny_stage(), seed=0).refine(*pairs[0]) is None
+
+
+def test_desk_scale_tape_sizes():
+    # tape nodes of a plain refine step, a CRF refine step and a training
+    # step of the desk-scale first stage: a change that grows the tape
+    # updates these counts and says why
+    moving, fixed, _ = generate_synthetic_pair(SyntheticWarpSpec(seed=10000),
+                                               4)
+    model = StageModel(desk_scale_stages()[0], seed=7)
+    logits = ad.Tensor(model.net.logits(moving.values, fixed.values).value)
+    sizes = [len(ad._toposort(model._loss(moving, fixed, logits, crf)[0]))
+             for crf in (False, True)]
+    sizes.append(len(ad._toposort(model.pair_loss(moving, fixed))))
+    assert sizes == [10, 81, 262]
 
 
 def test_model_from_trained_store_leaves_it_untouched():

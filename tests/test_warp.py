@@ -100,6 +100,16 @@ def test_soft_deform_degenerate_falls_back_to_argmax():
     assert np.allclose(out.value, [[0.0, 0.0, 1.0]], atol=1e-15)
 
 
+def test_soft_deform_fallback_rows_pass_no_gradient():
+    # row 0 cancels and takes the constant fallback; row 1 does not
+    e = np.array([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+                  [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+    labels = LabelSpace(0, 1, 2, np.array([[0, 1], [2, 3]]), e)
+    q = ad.Tensor(np.array([[0.5, 0.5], [0.3, 0.7]]))
+    soft_deform_tensor(labels, q).backward(np.ones((2, 3)))
+    assert np.all(q.grad[0] == 0.0) and np.all(q.grad[1] != 0.0)
+
+
 def test_soft_deform_gradients_finite_difference():
     labels = build_label_space(control_grid(0), 2, 5)
     rng = np.random.Generator(np.random.Philox(2))
