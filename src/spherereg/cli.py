@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 import warnings
 
@@ -174,49 +173,10 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_stages(ckpt_dir):
-    """(StageConfig, ParamStore) of the checkpoints stage1 ... stageK in
-    ``ckpt_dir``: architecture from ``.arch``, weights from ``.gmw`` and
-    the remaining settings from ``.cfg``.  Each stage needs all three
-    files; a missing one raises OSError."""
-    from dataclasses import asdict
-
-    from .conv import read_arch
-    from .optim import read_gmw
-    from .pipeline import StageConfig, StageModel, read_stage_cfg
-
-    names = os.listdir(ckpt_dir) if os.path.isdir(ckpt_dir) else []
-    found = sorted(int(m[1]) for m in
-                   (re.fullmatch(r"stage([1-9][0-9]*)\.arch", n) for n in names)
-                   if m)
-    if not found:
-        raise ValueError(f"no stage checkpoints in {ckpt_dir}")
-    if found != list(range(1, len(found) + 1)):
-        gap = min(set(range(1, found[-1] + 1)) - set(found))
-        raise ValueError(f"{ckpt_dir}: stage{found[-1]}.arch without "
-                         f"stage{gap}.arch")
-    stages = []
-    for k in found:
-        base = os.path.join(ckpt_dir, f"stage{k}")
-        settings = asdict(read_arch(base + ".arch"))
-        store = read_gmw(base + ".gmw")
-        settings.update(read_stage_cfg(base + ".cfg"))
-        # a .cfg without the switch: the CRF is on when the .gmw holds the
-        # weight blocks that checkpoints carried then (they are not read)
-        settings.setdefault("use_crf", "crf.omega" in store)
-        stage = StageConfig(**settings)
-        try:
-            StageModel(stage, store)  # the store holds every block it needs
-        except ValueError as exc:
-            raise ValueError(f"{base}.gmw: {exc}") from None
-        stages.append((stage, store))
-    return stages
-
-
 def cmd_register(args) -> int:
     from .mesh import read_sfm, write_sfm
     from .metrics import write_met
-    from .pipeline import register_pair
+    from .pipeline import read_stages, register_pair, stage_path
     from .warp import write_def
 
     for path in filter(None, (args.out, args.deform)):
@@ -227,7 +187,7 @@ def cmd_register(args) -> int:
     try:
         moving = read_sfm(args.moving)
         fixed = read_sfm(args.fixed)
-        stages = _load_stages(args.ckpt)
+        stages = read_stages(args.ckpt)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
     except ValueError as exc:
@@ -238,7 +198,7 @@ def cmd_register(args) -> int:
                      EXIT_USAGE)
     problem = _misfit([(args.moving, moving), (args.fixed, fixed)],
                       [stage for stage, _ in stages],
-                      [os.path.join(args.ckpt, f"stage{k}.arch")
+                      [stage_path(args.ckpt, k, ".arch")
                        for k in range(1, len(stages) + 1)])
     if problem:
         return _fail(problem, EXIT_USAGE)

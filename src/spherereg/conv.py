@@ -14,10 +14,15 @@ gathers the ring, forms the weighted patches and mixes them with one GEMM;
 its backward sums the features' gradient over a reverse ring table.  The
 resolution transfers, ``tape_maxpool`` and ``tape_upsample``, are one tape
 node each.
+
+``NetConfig`` is a stage network's architecture.  ``parse_settings`` and
+``build_config`` turn setting text (the run INI, a ``.cfg`` or an
+``.arch``) into any config dataclass, naming file and key in every error.
 """
 
 from __future__ import annotations
 
+import configparser
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 
@@ -25,10 +30,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .mesh import build_icosphere, vertex_count
+from .mesh import MAX_ORDER, build_icosphere, text_reader, vertex_count
 from .optim import ParamStore
 
-DEFAULT_KERNELS = 10
 _POLE_TOL = 1e-6
 
 
@@ -44,7 +48,6 @@ class PseudoCoords:
 
     order: int
     offsets: np.ndarray  # (V, 7, 2)
-    mask: np.ndarray  # (V, 7) bool
     counts: np.ndarray  # (V,) including the center
     quad: np.ndarray  # (V * 7, 6)
     pad: np.ndarray  # flat indices of the padded slots
@@ -94,12 +97,12 @@ def pseudo_coords(order: int) -> PseudoCoords:
     quad = np.stack([ox * ox, 2 * ox * oy, oy * oy, ox, oy,
                      np.ones_like(ox)], axis=1)
     rev = np.argsort(nbr.ravel(), kind="stable").reshape(-1, 7).T
-    coords = PseudoCoords(order, offsets, sphere.nbr_mask.copy(),
+    coords = PseudoCoords(order, offsets,
                           sphere.nbr_mask.sum(axis=1).astype(np.float64),
                           quad, np.flatnonzero(~sphere.nbr_mask),
                           np.ascontiguousarray(rev))
-    for table in (coords.offsets, coords.mask, coords.counts, coords.quad,
-                  coords.pad, coords.rev):
+    for table in (coords.offsets, coords.counts, coords.quad, coords.pad,
+                  coords.rev):
         table.setflags(write=False)
     return coords
 
@@ -326,8 +329,6 @@ class ResBlock:
 
     def __init__(self, store, prefix, order, c_in, c_out, n_kernels, rng):
         self.order = order
-        self.c_in = c_in
-        self.c_out = c_out
         box = pseudo_coords(order).box
         self.conv1 = MoNetLayer(store, f"{prefix}.conv1", c_in, c_out,
                                 n_kernels, box, rng)
@@ -351,35 +352,54 @@ class ResBlock:
         return ad.leaky_relu(h + skip)
 
 
+def require(ok: bool, key: str, need: str) -> None:
+    """Raise ValueError naming the setting ``key`` unless ``ok``; ``need``
+    says what the setting must be."""
+    if not ok:
+        raise ValueError(f"bad value for key {key!r}: {need}")
+
+
 @dataclass
 class NetConfig:
-    """Architecture description persisted as ARCH1 alongside checkpoints."""
+    """A stage network's architecture, persisted as ARCH1 next to its
+    weights.  ``pipeline.StageConfig`` extends it with the stage's other
+    settings."""
 
     input_order: int
-    in_channels: int
-    fcb_channels: tuple
-    res_channels: tuple
     control_order: int
     label_order: int
     n_labels: int
-    n_kernels: int = DEFAULT_KERNELS
+    fcb_channels: tuple[int, ...]
+    res_channels: tuple[int, ...]
+    in_channels: int
+    n_kernels: int = 10
     shared_fcbs: int = 2
 
     def __post_init__(self):
         self.fcb_channels = tuple(self.fcb_channels)
         self.res_channels = tuple(self.res_channels)
-        if self.res_channels[-1] != self.n_labels:
-            raise ValueError("last classifier width must equal the label count")
-        if self.latent_order < 0:
-            raise ValueError("too many feature blocks for the input order")
-        if self.latent_order + len(self.res_channels) != self.input_order:
-            raise ValueError(
-                "classifier depth does not return the latent to the input order"
-            )
-        if not self.label_order > self.control_order:
-            raise ValueError("label sphere must be finer than the control grid")
-        if self.n_labels > vertex_count(self.label_order):
-            raise ValueError("more labels requested than label-sphere vertices")
+        for key in ("fcb_channels", "res_channels"):
+            require(min(getattr(self, key), default=0) >= 1, key,
+                    "widths must be >= 1")
+        for key in ("in_channels", "n_kernels"):
+            require(getattr(self, key) >= 1, key, "must be >= 1")
+        require(self.res_channels[-1] == self.n_labels, "res_channels",
+                "the last classifier width must equal the label count")
+        require(self.latent_order >= 0, "fcb_channels",
+                "too many feature blocks for the input order")
+        require(self.latent_order + len(self.res_channels)
+                == self.input_order, "res_channels",
+                "the classifier depth does not return the latent to the "
+                "input order")
+        require(0 <= self.control_order <= self.input_order, "control_order",
+                "the control grid must lie between order 0 and the input")
+        for key in ("input_order", "label_order"):
+            require(getattr(self, key) <= MAX_ORDER, key,
+                    f"icosphere orders stop at {MAX_ORDER}")
+        require(self.label_order > self.control_order, "label_order",
+                "the label sphere must be finer than the control grid")
+        require(self.n_labels <= vertex_count(self.label_order), "n_labels",
+                "more labels requested than label-sphere vertices")
 
     @property
     def latent_order(self) -> int:
@@ -410,7 +430,6 @@ class FeatureExtractor:
                 c_in = c_blk
                 order -= 1
             self.paths[path] = blocks
-        self.out_channels = 2 * cfg.fcb_channels[-1]
 
     def _run_path(self, path: str, values: np.ndarray) -> Tensor:
         from .mesh import SphericalFeatureMap, downsample_features
@@ -430,8 +449,9 @@ class FeatureExtractor:
 
 
 class Classifier:
-    """Residual blocks with upsampling after each, ending in per-label
-    logits at the input order, row-extracted to the control grid."""
+    """Residual blocks with upsampling between them, ending in per-label
+    logits one order below the input, row-extracted to the control
+    grid."""
 
     def __init__(self, store: ParamStore, cfg: NetConfig, rng):
         self.cfg = cfg
@@ -449,10 +469,13 @@ class Classifier:
             raise ValueError("latent is not at the feature-extractor output order")
         x = latent
         order = self.cfg.latent_order
-        for block in self.blocks:
+        for i, block in enumerate(self.blocks):
             x = block.forward(x)
-            x = tape_upsample(x, order)
-            order += 1
+            # upsampling keeps the coarse rows, so after the last block it
+            # is needed only for a control grid at the input order
+            if i + 1 < len(self.blocks) or self.cfg.control_order > order:
+                x = tape_upsample(x, order)
+                order += 1
         return ad.gather(x, np.arange(vertex_count(self.cfg.control_order)))
 
 
@@ -470,45 +493,79 @@ class RegistrationNet:
         )
 
 
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+# setting text to a value, by the annotation of the field it sets
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+            "tuple[int, ...]": lambda t: tuple(map(int, t.split(","))),
+            "tuple[float, ...]": lambda t: tuple(map(float, t.split(",")))}
+
+
+def parse_settings(cls, pairs, where: str, keys: dict,
+                   skip_unknown: bool = False) -> dict:
+    """Keyword arguments of the config dataclass ``cls`` from (key, text)
+    ``pairs``.  ``keys`` maps each key the pairs may hold to the field it
+    sets.  Text that does not parse as the field's type, and an unknown
+    key unless ``skip_unknown``, raise ValueError naming ``where`` (the
+    file or section) and the key."""
+    types = {f.name: f.type for f in fields(cls)}
+    out = {}
+    for key, text in pairs:
+        if key not in keys:
+            if skip_unknown:
+                continue
+            raise ValueError(f"{where}: unknown key {key!r}")
+        try:
+            out[keys[key]] = _PARSERS[types[keys[key]]](text)
+        except ValueError:
+            raise ValueError(f"{where}: bad value {text!r} for key {key!r}") \
+                from None
+    return out
+
+
+def build_config(cls, settings: dict, where: str):
+    """``cls(**settings)``.  A missing required setting, and any setting
+    that ``cls`` rejects, raise ValueError naming ``where`` and the key."""
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING \
+                and f.name not in settings:
+            raise ValueError(f"{where}: missing key {f.name!r}")
+    try:
+        return cls(**settings)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+# ARCH1 keys in file order, and the NetConfig field each sets
+_ARCH_KEYS = {"input_order": "input_order", "in_channels": "in_channels",
+              "kernels": "n_kernels", "fcb_channels": "fcb_channels",
+              "shared_fcbs": "shared_fcbs", "res_channels": "res_channels",
+              "control_order": "control_order", "label_order": "label_order",
+              "n_labels": "n_labels"}
+
+
 def write_arch(path, cfg: NetConfig) -> None:
     with open(path, "w") as fh:
-        fh.write(f"input_order = {cfg.input_order}\n")
-        fh.write(f"in_channels = {cfg.in_channels}\n")
-        fh.write(f"kernels = {cfg.n_kernels}\n")
-        fh.write("fcb_channels = " + ",".join(map(str, cfg.fcb_channels)) + "\n")
-        fh.write(f"shared_fcbs = {cfg.shared_fcbs}\n")
-        fh.write("res_channels = " + ",".join(map(str, cfg.res_channels)) + "\n")
-        fh.write(f"control_order = {cfg.control_order}\n")
-        fh.write(f"label_order = {cfg.label_order}\n")
-        fh.write(f"n_labels = {cfg.n_labels}\n")
+        for key, name in _ARCH_KEYS.items():
+            value = getattr(cfg, name)
+            if isinstance(value, tuple):
+                value = ",".join(map(str, value))
+            fh.write(f"{key} = {value}\n")
 
 
-# ARCH1 keys named otherwise than their NetConfig field
-_ARCH_RENAMED = {"kernels": "n_kernels"}
-
-
+@text_reader
 def read_arch(path) -> NetConfig:
     """Read an ARCH1 file.  A missing key, an unparsable value or an
     inconsistent architecture raises ValueError naming the file; blank,
     comment and retired lines are skipped."""
-    types = {f.name: f.type for f in fields(NetConfig)}
-    settings = {}
     with open(path) as fh:
-        for line in fh:
-            key, _, text = (part.strip() for part in line.partition("="))
-            name = _ARCH_RENAMED.get(key, key)
-            if name not in types:
-                continue
-            try:
-                settings[name] = (tuple(int(x) for x in text.split(","))
-                                  if types[name] == "tuple" else int(text))
-            except ValueError:
-                raise ValueError(f"{path}: bad value {text!r} for "
-                                 f"architecture key {key!r}") from None
-    for f in fields(NetConfig):
-        if f.default is MISSING and f.name not in settings:
-            raise ValueError(f"{path}: missing architecture key {f.name!r}")
-    try:
-        return NetConfig(**settings)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        pairs = [(key.strip(), text.strip()) for key, _, text in
+                 (line.partition("=") for line in fh)]
+    settings = parse_settings(NetConfig, pairs, path, _ARCH_KEYS,
+                              skip_unknown=True)
+    return build_config(NetConfig, settings, path)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -126,7 +126,8 @@ def build_icosphere(order: int) -> Icosphere:
     """Construct the icosphere at the given order (0..8).
 
     Vertex ordering is hierarchical: the first ``vertex_count(order - 1)``
-    vertices coincide with the next-coarser sphere's vertices.
+    vertices coincide with the next-coarser sphere's vertices.  Built once
+    per order; its tables are read-only because every caller shares them.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"icosphere order must be in [0, {MAX_ORDER}], got {order}")
@@ -160,6 +161,9 @@ def build_icosphere(order: int) -> Icosphere:
     vertex_faces[owner, np.arange(len(owner))
                  - np.searchsorted(owner, owner)] = by_vertex // 3
 
+    for table in (vertices, faces, midpoint_edges, nbr_pad, nbr_mask,
+                  vertex_faces):
+        table.setflags(write=False)
     return Icosphere(
         order=order,
         vertices=vertices,
@@ -560,18 +564,33 @@ def gradient_coefficients(order: int) -> np.ndarray:
     applying them to gathered values gives the 2-vector gradient in the
     vertex's tangent frame.  Slot 0 (the vertex itself) carries minus the
     sum of the neighbor coefficients, so constants map to zero exactly.
+    Built once per order; read-only because every caller shares it.
     """
     sphere = build_icosphere(order)
     e1, e2 = tangent_basis(sphere.vertices)
-    coeffs = np.zeros((sphere.n_vertices, 2, 7))
-    for i in range(sphere.n_vertices):
-        nb = sphere.nbr_pad[i, 1:][sphere.nbr_mask[i, 1:]]
-        off = sphere.vertices[nb] - sphere.vertices[i]
-        p = np.stack([off @ e1[i], off @ e2[i]], axis=1)  # (deg, 2)
-        w = np.linalg.solve(p.T @ p, p.T)  # (2, deg)
-        coeffs[i, :, 1 : 1 + len(nb)] = w
-        coeffs[i, :, 0] = -w.sum(axis=1)
+    # a pentagon's padded slot repeats the center: a zero offset, which
+    # adds nothing to the normal equations and gets a zero coefficient
+    off = sphere.vertices[sphere.nbr_pad[:, 1:]] \
+        - sphere.vertices[:, None, :]  # (V, 6, 3)
+    p = np.concatenate([off @ e1[:, :, None], off @ e2[:, :, None]],
+                       axis=2)  # (V, 6, 2)
+    pt = p.transpose(0, 2, 1)
+    w = np.linalg.solve(pt @ p, pt)  # (V, 2, 6)
+    coeffs = np.concatenate([-w.sum(axis=2, keepdims=True), w], axis=2)
+    coeffs.setflags(write=False)
     return coeffs
+
+
+def text_reader(read):
+    """Decorate ``read(path, ...)``, a reader of a text file, so that a
+    file that is not UTF-8 raises ValueError naming ``path``."""
+    @wraps(read)
+    def reader(path, *args):
+        try:
+            return read(path, *args)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return reader
 
 
 def write_ico(path, sphere: Icosphere) -> None:
@@ -583,6 +602,7 @@ def write_ico(path, sphere: Icosphere) -> None:
             fh.write(f"f {f[0]} {f[1]} {f[2]}\n")
 
 
+@text_reader
 def read_ico(path) -> Icosphere:
     """Read an ICO1 file and return the matching constructed icosphere.
 
@@ -654,6 +674,7 @@ def read_rows(fh, path, n: int, width: int) -> np.ndarray:
     return rows
 
 
+@text_reader
 def read_sfm(path) -> SphericalFeatureMap:
     """Read an SFM1 feature map.  A malformed header or row, or a value
     that is not finite, raises ValueError naming the file and line."""

@@ -1,22 +1,27 @@
 """End-to-end orchestration: synthetic pair generation, per-stage training
 with best-validation checkpointing, and serial coarse-to-fine
-registration."""
+registration.  A stage is one ``StageConfig``; its checkpoint, the files
+``stageK.arch``, ``.gmw`` and ``.cfg``, is written by ``train_run`` and
+read by ``read_stages``."""
 
 from __future__ import annotations
 
 import configparser
+import math
+import os
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .conv import DEFAULT_KERNELS, NetConfig, RegistrationNet
+from .conv import NetConfig, RegistrationNet, build_config, parse_settings, \
+    read_arch, require, write_arch
 from .crf import CrfConfig, crf_forward_tensor, default_weights
-from .mesh import SphericalFeatureMap, build_icosphere
+from .mesh import SphericalFeatureMap, build_icosphere, text_reader
 from .metrics import cc_similarity, total_loss
-from .optim import ParamStore
+from .optim import ParamStore, read_gmw, write_gmw
 from .warp import DeformationField, build_label_space, compose, control_grid, \
     resample_moving, resample_tensor, soft_deform_tensor, \
     upsample_deformation_tensor
@@ -137,18 +142,11 @@ def generate_synthetic_pair(spec: SyntheticWarpSpec, order: int):
 # -- stage configuration ---------------------------------------------------
 
 @dataclass
-class StageConfig:
-    """One registration stage: architecture, loss, and optimizer settings."""
+class StageConfig(NetConfig):
+    """One registration stage: its network's architecture (the fields of
+    ``conv.NetConfig``), loss, optimizer and CRF settings."""
 
-    input_order: int
-    control_order: int
-    label_order: int
-    n_labels: int
-    fcb_channels: tuple
-    res_channels: tuple
     in_channels: int = 1
-    n_kernels: int = DEFAULT_KERNELS
-    shared_fcbs: int = 2
     gamma: float = 0.2
     lam_sm: float = 0.1
     lr: float = 1e-3
@@ -159,10 +157,15 @@ class StageConfig:
     refine_lr: float = 1e-2
 
     def __post_init__(self):
-        self.net_config()  # validate architecture consistency
-        self.crf_config()  # and the CRF settings
-        if self.lam_sm < 0:
-            raise ValueError(f"lam_sm must be nonnegative, got {self.lam_sm}")
+        super().__post_init__()
+        for key in ("gamma", "lr", "refine_lr"):
+            require(0 < getattr(self, key) < math.inf, key,
+                    "must be positive and finite")
+        require(0 <= self.lam_sm < math.inf, "lam_sm",
+                "must be nonnegative and finite")
+        for key in ("epochs", "refine_steps"):
+            require(getattr(self, key) >= 0, key, "must be >= 0")
+        self.crf_config()  # the CRF's own checks
 
     def net_config(self) -> NetConfig:
         return NetConfig(**{f.name: getattr(self, f.name)
@@ -216,7 +219,7 @@ class StageModel:
         self.store = ParamStore() if store is None else store.copy()
         held = set(self.store.names())
         rng = np.random.Generator(np.random.Philox(seed))
-        self.net = RegistrationNet(self.store, stage.net_config(), rng)
+        self.net = RegistrationNet(self.store, stage, rng)
         self.labels = build_label_space(control_grid(stage.control_order),
                                         stage.label_order, stage.n_labels)
         added = sorted(set(self.store.names()) - held)
@@ -325,6 +328,7 @@ def write_manifest(path, entries) -> None:
             fh.write(line + "\n")
 
 
+@text_reader
 def read_manifest(path):
     entries = []
     with open(path) as fh:
@@ -447,33 +451,26 @@ class RunConfig:
     manifest: str
     seed: int
     stages: list = field(default_factory=list)
-    ratios: tuple = (0.8, 0.1, 0.1)
+    ratios: tuple[float, ...] = (0.8, 0.1, 0.1)
+
+    def __post_init__(self):
+        require(len(self.ratios) == 3 and min(self.ratios) >= 0
+                and abs(sum(self.ratios) - 1.0) <= 1e-9, "split",
+                "need three nonnegative ratios that sum to 1")
 
 
-def _parse_int_tuple(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(","))
-
-
-def _parse_bool(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {text!r}") from None
-
-
-_PARSERS = {"int": int, "float": float, "bool": _parse_bool,
-            "tuple": _parse_int_tuple}
-_STAGE_TYPES = {f.name: f.type for f in fields(StageConfig)}
 # [stage.N] keys of the run INI: every setting, with the CRF switch as crf
-_STAGE_KEYS = {name: name for name in _STAGE_TYPES if name != "use_crf"}
+_STAGE_KEYS = {f.name: f.name for f in fields(StageConfig)
+               if f.name != "use_crf"}
 _STAGE_KEYS["crf"] = "use_crf"
-_DATA_KEYS = ("manifest", "seed", "split")
+_DATA_KEYS = {"manifest": "manifest", "seed": "seed", "split": "ratios"}
 # the settings a checkpoint's .cfg carries: what the .arch file does not
-_CFG_FIELDS = tuple(name for name in _STAGE_TYPES
-                    if name not in {f.name for f in fields(NetConfig)})
+_CFG_KEYS = {f.name: f.name for f in fields(StageConfig)
+             if f.name not in {g.name for g in fields(NetConfig)}}
 _STAGE_SECTION = re.compile(r"stage\.([1-9][0-9]*)")
 
 
+@text_reader
 def _read_ini(path, cp: configparser.ConfigParser) -> None:
     """Parse the INI file at ``path`` into ``cp``.  A file that cannot be
     opened raises OSError, a malformed one ValueError."""
@@ -482,25 +479,6 @@ def _read_ini(path, cp: configparser.ConfigParser) -> None:
             cp.read_file(fh)
     except configparser.Error as exc:
         raise ValueError(" ".join(str(exc).split())) from None
-
-
-def _stage_settings(section, where: str, keys: dict) -> dict:
-    """``StageConfig`` keyword arguments parsed from an INI section.
-
-    ``keys`` maps each key the section may hold to the field it sets; any
-    other key raises ValueError naming ``where`` and the key.
-    """
-    out = {}
-    for key, text in section.items():
-        if key not in keys:
-            raise ValueError(f"{where}: unknown key {key!r}")
-        name = keys[key]
-        try:
-            out[name] = _PARSERS[_STAGE_TYPES[name]](text)
-        except ValueError:
-            raise ValueError(f"{where}: bad value {text!r} for key {key!r}") \
-                from None
-    return out
 
 
 def read_run_config(path) -> RunConfig:
@@ -521,51 +499,27 @@ def read_run_config(path) -> RunConfig:
             raise ValueError(f"{path}: unknown section [{name}]")
     if "data" not in cp:
         raise ValueError(f"{path}: missing [data] section")
-    data = cp["data"]
-    for key in data:
-        if key not in _DATA_KEYS:
-            raise ValueError(f"{path} [data]: unknown key {key!r}")
-    for key in ("manifest", "seed"):
-        if key not in data:
-            raise ValueError(f"{path}: missing data.{key}")
+    data = parse_settings(RunConfig, cp["data"].items(), f"{path} [data]",
+                          _DATA_KEYS)
     if not numbered:
         raise ValueError(f"{path}: no [stage.N] sections")
     for n in range(1, max(numbered) + 1):
         if n not in numbered:
             raise ValueError(f"{path}: [stage.{max(numbered)}] without "
                              f"[stage.{n}]; number stages 1, 2, ... in order")
-    stages = []
+    data["stages"] = []
     for n in sorted(numbered):
         where = f"{path} [stage.{n}]"
-        settings = _stage_settings(cp[numbered[n]], where, _STAGE_KEYS)
-        missing = [f.name for f in fields(StageConfig)
-                   if f.default is MISSING and f.name not in settings]
-        if missing:
-            raise ValueError(f"{where}: missing key {missing[0]!r}")
-        try:
-            stages.append(StageConfig(**settings))
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-    try:
-        seed = int(data["seed"])
-        ratios = tuple(float(x) for x in data.get("split", "0.8,0.1,0.1")
-                       .split(","))
-    except ValueError as exc:
-        raise ValueError(f"{path} [data]: {exc}") from None
-    if len(ratios) != 3 or not all(r >= 0 for r in ratios) \
-            or not abs(sum(ratios) - 1.0) <= 1e-9:
-        raise ValueError(f"{path} [data]: bad value {data['split']!r} for "
-                         "key 'split': need three nonnegative ratios that "
-                         "sum to 1")
-    return RunConfig(manifest=data["manifest"], seed=seed, stages=stages,
-                     ratios=ratios)
+        data["stages"].append(build_config(StageConfig, parse_settings(
+            StageConfig, cp[numbered[n]].items(), where, _STAGE_KEYS), where))
+    return build_config(RunConfig, data, f"{path} [data]")
 
 
 def write_stage_cfg(path, stage: StageConfig) -> None:
     """Persist the loss/optimizer settings that the architecture file does
     not carry (needed to refine at registration time)."""
     cp = configparser.ConfigParser()
-    cp["stage"] = {name: str(getattr(stage, name)) for name in _CFG_FIELDS}
+    cp["stage"] = {name: str(getattr(stage, name)) for name in _CFG_KEYS}
     with open(path, "w") as fh:
         cp.write(fh)
 
@@ -579,10 +533,49 @@ def read_stage_cfg(path) -> dict:
     _read_ini(path, cp)
     if "stage" not in cp:
         raise ValueError(f"{path}: missing [stage] section")
-    known = {key: text for key, text in cp["stage"].items()
-             if key in _CFG_FIELDS}
-    return _stage_settings(known, f"{path} [stage]",
-                           {name: name for name in _CFG_FIELDS})
+    return parse_settings(StageConfig, cp["stage"].items(), f"{path} [stage]",
+                          _CFG_KEYS, skip_unknown=True)
+
+
+def stage_path(ckpt_dir, k: int, suffix: str) -> str:
+    """The file of stage ``k`` with ``suffix`` in a checkpoint directory:
+    ``.arch``, ``.gmw``, ``.cfg`` or ``_trace.csv``."""
+    return os.path.join(ckpt_dir, f"stage{k}{suffix}")
+
+
+def read_stages(ckpt_dir):
+    """(StageConfig, ParamStore) of the checkpoints stage1 ... stageK that
+    ``train_run`` wrote to ``ckpt_dir``: the architecture from ``.arch``,
+    the weights from ``.gmw`` and the other settings from ``.cfg``.  Each
+    stage needs all three files; a missing one raises OSError, and any
+    other fault ValueError naming its file."""
+    names = os.listdir(ckpt_dir) if os.path.isdir(ckpt_dir) else []
+    found = sorted(int(m[1]) for m in
+                   (re.fullmatch(r"stage([1-9][0-9]*)\.arch", n) for n in names)
+                   if m)
+    if not found:
+        raise ValueError(f"no stage checkpoints in {ckpt_dir}")
+    if found != list(range(1, len(found) + 1)):
+        gap = min(set(range(1, found[-1] + 1)) - set(found))
+        raise ValueError(f"{ckpt_dir}: stage{found[-1]}.arch without "
+                         f"stage{gap}.arch")
+    stages = []
+    for k in found:
+        settings = asdict(read_arch(stage_path(ckpt_dir, k, ".arch")))
+        store = read_gmw(stage_path(ckpt_dir, k, ".gmw"))
+        cfg = stage_path(ckpt_dir, k, ".cfg")
+        settings.update(read_stage_cfg(cfg))
+        # a .cfg without the switch: the CRF is on when the .gmw holds the
+        # weight blocks that checkpoints carried then (they are not read)
+        settings.setdefault("use_crf", "crf.omega" in store)
+        stage = build_config(StageConfig, settings, f"{cfg} [stage]")
+        try:
+            StageModel(stage, store)  # the store holds every block it needs
+        except ValueError as exc:
+            raise ValueError(f"{stage_path(ckpt_dir, k, '.gmw')}: {exc}") \
+                from None
+        stages.append((stage, store))
+    return stages
 
 
 def training_split(cfg: RunConfig, n_pairs: int):
@@ -598,14 +591,9 @@ def training_split(cfg: RunConfig, n_pairs: int):
 
 def train_run(cfg: RunConfig, pairs, ckpt_dir, log=None):
     """Full training on the (moving, fixed) ``pairs`` of the manifest:
-    split, train each stage serially, and write GMW1 checkpoints + CSV
-    traces.  A split that leaves no training pair raises ValueError before
-    anything is written."""
-    import os
-
-    from .conv import write_arch
-    from .optim import write_gmw
-
+    split, train each stage serially, and write its checkpoint (the files
+    ``read_stages`` reads) and CSV trace.  A split that leaves no training
+    pair raises ValueError before anything is written."""
     tr, va, te = training_split(cfg, len(pairs))
     train_pairs = [pairs[i] for i in tr]
     val_pairs = [pairs[i] for i in va]
@@ -615,11 +603,10 @@ def train_run(cfg: RunConfig, pairs, ckpt_dir, log=None):
     for k, stage in enumerate(cfg.stages, 1):
         store, trace = train_stage(stage, train_pairs, val_pairs, cfg.seed,
                                    log=log)
-        write_gmw(os.path.join(ckpt_dir, f"stage{k}.gmw"), store)
-        write_arch(os.path.join(ckpt_dir, f"stage{k}.arch"),
-                   stage.net_config())
-        write_stage_cfg(os.path.join(ckpt_dir, f"stage{k}.cfg"), stage)
-        with open(os.path.join(ckpt_dir, f"stage{k}_trace.csv"), "w") as fh:
+        write_gmw(stage_path(ckpt_dir, k, ".gmw"), store)
+        write_arch(stage_path(ckpt_dir, k, ".arch"), stage.net_config())
+        write_stage_cfg(stage_path(ckpt_dir, k, ".cfg"), stage)
+        with open(stage_path(ckpt_dir, k, "_trace.csv"), "w") as fh:
             fh.write("epoch,train_loss,val_cc\n")
             for rec in trace:
                 fh.write(f"{rec.epoch},{rec.train_loss:.17g},"

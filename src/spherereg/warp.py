@@ -24,6 +24,7 @@ from .mesh import (
     locate_warped_faces,
     read_header,
     read_rows,
+    text_reader,
     vertex_count,
 )
 
@@ -48,7 +49,6 @@ class LabelSpace:
     control_order: int
     label_order: int
     n_labels: int
-    indices: np.ndarray  # (N_c, N_l) into the label sphere
     endpoints: np.ndarray  # (N_c, N_l, 3)
 
 
@@ -56,8 +56,8 @@ def build_label_space(control: ControlGrid, label_order: int,
                       n_labels: int) -> LabelSpace:
     """The geodesically nearest ``n_labels`` label-sphere vertices per
     control point, ties broken by vertex index.  Built once per
-    (control order, label order, label count); the arrays are read-only
-    because every caller shares them."""
+    (control order, label order, label count); the endpoints are
+    read-only because every caller shares them."""
     return _label_space(control.control_order, label_order, n_labels)
 
 
@@ -75,11 +75,10 @@ def _label_space(control_order: int, label_order: int,
     dots = control_grid(control_order).points @ label_sphere.vertices.T
     dist = np.arccos(np.clip(dots, -1.0, 1.0))
     # stable argsort on (distance, index)
-    order = np.argsort(dist, axis=1, kind="stable")[:, :n_labels].copy()
+    order = np.argsort(dist, axis=1, kind="stable")[:, :n_labels]
     endpoints = label_sphere.vertices[order]
-    order.setflags(write=False)
     endpoints.setflags(write=False)
-    return LabelSpace(control_order, label_order, n_labels, order, endpoints)
+    return LabelSpace(control_order, label_order, n_labels, endpoints)
 
 
 @dataclass
@@ -124,10 +123,13 @@ def soft_deform_tensor(labels: LabelSpace, q: Tensor) -> Tensor:
 
 @lru_cache(maxsize=None)
 def _transfer_map(coarse_order: int, fine_order: int):
-    """Barycentric map of the fine sphere's vertices on the coarse sphere."""
-    coarse = build_icosphere(coarse_order)
-    fine = build_icosphere(fine_order)
-    return barycentric_map(coarse, fine.vertices)
+    """Barycentric map of the fine sphere's vertices on the coarse sphere;
+    read-only because every caller shares it."""
+    bmap = barycentric_map(build_icosphere(coarse_order),
+                           build_icosphere(fine_order).vertices)
+    bmap.face_index.setflags(write=False)
+    bmap.weights.setflags(write=False)
+    return bmap
 
 
 def upsample_deformation_tensor(endpoints: Tensor, coarse_order: int,
@@ -256,6 +258,7 @@ def write_def(path, field: DeformationField) -> None:
             fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
 
 
+@text_reader
 def read_def(path) -> DeformationField:
     """Read a DEF1 deformation.  A malformed header or row, or a value that
     is not finite, raises ValueError naming the file and line."""

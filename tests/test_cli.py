@@ -309,10 +309,10 @@ def _register(root, ckpt, name):
 
 
 def test_register_loads_every_stage(three_stage_ckpt):
-    from spherereg.cli import _load_stages
+    from spherereg.pipeline import read_stages
 
     root, ckpt = three_stage_ckpt
-    loaded = _load_stages(str(ckpt))
+    loaded = read_stages(str(ckpt))
     assert [stage for stage, _ in loaded] == _three_stages()
     out = _register(root, ckpt, "three")
     assert out.returncode == 0, out.stderr
@@ -670,7 +670,74 @@ def test_register_rejects_unparsable_arch_value(three_stage_ckpt, tmp_path,
                                 tmp_path / "o.def")
     assert code == 1
     assert capsys.readouterr().err == \
-        f"error: {arch}: bad value 'x' for architecture key 'n_labels'\n"
+        f"error: {arch}: bad value 'x' for key 'n_labels'\n"
+
+
+@pytest.mark.parametrize("key, value", [("crf_iterations", "0"),
+                                        ("lam_sm", "nan"),
+                                        ("refine_lr", "inf")])
+def test_register_rejects_a_bad_cfg_setting_naming_the_file(
+        three_stage_ckpt, tmp_path, capsys, key, value):
+    import re
+    import shutil
+
+    root, ckpt = three_stage_ckpt
+    broken = tmp_path / "broken"
+    shutil.copytree(ckpt, broken)
+    cfg = broken / "stage2.cfg"
+    cfg.write_text(re.sub(f"(?m)^{key} = .*$", f"{key} = {value}",
+                          cfg.read_text()))
+    code = _register_in_process(root, broken, tmp_path / "o.sfm",
+                                tmp_path / "o.def")
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith(f"error: {cfg} [stage]: bad value for key {key!r}")
+    assert not (tmp_path / "o.sfm").exists()
+
+
+def _text_input(kind, path):
+    """Write a valid input of ``kind`` to ``path``; return its reader."""
+    from spherereg import conv, mesh, pipeline, warp
+
+    if kind == "sfm":
+        mesh.write_sfm(path, mesh.SphericalFeatureMap(0, np.ones(12)))
+        return mesh.read_sfm
+    if kind == "def":
+        warp.write_def(path, warp.identity_field(0))
+        return warp.read_def
+    if kind == "ico":
+        mesh.write_ico(path, mesh.build_icosphere(0))
+        return mesh.read_ico
+    if kind == "manifest":
+        path.write_text("m.sfm f.sfm\n")
+        return pipeline.read_manifest
+    stage = pipeline.desk_scale_stages()[1]
+    if kind == "arch":
+        conv.write_arch(path, stage.net_config())
+        return conv.read_arch
+    if kind == "cfg":
+        pipeline.write_stage_cfg(path, stage)
+        return pipeline.read_stage_cfg
+    path.write_text("[data]\nmanifest = m.txt\nseed = 1\n[stage.1]\n"
+                    "input_order = 2\ncontrol_order = 1\nlabel_order = 2\n"
+                    "n_labels = 12\nfcb_channels = 4\nres_channels = 12\n")
+    return pipeline.read_run_config
+
+
+@pytest.mark.parametrize("kind", ["sfm", "def", "ico", "manifest", "ini",
+                                  "arch", "cfg"])
+def test_text_input_that_is_not_utf8_names_its_file(tmp_path, kind):
+    # every text input the commands read; the commands exit 1 with the
+    # reader's ValueError
+    path = tmp_path / f"input.{kind}"
+    read = _text_input(kind, path)
+    read(path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+    with pytest.raises(ValueError) as err:
+        read(path)
+    message = str(err.value)
+    assert message.startswith(f"{path}: ") and "utf-8" in message
+    assert "\n" not in message
 
 
 def test_register_rejects_fixed_at_another_order(three_stage_ckpt, tmp_path,
@@ -800,7 +867,7 @@ def test_register_reads_checkpoints_that_hold_crf_blocks(three_stage_ckpt,
     # bytes, the CRF switch following from the blocks.
     import shutil
 
-    from spherereg.cli import _load_stages
+    from spherereg.pipeline import read_stages
     from spherereg.crf import default_weights
     from spherereg.optim import read_gmw, write_gmw
 
@@ -818,7 +885,7 @@ def test_register_reads_checkpoints_that_hold_crf_blocks(three_stage_ckpt,
             store.add("crf.omega", omega)
             store.add("crf.mu", mu)
             write_gmw(old / f"stage{k}.gmw", store)
-    assert [stage for stage, _ in _load_stages(str(old))] == _three_stages()
+    assert [stage for stage, _ in read_stages(str(old))] == _three_stages()
     new_out = _register(root, ckpt, "new")
     old_out = _register(root, old, "old")
     assert new_out.returncode == 0 and old_out.returncode == 0, \

@@ -69,7 +69,8 @@ def test_pseudo_coords_bounded_by_edge_length():
     # but never more than pi)
     for order in (1, 3):
         pc = pseudo_coords(order)
-        norms = np.linalg.norm(pc.offsets, axis=2)[pc.mask]
+        norms = np.linalg.norm(pc.offsets, axis=2)[
+            build_icosphere(order).nbr_mask]
         assert norms[norms > 0].min() > 0
         assert norms.max() <= np.pi + 1e-9
 
@@ -102,7 +103,7 @@ def test_kernel_weights_isotropic_oracle():
     w = layer.kernel_weights(pc).value[:, :, 0]
     d = pc.offsets - np.array([0.1, -0.05])
     expect = np.exp(-0.5 * (d**2).sum(axis=2) / 0.07)
-    expect[~pc.mask] = 0.0
+    expect[~build_icosphere(1).nbr_mask] = 0.0
     assert np.allclose(w, expect, atol=1e-12)
 
 
@@ -194,10 +195,20 @@ def test_aggregate_grad_check():
 
 
 def test_ring_tables_read_only_and_reverse_complete():
+    from spherereg.mesh import gradient_coefficients
+    from spherereg.warp import _transfer_map
+
     for order in range(5):
         pc = pseudo_coords(order)
-        for table in (pc.offsets, pc.mask, pc.counts, pc.quad, pc.pad,
-                      pc.rev):
+        # the cached tables every caller shares: the ring tables, the
+        # icosphere's, the gradient stencil and the transfer map
+        sphere = build_icosphere(order)
+        bmap = _transfer_map(order, order + 1)
+        for table in (pc.offsets, pc.counts, pc.quad, pc.pad, pc.rev,
+                      sphere.vertices, sphere.faces, sphere.midpoint_edges,
+                      sphere.nbr_pad, sphere.nbr_mask, sphere.vertex_faces,
+                      gradient_coefficients(order), bmap.face_index,
+                      bmap.weights):
             assert not table.flags.writeable
         with pytest.raises(ValueError):
             pc.quad[0, 0] = 1.0
@@ -206,7 +217,8 @@ def test_ring_tables_read_only_and_reverse_complete():
         n = vertex_count(order)
         assert np.array_equal(np.sort(pc.rev.ravel()), np.arange(7 * n))
         assert all(np.array_equal(ring[row], np.arange(n)) for row in pc.rev)
-        assert np.array_equal(pc.pad, np.flatnonzero(~pc.mask))
+        assert np.array_equal(
+            pc.pad, np.flatnonzero(~build_icosphere(order).nbr_mask))
 
 
 # -- tape-level transfers match the numpy references -----------------------

@@ -474,6 +474,23 @@ class TestHexGradient:
         gc = _gradient_vectors(2, a * f + b * h)
         assert np.abs(gc - (a * gf + b * gh)).max() < 1e-12
 
+    def test_matches_the_per_vertex_solve(self):
+        # the batched stencil does each vertex's arithmetic in the same
+        # order, a pentagon's padded slot adding exact zeros: equal bits
+        for order in range(4):
+            s = build_icosphere(order)
+            e1, e2 = mesh.tangent_basis(s.vertices)
+            expect = np.zeros((s.n_vertices, 2, 7))
+            for i in range(s.n_vertices):
+                nb = s.nbr_pad[i, 1:][s.nbr_mask[i, 1:]]
+                off = s.vertices[nb] - s.vertices[i]
+                p = np.stack([off @ e1[i], off @ e2[i]], axis=1)
+                w = np.linalg.solve(p.T @ p, p.T)
+                expect[i, :, 1:1 + len(nb)] = w
+                expect[i, :, 0] = -w.sum(axis=1)
+            got = gradient_coefficients(order)
+            assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
 
 class TestFileFormats:
     def test_ico_roundtrip(self, tmp_path):

@@ -12,6 +12,11 @@ attribute of the imported module (``ad.gather``) or imported by name, so
 that ``np.exp`` does not keep an ``exp`` op alive.  Its builder entry in
 ``OP_REGISTRY``, which only the gradient sweep runs, does not count; the
 registry's sample generators do.
+
+An attribute, a dataclass field or a ``self.name`` that a method of the
+class assigns, counts as read where its name is read as an attribute
+(``x.name``, not an assignment to one) by the same program files; again
+matching is by name.
 """
 
 import ast
@@ -43,6 +48,28 @@ def _definitions():
                         if isinstance(item, ast.FunctionDef)
                         and not (item.name.startswith("__")
                                  and item.name.endswith("__"))]
+    return out
+
+
+def _attributes():
+    """(qualified name, name) of every dataclass field and every
+    ``self.name`` a method assigns, per class of the package."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = [item.target.id for item in node.body
+                     if isinstance(item, ast.AnnAssign)
+                     and isinstance(item.target, ast.Name)]
+            names += [target.attr for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      for target in ast.walk(item)
+                      if isinstance(target, ast.Attribute)
+                      and isinstance(target.ctx, ast.Store)
+                      and getattr(target.value, "id", None) == "self"]
+            out += [(f"{node.name}.{name}", name)
+                    for name in dict.fromkeys(names)]
     return out
 
 
@@ -109,6 +136,15 @@ def test_every_definition_is_used_by_the_program():
                               and qualname == name else used)
               and name not in TEST_REFERENCES]
     assert unused == []
+
+
+def test_every_attribute_is_read_by_the_program():
+    read = {node.attr for path in _program_files()
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and not isinstance(node.ctx, ast.Store)}
+    assert [qualname for qualname, name in _attributes()
+            if name not in read] == []
 
 
 def test_test_references_exist_and_are_unused_otherwise():

@@ -261,7 +261,7 @@ def test_desk_scale_tape_sizes():
     sizes = [len(ad._toposort(model._loss(moving, fixed, logits, crf)[0]))
              for crf in (False, True)]
     sizes.append(len(ad._toposort(model.pair_loss(moving, fixed))))
-    assert sizes == [10, 81, 262]
+    assert sizes == [10, 81, 261]
 
 
 def test_model_from_trained_store_leaves_it_untouched():
@@ -429,6 +429,41 @@ def test_run_config_reads_any_number_of_stages(tmp_path):
     pytest.param("[data]\nmanifest = m.txt\nseed = x\n" + _stage_section(1),
                  "[data]", id="bad-seed"),
     pytest.param("garbage\n", "run.ini", id="no-section-header"),
+    pytest.param(_DATA + _stage_section(1).replace("fcb_channels = 4",
+                                                   "fcb_channels = 0"),
+                 "'fcb_channels'", id="zero-fcb-width"),
+    pytest.param(_DATA + _stage_section(1)
+                 .replace("fcb_channels = 4", "fcb_channels = 4,4")
+                 .replace("res_channels = 12", "res_channels = 0,12"),
+                 "'res_channels'", id="zero-res-width"),
+    pytest.param(_DATA + _stage_section(1, n_kernels=0), "'n_kernels'",
+                 id="zero-kernels"),
+    pytest.param(_DATA + _stage_section(1, in_channels=0), "'in_channels'",
+                 id="zero-in-channels"),
+    pytest.param(_DATA + _stage_section(1)
+                 .replace("control_order = 1", "control_order = 3")
+                 .replace("label_order = 2", "label_order = 4"),
+                 "'control_order'", id="control-finer-than-input"),
+    pytest.param(_DATA + _stage_section(1)
+                 .replace("control_order = 1", "control_order = -1")
+                 .replace("label_order = 2", "label_order = 0"),
+                 "'control_order'", id="negative-control-order"),
+    pytest.param(_DATA + _stage_section(1).replace("label_order = 2",
+                                                   "label_order = 9"),
+                 "'label_order'", id="label-order-past-the-last-icosphere"),
+    pytest.param(_DATA + _stage_section(1, lam_sm="nan"), "'lam_sm'",
+                 id="nan-smoothness"),
+    pytest.param(_DATA + _stage_section(1, lam_sm="inf"), "'lam_sm'",
+                 id="inf-smoothness"),
+    pytest.param(_DATA + _stage_section(1, lr="nan"), "'lr'", id="nan-lr"),
+    pytest.param(_DATA + _stage_section(1, gamma="nan"), "'gamma'",
+                 id="nan-gamma"),
+    pytest.param(_DATA + _stage_section(1, refine_lr="inf"), "'refine_lr'",
+                 id="inf-refine-lr"),
+    pytest.param(_DATA + _stage_section(1, epochs=-1), "'epochs'",
+                 id="negative-epochs"),
+    pytest.param(_DATA + _stage_section(1, refine_steps=-1),
+                 "'refine_steps'", id="negative-refine-steps"),
 ])
 def test_run_config_rejects_unknown_and_malformed(tmp_path, text, named):
     path = tmp_path / "run.ini"

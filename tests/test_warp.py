@@ -36,10 +36,10 @@ def _rotation(axis, angle):
 # -- label space -----------------------------------------------------------
 
 def test_label_space_nearest_is_self():
-    # control vertices are nested in the finer label sphere with the same
-    # index, so the nearest label of control point i is i itself
+    # control vertices are nested in the finer label sphere, so the nearest
+    # label of control point i is the control point itself
     labels = build_label_space(control_grid(1), 3, 12)
-    assert np.array_equal(labels.indices[:, 0], np.arange(42))
+    assert np.array_equal(labels.endpoints[:, 0], control_grid(1).points)
 
 
 def test_label_space_distances_nondecreasing():
@@ -61,7 +61,6 @@ def test_label_space_is_built_once_per_key():
     first = build_label_space(control_grid(1), 3, 12)
     assert build_label_space(control_grid(1), 3, 12) is first
     assert build_label_space(control_grid(1), 3, 13) is not first
-    assert not first.indices.flags.writeable
     assert not first.endpoints.flags.writeable
 
 
@@ -94,7 +93,7 @@ def test_soft_deform_degenerate_falls_back_to_argmax():
     # two antipodal candidates with equal mass cancel; the fallback picks
     # the (first) most probable endpoint
     e = np.array([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
-    labels = LabelSpace(0, 1, 2, np.array([[0, 1]]), e)
+    labels = LabelSpace(0, 1, 2, e)
     q = ad.constant(np.array([[0.5, 0.5]]))
     out = soft_deform_tensor(labels, q)
     assert np.allclose(out.value, [[0.0, 0.0, 1.0]], atol=1e-15)
@@ -104,7 +103,7 @@ def test_soft_deform_fallback_rows_pass_no_gradient():
     # row 0 cancels and takes the constant fallback; row 1 does not
     e = np.array([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
                   [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
-    labels = LabelSpace(0, 1, 2, np.array([[0, 1], [2, 3]]), e)
+    labels = LabelSpace(0, 1, 2, e)
     q = ad.Tensor(np.array([[0.5, 0.5], [0.3, 0.7]]))
     soft_deform_tensor(labels, q).backward(np.ones((2, 3)))
     assert np.all(q.grad[0] == 0.0) and np.all(q.grad[1] != 0.0)
