@@ -2,7 +2,11 @@
 
 A ``Tensor`` wraps an ndarray and remembers how it was produced; calling
 ``backward`` on a scalar walks the tape in reverse topological order and
-accumulates gradients into every reachable node.  Only the operations the
+accumulates gradients into every reachable node.  A node that needs no
+gradient (every input is a constant) keeps no tape: it holds neither its
+parents nor its VJPs, so the arrays those close over are freed once the
+next operation has read its value, and a network pass over constant
+weights holds one layer's intermediates at a time.  Only the operations the
 program composes on the tape are provided; its stages with hand-written
 VJPs build their own nodes and share ``scatter_rows``, the one row
 scatter-add.  All arithmetic is double precision.
@@ -25,8 +29,8 @@ class Tensor:
     def __init__(self, value, parents=(), vjps=(), requires_grad=True, name=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self.parents = parents
-        self.vjps = vjps
+        self.parents = parents if requires_grad else ()
+        self.vjps = vjps if requires_grad else ()
         self.requires_grad = requires_grad
         self.name = name
 

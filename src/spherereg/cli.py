@@ -265,6 +265,7 @@ def cmd_eval(args) -> int:
 def cmd_selftest(args) -> int:
     import numpy as np
 
+    from .conv import NetConfig, RegistrationNet
     from .crf import CrfConfig, crf_forward, meanfield_reference
     from .mesh import barycentric_map, best_face, build_icosphere, \
         face_normals, longest_edge, nearest_vertex, vertex_count
@@ -322,6 +323,18 @@ def cmd_selftest(args) -> int:
 
     errs = check_registered_ops(n_probes=10, seed=0)
     check("primitive gradient checks", max(errs.values()) < 1e-4)
+
+    net_cfg = NetConfig(input_order=2, control_order=1, label_order=2,
+                        n_labels=12, fcb_channels=(4, 4), res_channels=(8, 12),
+                        in_channels=1, n_kernels=3)
+    store = ParamStore()
+    net = RegistrationNet(store, net_cfg, rng)
+    values = rng.standard_normal((vertex_count(2), 1))
+    leaf = RegistrationNet(store.constants(), net_cfg, rng).logits(
+        values, values)
+    check("network pass on constant weights returns a leaf",
+          not leaf.requires_grad and leaf.parents == ()
+          and np.array_equal(leaf.value, net.logits(values, values).value))
 
     cfg = CrfConfig(iterations=5)
     ok = True

@@ -352,11 +352,20 @@ class ResBlock:
         return ad.leaky_relu(h + skip)
 
 
+class SettingError(ValueError):
+    """The config field ``key`` is not what it ``need``s to be."""
+
+    def __init__(self, key: str, need: str):
+        super().__init__(f"bad value for key {key!r}: {need}")
+        self.key = key
+        self.need = need
+
+
 def require(ok: bool, key: str, need: str) -> None:
-    """Raise ValueError naming the setting ``key`` unless ``ok``; ``need``
+    """Raise SettingError naming the field ``key`` unless ``ok``; ``need``
     says what the setting must be."""
     if not ok:
-        raise ValueError(f"bad value for key {key!r}: {need}")
+        raise SettingError(key, need)
 
 
 @dataclass
@@ -528,15 +537,23 @@ def parse_settings(cls, pairs, where: str, keys: dict,
     return out
 
 
-def build_config(cls, settings: dict, where: str):
+def build_config(cls, settings: dict, where: str, keys: dict | None = None):
     """``cls(**settings)``.  A missing required setting, and any setting
-    that ``cls`` rejects, raise ValueError naming ``where`` and the key."""
+    that ``cls`` rejects, raise ValueError naming ``where`` and the key:
+    the key that ``keys`` (as in ``parse_settings``) maps to the field,
+    else the field's name."""
+    key_of = {name: key for key, name in (keys or {}).items()}
     for f in fields(cls):
         if f.default is MISSING and f.default_factory is MISSING \
                 and f.name not in settings:
-            raise ValueError(f"{where}: missing key {f.name!r}")
+            raise ValueError(f"{where}: missing key "
+                             f"{key_of.get(f.name, f.name)!r}")
     try:
         return cls(**settings)
+    except SettingError as exc:
+        raise ValueError(f"{where}: bad value for key "
+                         f"{key_of.get(exc.key, exc.key)!r}: {exc.need}") \
+            from None
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
@@ -568,4 +585,4 @@ def read_arch(path) -> NetConfig:
                  (line.partition("=") for line in fh)]
     settings = parse_settings(NetConfig, pairs, path, _ARCH_KEYS,
                               skip_unknown=True)
-    return build_config(NetConfig, settings, path)
+    return build_config(NetConfig, settings, path, _ARCH_KEYS)

@@ -593,13 +593,18 @@ def text_reader(read):
     return reader
 
 
+def format_rows(row: str, table: np.ndarray) -> str:
+    """Every row of the 2-D ``table`` through the %-format ``row``, as one
+    ``%`` operation over the whole block (``%.17g`` writes a float as
+    ``f"{x:.17g}"`` does)."""
+    return (row * len(table)) % tuple(np.ravel(table).tolist())
+
+
 def write_ico(path, sphere: Icosphere) -> None:
     with open(path, "w") as fh:
         fh.write(f"ICO1 {sphere.order} {sphere.n_vertices} {sphere.n_faces}\n")
-        for v in sphere.vertices:
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in sphere.faces:
-            fh.write(f"f {f[0]} {f[1]} {f[2]}\n")
+        fh.write(format_rows("v %.17g %.17g %.17g\n", sphere.vertices))
+        fh.write(format_rows("f %d %d %d\n", sphere.faces))
 
 
 @text_reader
@@ -633,13 +638,13 @@ def read_ico(path) -> Icosphere:
 def write_sfm(path, fmap: SphericalFeatureMap) -> None:
     has_mask = 1 if fmap.mask is not None else 0
     n, c = fmap.values.shape
+    # the mask column joins the float block as 0.0 / 1.0, which %d writes
+    # as 0 / 1
+    table = np.column_stack([fmap.values] + [fmap.mask] * has_mask)
+    row = " ".join(["%.17g"] * c + ["%d"] * has_mask) + "\n"
     with open(path, "w") as fh:
         fh.write(f"SFM1 {fmap.sphere_order} {n} {c} {has_mask}\n")
-        for i in range(n):
-            row = " ".join(f"{x:.17g}" for x in fmap.values[i])
-            if has_mask:
-                row += f" {int(fmap.mask[i])}"
-            fh.write(row + "\n")
+        fh.write(format_rows(row, table))
 
 
 def read_header(fh, path, tag: str, n_ints: int) -> list:

@@ -54,6 +54,17 @@ class ParamStore:
             out.add(name, t.value.copy())
         return out
 
+    def constants(self) -> "ParamStore":
+        """A view of the blocks as constants over the same arrays, not
+        copies: a network pass through it builds no tape and leaves this
+        store's gradients alone.  ``adam_step`` replaces the arrays, so the
+        view holds the values of the moment it is taken and has no Adam
+        state of its own."""
+        out = ParamStore()
+        out._blocks = {name: Tensor(t.value, requires_grad=False, name=name)
+                       for name, t in self._blocks.items()}
+        return out
+
     def ensure(self, name: str, shape: tuple, init) -> Tensor:
         """The block ``name``, added as ``init()`` when the store lacks it;
         a held block of another shape raises ValueError."""

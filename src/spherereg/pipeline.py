@@ -211,6 +211,12 @@ class StageModel:
     filter weights and compatibility are the fixed ``default_weights`` of
     the stage, so the head stays a genuine smoother (trained ones drift
     until the classifier cancels the regularization).
+
+    ``pair_loss`` is the only network pass on the tape.  Every pass whose
+    scores no gradient reads (``refine``'s starting scores and
+    ``register`` without ``logits``) runs the network over a constant view
+    of the store, taken per call, so its nodes keep no tape and the blocks
+    gain no gradient.
     """
 
     def __init__(self, stage: StageConfig, store: ParamStore | None = None,
@@ -225,6 +231,14 @@ class StageModel:
         added = sorted(set(self.store.names()) - held)
         if store is not None and added:
             raise ValueError(f"missing parameter block {added[0]!r}")
+
+    def _constant_logits(self, moving: SphericalFeatureMap,
+                         fixed: SphericalFeatureMap) -> Tensor:
+        """The network's label scores as a leaf, from a pass over a
+        constant view of the store (which holds every block, so the
+        network draws none from an rng)."""
+        net = RegistrationNet(self.store.constants(), self.stage, rng=None)
+        return net.logits(moving.values, fixed.values)
 
     def _endpoints(self, logits: Tensor, crf: bool) -> Tensor:
         """Label scores decoded to endpoints at the input order, through
@@ -262,7 +276,7 @@ class StageModel:
         ``logits`` (the label scores ``refine`` returns) or, when None,
         from the network's prediction."""
         if logits is None:
-            scores = self.net.logits(moving.values, fixed.values)
+            scores = self._constant_logits(moving, fixed)
         else:
             scores = ad.constant(logits)
         endpoints = self._endpoints(scores, self.stage.use_crf)
@@ -288,7 +302,7 @@ class StageModel:
         """
         if self.stage.refine_steps <= 0:
             return None
-        init = self.net.logits(moving.values, fixed.values).value
+        init = self._constant_logits(moving, fixed).value
         # keep the network's label ranking but reset its confidence: a
         # saturated softmax leaves the optimizer with vanishing gradients
         init = init - init.mean(axis=1, keepdims=True)
@@ -455,7 +469,7 @@ class RunConfig:
 
     def __post_init__(self):
         require(len(self.ratios) == 3 and min(self.ratios) >= 0
-                and abs(sum(self.ratios) - 1.0) <= 1e-9, "split",
+                and abs(sum(self.ratios) - 1.0) <= 1e-9, "ratios",
                 "need three nonnegative ratios that sum to 1")
 
 
@@ -511,8 +525,9 @@ def read_run_config(path) -> RunConfig:
     for n in sorted(numbered):
         where = f"{path} [stage.{n}]"
         data["stages"].append(build_config(StageConfig, parse_settings(
-            StageConfig, cp[numbered[n]].items(), where, _STAGE_KEYS), where))
-    return build_config(RunConfig, data, f"{path} [data]")
+            StageConfig, cp[numbered[n]].items(), where, _STAGE_KEYS), where,
+            _STAGE_KEYS))
+    return build_config(RunConfig, data, f"{path} [data]", _DATA_KEYS)
 
 
 def write_stage_cfg(path, stage: StageConfig) -> None:

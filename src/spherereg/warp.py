@@ -20,6 +20,7 @@ from .mesh import (
     barycentric_map,
     build_icosphere,
     cross_rows,
+    format_rows,
     interpolate,
     locate_warped_faces,
     read_header,
@@ -254,8 +255,7 @@ def compose(first: DeformationField, second: DeformationField) -> DeformationFie
 def write_def(path, field: DeformationField) -> None:
     with open(path, "w") as fh:
         fh.write(f"DEF1 {field.order} {len(field.endpoints)}\n")
-        for p in field.endpoints:
-            fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+        fh.write(format_rows("%.17g %.17g %.17g\n", field.endpoints))
 
 
 @text_reader

@@ -129,6 +129,25 @@ class TestBackward:
         loss.backward()
         assert store["b"].grad is None
 
+    def test_node_of_constants_keeps_no_tape(self):
+        g = rng(15)
+        a, b = (ad.constant(g.standard_normal((4, 3))) for _ in range(2))
+        for out in (a + b, a * b, a @ ad.constant(np.ones((3, 2))),
+                    ad.leaky_relu(a), ad.concat([a, b], axis=1),
+                    ad.gather(a, np.array([1, 1, 0])), ad.softmax_rows(a)):
+            assert not out.requires_grad
+            assert out.parents == () and out.vjps == ()
+
+    def test_node_with_a_parameter_input_keeps_its_tape(self):
+        g = rng(16)
+        w = ParamStore().add("w", g.standard_normal((4, 3)))
+        c = ad.constant(g.standard_normal((4, 3)))
+        out = w * c
+        assert out.requires_grad
+        assert out.parents == (w, c) and len(out.vjps) == 2
+        ad.sum_(out).backward()
+        assert np.array_equal(w.grad, c.value)
+
     def test_accumulation_matches_zero_fill_and_never_writes_in_place(self):
         # one leaf reaches the loss by three paths: a concat (whose VJP
         # returns a view of its cotangent), a broadcast add and a gather

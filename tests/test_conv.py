@@ -384,3 +384,13 @@ def test_arch_missing_key_rejected(tmp_path):
     path.write_text("input_order = 2\n")
     with pytest.raises(ValueError):
         read_arch(path)
+
+
+def test_arch_value_error_names_the_key_the_file_holds(tmp_path):
+    # the field is n_kernels; the file's key for it is kernels
+    path = tmp_path / "net.arch"
+    write_arch(path, _tiny_cfg())
+    path.write_text(path.read_text().replace("kernels = 3", "kernels = 0"))
+    with pytest.raises(ValueError, match=r"bad value for key 'kernels': "
+                                         r"must be >= 1$"):
+        read_arch(path)

@@ -511,6 +511,38 @@ class TestFileFormats:
         assert np.array_equal(back.values, vals)
         assert np.array_equal(back.mask, mask)
 
+    def test_block_writers_match_per_value_rows(self, tmp_path):
+        # the writers format a whole block with one % operation; the bytes
+        # must be those of formatting every value with its own f-string
+        from spherereg import warp
+
+        def rows(table, fmt=lambda x: f"{x:.17g}", head=""):
+            return "".join(head + " ".join(fmt(x) for x in r) + "\n"
+                           for r in table)
+
+        edge = np.array([-0.0, 5e-324, 1e308, 0.1, -1e-300, 1.0 / 3.0])
+        vals = np.resize(edge, (42, 2)) * np.resize([1.0, -1.0, 0.5], (42, 1))
+        mask = rng(11).random(42) > 0.5
+        for fmap in (SphericalFeatureMap(1, vals, mask),
+                     SphericalFeatureMap(1, vals[:, :1])):
+            path = tmp_path / "m.sfm"
+            mesh.write_sfm(path, fmap)
+            body = rows(fmap.values) if fmap.mask is None else "".join(
+                " ".join([f"{x:.17g}" for x in r] + [f"{int(m)}"]) + "\n"
+                for r, m in zip(fmap.values, fmap.mask))
+            has_mask = int(fmap.mask is not None)
+            assert path.read_text() == \
+                f"SFM1 1 42 {fmap.channels} {has_mask}\n" + body
+        field = warp.DeformationField(1, np.resize(edge, (42, 3)))
+        path = tmp_path / "w.def"
+        warp.write_def(path, field)
+        assert path.read_text() == "DEF1 1 42\n" + rows(field.endpoints)
+        s = build_icosphere(1)
+        path = tmp_path / "s.ico"
+        mesh.write_ico(path, s)
+        assert path.read_text() == "ICO1 1 42 80\n" + \
+            rows(s.vertices, head="v ") + rows(s.faces, str, head="f ")
+
     def test_sfm_bad_header(self, tmp_path):
         path = tmp_path / "bad.sfm"
         path.write_text("SFM1 1 41 1 0\n")

@@ -253,7 +253,10 @@ def test_refine_without_steps_returns_none():
 def test_desk_scale_tape_sizes():
     # tape nodes of a plain refine step, a CRF refine step and a training
     # step of the desk-scale first stage: a change that grows the tape
-    # updates these counts and says why
+    # updates these counts and says why.  The training step's 255 nodes
+    # count no constant parent of a node that needs no gradient: the six
+    # leaky_relu skip branches of the feature blocks (three blocks, two
+    # paths) are built from constants, so they are leaves
     moving, fixed, _ = generate_synthetic_pair(SyntheticWarpSpec(seed=10000),
                                                4)
     model = StageModel(desk_scale_stages()[0], seed=7)
@@ -261,7 +264,74 @@ def test_desk_scale_tape_sizes():
     sizes = [len(ad._toposort(model._loss(moving, fixed, logits, crf)[0]))
              for crf in (False, True)]
     sizes.append(len(ad._toposort(model.pair_loss(moving, fixed))))
-    assert sizes == [10, 81, 261]
+    assert sizes == [10, 81, 255]
+
+
+def test_refine_and_register_run_the_network_off_the_tape(monkeypatch):
+    from spherereg import conv
+
+    passes = []
+    logits = conv.RegistrationNet.logits
+
+    def spy(net, *args):
+        passes.append(logits(net, *args))
+        return passes[-1]
+
+    monkeypatch.setattr(conv.RegistrationNet, "logits", spy)
+    pair = _tiny_pairs(1)[0]
+    model = StageModel(_tiny_stage(refine_steps=2, use_crf=True), seed=3)
+    flags = {name: model.store[name].requires_grad
+             for name in model.store.names()}
+    model.register(*pair, model.refine(*pair))
+    model.register(*pair)
+    assert len(passes) == 2
+    assert all(not p.requires_grad and p.parents == () and p.vjps == ()
+               for p in passes)
+    for name in model.store.names():
+        assert model.store[name].grad is None
+        assert model.store[name].requires_grad == flags[name]
+
+
+def test_constant_view_shares_the_block_arrays():
+    store = StageModel(_tiny_stage(), seed=0).store
+    view = store.constants()
+    assert view.names() == store.names()
+    for name in store.names():
+        assert np.shares_memory(view[name].value, store[name].value)
+        assert not view[name].requires_grad and store[name].requires_grad
+
+
+def test_constant_view_taken_after_adam_step_sees_the_update():
+    model = StageModel(_tiny_stage(), seed=0)
+    before = model.store.constants()
+    model.pair_loss(*_tiny_pairs(1)[0]).backward()
+    model.store.adam_step(0.1)
+    after = model.store.constants()
+    for name in model.store.names():
+        assert np.array_equal(after[name].value, model.store[name].value)
+    assert not all(np.array_equal(before[name].value, after[name].value)
+                   for name in model.store.names())
+
+
+def test_constant_passes_match_the_tape_pass_bitwise(monkeypatch):
+    # the passes off the tape do the tape pass's arithmetic: training
+    # (its validation CC) and registration (its field) are unchanged, bit
+    # for bit, when they run the network on the tape instead
+    pairs = _tiny_pairs(3)
+    stage = _tiny_stage(epochs=2, refine_steps=2, use_crf=True)
+
+    def run():
+        store, trace = train_stage(stage, pairs[:2], pairs[2:], seed=1)
+        field, warped, _ = register_pair([(stage, store)], *pairs[2])
+        return [r.val_cc for r in trace], field.endpoints, warped.values
+
+    off_tape = run()
+    monkeypatch.setattr(StageModel, "_constant_logits",
+                        lambda self, m, f: self.net.logits(m.values, f.values))
+    on_tape = run()
+    assert off_tape[0] == on_tape[0]
+    for a, b in zip(off_tape[1:], on_tape[1:]):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_model_from_trained_store_leaves_it_untouched():
