@@ -1,14 +1,19 @@
 """Command-line interface: mesh generation, synthetic cohorts, training,
 registration, evaluation, and the built-in self test.
 
-Exit codes: 0 success, 1 usage/config error, 2 I/O error, 3 internal
-budget exceeded.  ``--threads 1`` pins the numerical libraries to one
-thread, which guarantees bitwise-reproducible runs.  The cap is set
-through the environment, which the BLAS reads when numpy is first
-imported: it acts in the ``spherereg`` command, but a ``main()`` called in
-a process that has already imported numpy runs with the threads that
-process has, and warns when the process's thread variables differ from
-the request.
+Exit codes: 0 success; 1 a usage, config or data error (``ValueError``);
+2 an I/O error (``OSError``); 3 divergence or an exceeded budget
+(``FloatingPointError``, ``RuntimeError``).  Commands raise, and ``main``
+alone turns an exception into its code and one ``error:`` line; any other
+exception is a fault of the program and keeps its traceback.  A command
+catches an error only to add words to it and raise it again.
+
+``--threads 1`` pins the numerical libraries to one thread, which
+guarantees bitwise-reproducible runs.  The cap is set through the
+environment, which the BLAS reads when numpy is first imported: it acts in
+the ``spherereg`` command, but a ``main()`` called in a process that has
+already imported numpy runs with the threads that process has, and warns
+when the process's thread variables differ from the request.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import argparse
 import os
 import sys
 import warnings
+from dataclasses import replace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,7 +66,7 @@ def cmd_mesh(args) -> int:
         try:
             write_ico(args.out, sphere)
         except OSError as exc:
-            return _fail(f"cannot write {args.out}: {exc}", EXIT_IO)
+            raise OSError(f"cannot write {args.out}: {exc}") from None
     print(f"vertices={v} edges={e} faces={f}")
     return EXIT_OK
 
@@ -71,19 +77,16 @@ def cmd_synth(args) -> int:
     from .mesh import write_sfm
     from .warp import write_def
 
-    try:
-        specs = [SyntheticWarpSpec(
-            seed=args.seed + i, max_angle=args.max_angle,
-            smoothness=args.smoothness, field_degree=args.field_degree,
-            n_components=args.components, n_channels=args.channels,
-            noise=args.noise,
-        ) for i in range(args.pairs)]
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    specs = [SyntheticWarpSpec(
+        seed=args.seed + i, max_angle=args.max_angle,
+        smoothness=args.smoothness, field_degree=args.field_degree,
+        n_components=args.components, n_channels=args.channels,
+        noise=args.noise,
+    ) for i in range(args.pairs)]
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
-        return _fail(f"cannot create {args.out}: {exc}", EXIT_IO)
+        raise OSError(f"cannot create {args.out}: {exc}") from None
     entries = []
     try:
         for i, spec in enumerate(specs):
@@ -96,26 +99,24 @@ def cmd_synth(args) -> int:
             write_def(paths[2], truth)
             entries.append(PairEntry(*paths))
         write_manifest(os.path.join(args.out, "manifest.txt"), entries)
-    except RuntimeError as exc:
-        return _fail(str(exc), EXIT_BUDGET)
     except OSError as exc:
-        return _fail(f"cannot write: {exc}", EXIT_IO)
+        raise OSError(f"cannot write: {exc}") from None
     print(f"wrote {args.pairs} pairs to {args.out}")
     return EXIT_OK
 
 
-def _misfit(maps, stages, where) -> str | None:
-    """A message naming the first of the (path, feature map) pairs ``maps``
-    whose order or channel count differs from a stage's, and that stage's
-    ``where``; None when every map fits every stage."""
+def _check_fit(maps, stages, where) -> None:
+    """Raise ValueError naming the first of the (path, feature map) pairs
+    ``maps`` whose order or channel count differs from a stage's, and that
+    stage's ``where``."""
     for stage, place in zip(stages, where):
         for path, fmap in maps:
             if (fmap.sphere_order, fmap.channels) != \
                     (stage.input_order, stage.in_channels):
-                return (f"{path}: {fmap.channels} channels at order "
-                        f"{fmap.sphere_order}, but {place} expects "
-                        f"{stage.in_channels} at order {stage.input_order}")
-    return None
+                raise ValueError(
+                    f"{path}: {fmap.channels} channels at order "
+                    f"{fmap.sphere_order}, but {place} expects "
+                    f"{stage.in_channels} at order {stage.input_order}")
 
 
 def cmd_train(args) -> int:
@@ -123,35 +124,21 @@ def cmd_train(args) -> int:
     from .pipeline import read_manifest, read_run_config, train_run, \
         training_split
 
-    try:
-        cfg = read_run_config(args.config)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    cfg = read_run_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)  # checked as the INI seed is
     if not os.path.exists(cfg.manifest):
-        return _fail(f"manifest not found: {cfg.manifest}", EXIT_USAGE)
+        raise ValueError(f"manifest not found: {cfg.manifest}")
     maps = []
-    try:
-        for e in read_manifest(cfg.manifest):
-            for p in (e.moving_path, e.fixed_path):
-                if not os.path.exists(p):
-                    return _fail(f"missing data file: {p}", EXIT_USAGE)
-                maps.append((p, read_sfm(p)))
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    problem = _misfit(maps, cfg.stages,
-                      [f"[stage.{k}] of {args.config}"
-                       for k in range(1, len(cfg.stages) + 1)])
-    if problem:
-        return _fail(problem, EXIT_USAGE)
+    for e in read_manifest(cfg.manifest):
+        for p in (e.moving_path, e.fixed_path):
+            if not os.path.exists(p):
+                raise ValueError(f"missing data file: {p}")
+            maps.append((p, read_sfm(p)))
+    _check_fit(maps, cfg.stages, [f"[stage.{k}] of {args.config}"
+                                  for k in range(1, len(cfg.stages) + 1)])
     pairs = [(maps[i][1], maps[i + 1][1]) for i in range(0, len(maps), 2)]
-    try:
-        training_split(cfg, len(pairs))
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    training_split(cfg, len(pairs))
     for k, stage in enumerate(cfg.stages, 1):
         print(f"stage {k}: control_order={stage.control_order} "
               f"n_labels={stage.n_labels} crf={stage.use_crf} "
@@ -163,12 +150,8 @@ def cmd_train(args) -> int:
 
     try:
         train_run(cfg, pairs, args.out, log=log)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
     except FloatingPointError as exc:
-        return _fail(f"training diverged: {exc}", EXIT_BUDGET)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
+        raise FloatingPointError(f"training diverged: {exc}") from None
     print(f"checkpoints written to {args.out}")
     return EXIT_OK
 
@@ -182,35 +165,26 @@ def cmd_register(args) -> int:
     for path in filter(None, (args.out, args.deform)):
         folder = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(folder):
-            return _fail(f"cannot write {path}: no directory {folder}",
-                         EXIT_IO)
-    try:
-        moving = read_sfm(args.moving)
-        fixed = read_sfm(args.fixed)
-        stages = read_stages(args.ckpt)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+            raise OSError(f"cannot write {path}: no directory {folder}")
+    moving = read_sfm(args.moving)
+    fixed = read_sfm(args.fixed)
+    stages = read_stages(args.ckpt)
     if fixed.sphere_order != moving.sphere_order:
-        return _fail(f"{args.fixed}: order {fixed.sphere_order} does not "
-                     f"match the order {moving.sphere_order} of {args.moving}",
-                     EXIT_USAGE)
-    problem = _misfit([(args.moving, moving), (args.fixed, fixed)],
-                      [stage for stage, _ in stages],
-                      [stage_path(args.ckpt, k, ".arch")
-                       for k in range(1, len(stages) + 1)])
-    if problem:
-        return _fail(problem, EXIT_USAGE)
+        raise ValueError(f"{args.fixed}: order {fixed.sphere_order} does not "
+                         f"match the order {moving.sphere_order} of "
+                         f"{args.moving}")
+    _check_fit([(args.moving, moving), (args.fixed, fixed)],
+               [stage for stage, _ in stages],
+               [stage_path(args.ckpt, k, ".arch")
+                for k in range(1, len(stages) + 1)])
     # numpy warnings are shown only if the registration completes, so a
     # divergence prints its one line alone
     with warnings.catch_warnings(record=True) as caught:
         try:
             field, warped, report = register_pair(stages, moving, fixed)
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_USAGE)
         except FloatingPointError as exc:
-            return _fail(f"registration diverged: {exc}", EXIT_BUDGET)
+            raise FloatingPointError(f"registration diverged: {exc}") \
+                from None
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     try:
@@ -218,7 +192,7 @@ def cmd_register(args) -> int:
         if args.deform:
             write_def(args.deform, field)
     except OSError as exc:
-        return _fail(f"cannot write: {exc}", EXIT_IO)
+        raise OSError(f"cannot write: {exc}") from None
     write_met(sys.stdout, report)
     return EXIT_OK
 
@@ -229,16 +203,11 @@ def cmd_eval(args) -> int:
         vertex_areas, write_met
     from .warp import read_def
 
-    try:
-        fixed = read_sfm(args.fixed)
-        warped = read_sfm(args.warped)
-        sphere = read_ico(args.sphere)
-        field = read_def(args.deform) if args.deform else None
-        zmap = read_sfm(args.zmap) if args.zmap else None
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    fixed = read_sfm(args.fixed)
+    warped = read_sfm(args.warped)
+    sphere = read_ico(args.sphere)
+    field = read_def(args.deform) if args.deform else None
+    zmap = read_sfm(args.zmap) if args.zmap else None
     orders = [(args.fixed, fixed.sphere_order),
               (args.warped, warped.sphere_order)]
     if field is not None:
@@ -247,11 +216,11 @@ def cmd_eval(args) -> int:
         orders.append((args.zmap, zmap.sphere_order))
     for path, order in orders:
         if order != sphere.order:
-            return _fail(f"{path}: order {order} does not match the order "
-                         f"{sphere.order} of {args.sphere}", EXIT_USAGE)
+            raise ValueError(f"{path}: order {order} does not match the "
+                             f"order {sphere.order} of {args.sphere}")
     if warped.channels != fixed.channels:
-        return _fail(f"{args.warped}: {warped.channels} channels, but "
-                     f"{args.fixed} has {fixed.channels}", EXIT_USAGE)
+        raise ValueError(f"{args.warped}: {warped.channels} channels, but "
+                         f"{args.fixed} has {fixed.channels}")
     stats = None if field is None else distortion_stats(sphere, field)
     cm = None
     if zmap is not None:
@@ -448,7 +417,14 @@ def main(argv=None) -> int:
         print(f"error: {problem}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_USAGE)
+    except OSError as exc:
+        return _fail(str(exc), EXIT_IO)
+    except (FloatingPointError, RuntimeError) as exc:
+        return _fail(str(exc), EXIT_BUDGET)
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .conv import require
 from .optim import ParamStore
 from .warp import LabelSpace, build_icosphere, soft_deform_tensor
 
@@ -41,12 +42,10 @@ class CrfConfig:
     gamma: float = 0.2
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("bad value for key 'crf_iterations': the "
-                             "mean-field iteration count must be >= 1")
-        if self.gamma <= 0:
-            raise ValueError("bad value for key 'gamma': the kernel "
-                             "bandwidth must be positive")
+        require(self.iterations >= 1, "iterations",
+                "the mean-field iteration count must be >= 1")
+        require(self.gamma > 0, "gamma",
+                "the kernel bandwidth must be positive")
 
 
 @lru_cache(maxsize=None)

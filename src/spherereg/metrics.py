@@ -269,7 +269,10 @@ def write_met(fh, entries: dict) -> None:
 def metrics_report(fixed: SphericalFeatureMap, warped,
                    stats: DistortionStats | None = None,
                    cm: ClusterMassReport | None = None) -> dict:
-    per_channel, mean = cc_similarity(fixed, warped)
+    """The ``.met`` entries.  A masked warped map is scored over its own
+    mask, the one its resampling carried to the fixed sphere."""
+    mask = warped.mask if isinstance(warped, SphericalFeatureMap) else None
+    per_channel, mean = cc_similarity(fixed, warped, mask)
     entries = {"cc.mean": mean}
     for ch, value in enumerate(per_channel):
         entries[f"cc.ch{ch}"] = float(value)

@@ -24,7 +24,7 @@ from .metrics import cc_similarity, total_loss
 from .optim import ParamStore, read_gmw, write_gmw
 from .warp import DeformationField, build_label_space, compose, control_grid, \
     resample_moving, resample_tensor, soft_deform_tensor, \
-    upsample_deformation_tensor
+    upsample_deformation_tensor, warped_mask
 
 # refine steps per stage that run through the CRF decode (the last ones).
 # On the acceptance cohort 20 steps bring the CRF decode's similarity back
@@ -55,7 +55,7 @@ class SyntheticWarpSpec:
                              f"got {self.smoothness!r}")
         for name, low in (("max_angle", 0), ("n_components", 0),
                           ("field_degree", 1), ("n_channels", 1),
-                          ("noise", 0)):
+                          ("noise", 0), ("seed", 0)):
             if not getattr(self, name) >= low:
                 raise ValueError(f"synthetic warp: {name} must be >= {low}, "
                                  f"got {getattr(self, name)!r}")
@@ -165,7 +165,8 @@ class StageConfig(NetConfig):
                 "must be nonnegative and finite")
         for key in ("epochs", "refine_steps"):
             require(getattr(self, key) >= 0, key, "must be >= 0")
-        self.crf_config()  # the CRF's own checks
+        require(self.crf_iterations >= 1, "crf_iterations",
+                "the mean-field iteration count must be >= 1")
 
     def net_config(self) -> NetConfig:
         return NetConfig(**{f.name: getattr(self, f.name)
@@ -258,11 +259,12 @@ class StageModel:
         """The training loss of the registration that ``logits`` decode to,
         and the warped faces its resampling located (``hint`` is the
         ``resample_tensor`` hint)."""
+        order = self.stage.input_order
         endpoints = self._endpoints(logits, crf)
-        warped, faces = resample_tensor(moving.values, endpoints,
-                                        self.stage.input_order, hint)
-        return total_loss(fixed, warped, endpoints, self.stage.input_order,
-                          self.stage.lam_sm, moving.mask), faces
+        warped, faces = resample_tensor(moving.values, endpoints, order, hint)
+        mask = warped_mask(moving.mask, build_icosphere(order), faces)
+        return total_loss(fixed, warped, endpoints, order, self.stage.lam_sm,
+                          mask), faces
 
     def pair_loss(self, moving: SphericalFeatureMap,
                   fixed: SphericalFeatureMap) -> Tensor:
@@ -468,6 +470,7 @@ class RunConfig:
     ratios: tuple[float, ...] = (0.8, 0.1, 0.1)
 
     def __post_init__(self):
+        require(self.seed >= 0, "seed", "must be >= 0")
         require(len(self.ratios) == 3 and min(self.ratios) >= 0
                 and abs(sum(self.ratios) - 1.0) <= 1e-9, "ratios",
                 "need three nonnegative ratios that sum to 1")

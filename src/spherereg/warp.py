@@ -232,11 +232,17 @@ def resample_moving(moving: SphericalFeatureMap, warped: DeformationField,
         raise ValueError("fixed sphere order differs from the moving map's")
     out, faces = resample_tensor(moving.values, ad.constant(warped.endpoints),
                                  fixed_sphere.order)
-    mask = None
-    if moving.mask is not None:
-        # a fixed vertex stays valid only if its whole containing warped face is
-        mask = moving.mask[fixed_sphere.faces[faces]].all(axis=1)
-    return SphericalFeatureMap(fixed_sphere.order, out.value, mask)
+    return SphericalFeatureMap(fixed_sphere.order, out.value,
+                               warped_mask(moving.mask, fixed_sphere, faces))
+
+
+def warped_mask(mask: np.ndarray | None, sphere: Icosphere,
+                faces: np.ndarray) -> np.ndarray | None:
+    """The mask, on ``sphere``, of a moving map with ``mask`` resampled
+    inside the warped ``faces`` that ``resample_tensor`` located: a fixed
+    vertex stays valid only if all three corners of its warped face are.
+    None for an unmasked map."""
+    return None if mask is None else mask[sphere.faces[faces]].all(axis=1)
 
 
 def compose(first: DeformationField, second: DeformationField) -> DeformationField:

@@ -113,7 +113,7 @@ def test_synth_order_out_of_range(tmp_path):
     ("--smoothness", "0", "smoothness"), ("--max-angle", "-1", "max_angle"),
     ("--components", "-1", "n_components"),
     ("--field-degree", "0", "field_degree"), ("--channels", "0", "n_channels"),
-    ("--noise", "-1", "noise")])
+    ("--noise", "-1", "noise"), ("--seed", "-5", "seed")])
 def test_synth_rejects_settings_it_cannot_generate(tmp_path, capsys, flag,
                                                    value, field):
     from spherereg import cli
@@ -806,7 +806,8 @@ def test_train_rejects_data_that_misfits_a_stage(small_cohort, capsys):
     ("[stage.1]\n", "[crf]\ngamma = 0\n[stage.1]\n", "[crf]", "gamma"),
     ("split = 0.6,0.4,0.0", "split = 0.5,0.2,0.2", "[data]", "split"),
     ("split = 0.6,0.4,0.0", "split = 1.2,-0.2,0", "[data]", "split"),
-    ("split = 0.6,0.4,0.0", "split = 0.6,0.4", "[data]", "split")])
+    ("split = 0.6,0.4,0.0", "split = 0.6,0.4", "[data]", "split"),
+    ("seed = 0\n", "seed = -3\n", "[data]", "seed")])
 def test_train_rejects_settings_training_cannot_use(small_cohort, capsys, old,
                                                     new, where, key):
     from spherereg import cli
@@ -843,6 +844,18 @@ def test_train_without_training_pairs_writes_nothing(small_cohort, capsys,
     assert code == 1 and out == "" and err.count("\n") == 1
     assert err.startswith(f"error: {manifest}: no training pairs")
     assert split in err
+    assert not (root / "ckpt").exists()
+
+
+def test_train_seed_flag_is_checked_as_the_ini_seed(small_cohort, capsys):
+    from spherereg import cli
+
+    root, cfg = small_cohort
+    code = cli.main(["train", "--config", str(cfg), "--out",
+                     str(root / "ckpt"), "--seed", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "error: bad value for key 'seed': must be >= 0\n"
     assert not (root / "ckpt").exists()
 
 
@@ -894,3 +907,70 @@ def test_register_reads_checkpoints_that_hold_crf_blocks(three_stage_ckpt,
     for suffix in ("sfm", "def"):
         assert (root / f"old.{suffix}").read_bytes() == \
             (root / f"new.{suffix}").read_bytes()
+
+
+# -- the exit-code policy --------------------------------------------------
+
+# the module and name of each command's core call
+CORE_CALLS = {"mesh": ("mesh", "build_icosphere"),
+              "synth": ("pipeline", "generate_synthetic_pair"),
+              "train": ("pipeline", "train_run"),
+              "register": ("pipeline", "register_pair"),
+              "eval": ("metrics", "metrics_report")}
+
+
+def _command_line(command, request, tmp_path):
+    """Arguments under which ``command`` reaches its core call."""
+    if command == "mesh":
+        return ["mesh", "--order", "1"]
+    if command == "synth":
+        return ["synth", "--order", "1", "--pairs", "1", "--seed", "0",
+                "--out", str(tmp_path / "d")]
+    if command == "train":
+        root, cfg = request.getfixturevalue("small_cohort")
+        return ["train", "--config", str(cfg), "--out", str(root / "ckpt")]
+    if command == "register":
+        root, ckpt = request.getfixturevalue("three_stage_ckpt")
+        return ["register", "--moving", str(root / "moving.sfm"),
+                "--fixed", str(root / "fixed.sfm"), "--ckpt", str(ckpt),
+                "--out", str(tmp_path / "o.sfm")]
+    root = request.getfixturevalue("eval_inputs")
+    return ["eval", "--fixed", str(root / "fixed.sfm"),
+            "--warped", str(root / "warped.sfm"),
+            "--sphere", str(root / "sphere.ico")]
+
+
+def _raise_from_core_call(monkeypatch, command, error):
+    import importlib
+
+    def fail(*args, **kwargs):
+        raise error("raised by the core call")
+
+    module, name = CORE_CALLS[command]
+    monkeypatch.setattr(importlib.import_module(f"spherereg.{module}"), name,
+                        fail)
+
+
+@pytest.mark.parametrize("error, code", [(ValueError, 1), (OSError, 2),
+                                         (RuntimeError, 3)])
+@pytest.mark.parametrize("command", sorted(CORE_CALLS))
+def test_main_turns_each_error_into_its_exit_code(command, error, code,
+                                                  request, tmp_path,
+                                                  monkeypatch, capsys):
+    from spherereg import cli
+
+    argv = _command_line(command, request, tmp_path)
+    _raise_from_core_call(monkeypatch, command, error)
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("raised by the core call\n")
+
+
+def test_a_program_fault_keeps_its_traceback(monkeypatch, capsys):
+    from spherereg import cli
+
+    _raise_from_core_call(monkeypatch, "mesh", KeyError)
+    with pytest.raises(KeyError, match="raised by the core call"):
+        cli.main(["mesh", "--order", "1"])
+    assert capsys.readouterr().err == ""

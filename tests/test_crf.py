@@ -43,6 +43,16 @@ def test_config_validation():
         CrfConfig(gamma=0.0)
 
 
+@pytest.mark.parametrize("settings, key", [({"iterations": 0}, "iterations"),
+                                           ({"gamma": 0.0}, "gamma")])
+def test_config_errors_name_their_own_fields(settings, key):
+    from spherereg.conv import SettingError
+
+    with pytest.raises(SettingError) as raised:
+        CrfConfig(**settings)
+    assert raised.value.key == key
+
+
 def test_init_crf_params():
     # the fixed weights of a stage: shared, cached and read-only
     omega, mu = default_weights(0, 5)

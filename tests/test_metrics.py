@@ -363,3 +363,13 @@ def test_metrics_report_keys():
     assert report["areal.p95"] == 0.0
     assert report["flipped_faces"] == 0
     assert report["cluster_mass"] == 0.0
+
+
+def test_metrics_report_scores_a_masked_map_over_its_own_mask():
+    rng = np.random.Generator(np.random.Philox(12))
+    f = rng.standard_normal((42, 2))
+    mask = rng.random(42) > 0.3
+    warped = SphericalFeatureMap(1, np.where(mask[:, None], f, 5.0), mask)
+    report = metrics_report(SphericalFeatureMap(1, f), warped)
+    assert report["cc.mean"] == pytest.approx(1.0, abs=1e-12)
+    assert report["cc.ch1"] == pytest.approx(1.0, abs=1e-12)
