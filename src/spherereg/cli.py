@@ -77,20 +77,22 @@ def cmd_synth(args) -> int:
     from .mesh import write_sfm
     from .warp import write_def
 
-    specs = [SyntheticWarpSpec(
-        seed=args.seed + i, max_angle=args.max_angle,
+    # checked before anything is written, even when no pair is made
+    spec = SyntheticWarpSpec(
+        seed=args.seed, max_angle=args.max_angle,
         smoothness=args.smoothness, field_degree=args.field_degree,
         n_components=args.components, n_channels=args.channels,
         noise=args.noise,
-    ) for i in range(args.pairs)]
+    )
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create {args.out}: {exc}") from None
     entries = []
     try:
-        for i, spec in enumerate(specs):
-            moving, fixed, truth = generate_synthetic_pair(spec, args.order)
+        for i in range(args.pairs):
+            moving, fixed, truth = generate_synthetic_pair(
+                replace(spec, seed=args.seed + i), args.order)
             paths = (os.path.join(args.out, f"pair{i:04d}_moving.sfm"),
                      os.path.join(args.out, f"pair{i:04d}_fixed.sfm"),
                      os.path.join(args.out, f"pair{i:04d}_truth.def"))

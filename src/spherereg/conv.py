@@ -441,14 +441,11 @@ class FeatureExtractor:
             self.paths[path] = blocks
 
     def _run_path(self, path: str, values: np.ndarray) -> Tensor:
-        from .mesh import SphericalFeatureMap, downsample_features
-
-        raw = SphericalFeatureMap(self.cfg.input_order, np.asarray(values))
-        x = ad.constant(raw.values)
+        x = ad.constant(values)
         out = x
         for block in self.paths[path]:
-            raw = downsample_features(raw)
-            out = block.forward(out, ad.constant(raw.values))
+            raw = x.value[:vertex_count(block.order - 1)]
+            out = block.forward(out, ad.constant(raw))
         return out
 
     def forward(self, moving_values, fixed_values) -> Tensor:

@@ -4,10 +4,10 @@ Everything in the registration engine lives on subdivided icosahedra
 projected to the unit sphere.  This module constructs those meshes with a
 deterministic vertex ordering (parent vertices first, then edge midpoints
 in sorted parent-edge order), which makes resolution transfers pure index
-operations, and provides feature down/upsampling, max pooling,
-barycentric point location / interpolation, the one-ring least-squares
-gradient stencil that the smoothness penalty applies, and the text file
-formats for spheres and feature maps.
+operations, and provides feature upsampling, max pooling, barycentric
+point location / interpolation, the one-ring least-squares gradient
+stencil that the smoothness penalty applies, and the text file formats
+for spheres and feature maps.
 
 There is one face search, ``locate_warped_faces``: it finds the face
 containing each query on a warped copy of the icosphere, and on the
@@ -17,13 +17,14 @@ candidate faces from ``nearest_vertex``, which finds the point with the
 largest dot product per query on a uniform grid in near-linear time and
 memory, and scores them through ``best_face``, the one point-in-triangle
 test, against a table of each face's edge normals (``face_normals``)
-computed once per call from (3, V) component rows.  Given a hint, such
-as the faces of the previous refinement step, it walks instead of
-searching: a query keeps its hinted face, or else one of the faces around
-that face's corners, when the face holds it strictly inside, which is the
-search's own answer whenever the warped faces cannot overlap; only the
-rest are searched.  Every table of an icosphere is built from sorted
-integer keys.
+computed once per call from (3, V) component rows.  ``PAIR_BUDGET``
+bounds the pairs that the grid search and the last, exhaustive tier score
+at once.  Given a hint, such as the faces of the previous refinement
+step, it walks instead of searching: a query keeps its hinted face, or
+else one of the faces around that face's corners, when the face holds it
+strictly inside, which is the search's own answer whenever the warped
+faces cannot overlap; only the rest are searched.  Every table of an
+icosphere is built from sorted integer keys.
 """
 
 from __future__ import annotations
@@ -212,22 +213,6 @@ class SphericalFeatureMap:
         return self.mask
 
 
-def _transfer_mask(mask, n_out):
-    return None if mask is None else mask[:n_out]
-
-
-def downsample_features(fmap: SphericalFeatureMap) -> SphericalFeatureMap:
-    """Drop to the next-coarser order by extracting the nested vertex rows."""
-    if fmap.sphere_order < 1:
-        raise ValueError("cannot downsample an order-0 feature map")
-    n_out = vertex_count(fmap.sphere_order - 1)
-    return SphericalFeatureMap(
-        fmap.sphere_order - 1,
-        fmap.values[:n_out].copy(),
-        _transfer_mask(fmap.mask, n_out),
-    )
-
-
 def upsample_features(fmap: SphericalFeatureMap) -> SphericalFeatureMap:
     """Lift to the next-finer order; each new edge-midpoint vertex takes the
     mean of its two parent edge endpoints."""
@@ -255,9 +240,8 @@ def pool_features(fmap: SphericalFeatureMap) -> SphericalFeatureMap:
     gathered = np.where(sphere.nbr_mask[:, :, None], gathered, -np.inf)
     pooled = gathered.max(axis=1)
     n_out = vertex_count(fmap.sphere_order - 1)
-    return SphericalFeatureMap(
-        fmap.sphere_order - 1, pooled[:n_out], _transfer_mask(fmap.mask, n_out)
-    )
+    mask = None if fmap.mask is None else fmap.mask[:n_out]
+    return SphericalFeatureMap(fmap.sphere_order - 1, pooled[:n_out], mask)
 
 
 @dataclass(frozen=True)
@@ -297,40 +281,36 @@ def face_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return _normal_table(_face_rows(vertices, faces)[1])
 
 
-def best_face(normals: np.ndarray, queries: np.ndarray,
-              cand: np.ndarray | None = None):
+def best_face(normals: np.ndarray, queries: np.ndarray, cand: np.ndarray):
     """Per unit query, the candidate face that best contains it.
 
     ``normals`` is the (F, 3, 3) table of ``face_normals``.  ``cand`` is an
-    (N, K) table of candidate faces padded with -1; None makes every face a
-    candidate.  A face's unnormalized weights are the triple products of
-    the query with its three edge normals; its score is the smallest weight
-    over their sum, positive iff the query's gnomonic projection lies
-    inside the face, and -inf on the far side (sum <= 1e-12) and for
-    padding.  Ties go to the earliest candidate.
+    (N, K) table of candidate faces padded with -1.  A face's unnormalized
+    weights are the triple products of the query with its three edge
+    normals; its score is the smallest weight over their sum, positive iff
+    the query's gnomonic projection lies inside the face, and -inf on the
+    far side (sum <= 1e-12) and for padding.  Ties go to the earliest
+    candidate.
 
     Returns (face, score, w): per query the best face, its score and its
     (N, 3) unnormalized weights.
     """
-    if cand is None:
-        w = (queries @ normals.reshape(-1, 3).T).reshape(len(queries), -1, 3)
-    else:
-        # np.take gathers rows several times faster than fancy indexing
-        w = np.einsum("nj,nkij->nki", queries,
-                      np.take(normals, np.clip(cand, 0, None), axis=0))
+    # np.take gathers rows several times faster than fancy indexing
+    w = np.einsum("nj,nkij->nki", queries,
+                  np.take(normals, np.clip(cand, 0, None), axis=0))
     w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
     s = w0 + w1 + w2
     with np.errstate(divide="ignore", invalid="ignore"):
         score = np.minimum(np.minimum(w0, w1), w2) / s
-    ok = s > 1e-12 if cand is None else (s > 1e-12) & (cand >= 0)
-    score = np.where(ok, score, -np.inf)
+    score = np.where((s > 1e-12) & (cand >= 0), score, -np.inf)
     pick = np.argmax(score, axis=1)
     rows = np.arange(len(queries))
-    face = pick if cand is None else cand[rows, pick]
-    return face, score[rows, pick], w[rows, pick]
+    return cand[rows, pick], score[rows, pick], w[rows, pick]
 
 
-PAIR_BUDGET = 1 << 18  # (query, point) pairs scored at once
+# (query, point) or (query, face) pairs scored at once, by the grid search
+# of ``nearest_vertex`` and by the exhaustive sweep of ``_search_faces``
+PAIR_BUDGET = 1 << 18
 
 
 @lru_cache(maxsize=None)
@@ -443,11 +423,11 @@ def locate_warped_faces(endpoints: np.ndarray, sphere: Icosphere,
 
     Candidates come from the one- then two-ring of the nearest endpoint
     (``nearest_vertex`` on a grid of the sphere's longest edge), with an
-    exhaustive sweep for any stragglers, so the result is deterministic
-    even when the warp slightly shears the mesh.  A query on a shared edge
-    or corner goes to the earliest candidate face that holds it.  Time and
-    memory are near-linear in the vertex count for warps that keep
-    neighbours near each other.
+    exhaustive sweep, ``PAIR_BUDGET`` pairs at a time, for any stragglers,
+    so the result is deterministic even when the warp slightly shears the
+    mesh.  A query on a shared edge or corner goes to the earliest
+    candidate face that holds it.  Time and memory are near-linear in the
+    vertex count for warps that keep neighbours near each other.
 
     ``hint`` is an optional guess of one face per query, such as the faces
     of a nearby earlier warp, where a walk starts (Devillers, Pion &
@@ -507,8 +487,14 @@ def _search_faces(endpoints, sphere, normals, queries):
         faces[missing], score[missing], _ = best_face(
             normals, queries[missing], ring2.reshape(len(missing), -1))
         missing = missing[score[missing] < -1e-9]
-        if len(missing):
-            faces[missing], _, _ = best_face(normals, queries[missing])
+        # every face, for a budget's worth of queries at a time
+        step = max(1, PAIR_BUDGET // sphere.n_faces)
+        every = np.arange(sphere.n_faces)
+        for start in range(0, len(missing), step):
+            chunk = missing[start:start + step]
+            faces[chunk], _, _ = best_face(
+                normals, queries[chunk],
+                np.broadcast_to(every, (len(chunk), len(every))))
     return faces
 
 

@@ -30,24 +30,25 @@ def _as_values(x) -> np.ndarray:
     return np.asarray(x)
 
 
-def _valid_index(fixed: SphericalFeatureMap, moving_mask=None) -> np.ndarray:
+def _valid_index(fixed: SphericalFeatureMap, mask=None) -> np.ndarray:
     valid = fixed.valid_mask()
-    if moving_mask is not None:
-        valid = valid & moving_mask
+    if mask is not None:
+        valid = valid & mask
     return np.nonzero(valid)[0]
 
 
-def similarity_loss(fixed: SphericalFeatureMap, warped, moving_mask=None) -> Tensor:
+def similarity_loss(fixed: SphericalFeatureMap, warped, mask=None) -> Tensor:
     """MSE minus mean per-channel Pearson correlation over valid vertices.
 
-    ``warped`` may be a Tensor (training) or an array/feature map.  A
-    zero-variance channel contributes zero correlation with a warning.
-    One tape node on ``warped``.
+    ``warped`` may be a Tensor (training) or an array/feature map; ``mask``
+    is its valid vertices in fixed space (``warp.warped_mask`` of the moving
+    mask).  A zero-variance channel contributes zero correlation with a
+    warning.  One tape node on ``warped``.
     """
     warped_t = warped if isinstance(warped, Tensor) else ad.constant(_as_values(warped))
     if warped_t.shape != fixed.values.shape:
         raise ValueError("fixed and warped maps differ in shape")
-    idx = _valid_index(fixed, moving_mask)
+    idx = _valid_index(fixed, mask)
     f = fixed.values[idx]
     m = np.take(warped_t.value, idx, axis=0)
     diff = m - f
@@ -112,21 +113,22 @@ def smoothness_loss(endpoints, order: int) -> Tensor:
 
 
 def total_loss(fixed: SphericalFeatureMap, warped, endpoints, order: int,
-               smooth: float, moving_mask=None) -> Tensor:
+               smooth: float, mask=None) -> Tensor:
     """Similarity loss plus ``smooth`` times the smoothness penalty."""
-    loss = similarity_loss(fixed, warped, moving_mask)
+    loss = similarity_loss(fixed, warped, mask)
     if smooth > 0:
         loss = loss + smooth * smoothness_loss(endpoints, order)
     return loss
 
 
-def cc_similarity(fixed: SphericalFeatureMap, warped, moving_mask=None):
-    """Per-channel Pearson correlation over valid vertices and their mean.
+def cc_similarity(fixed: SphericalFeatureMap, warped, mask=None):
+    """Per-channel Pearson correlation over valid vertices and their mean;
+    ``mask`` is the warped map's valid vertices in fixed space.
 
     Zero-variance channels are reported as nan and excluded from the mean.
     """
     w = _as_values(warped)
-    idx = _valid_index(fixed, moving_mask)
+    idx = _valid_index(fixed, mask)
     f, m = fixed.values[idx], w[idx]
     per_channel = np.full(fixed.channels, np.nan)
     for ch in range(fixed.channels):

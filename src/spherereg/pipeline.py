@@ -1,7 +1,7 @@
 """End-to-end orchestration: synthetic pair generation, per-stage training
 with best-validation checkpointing, and serial coarse-to-fine
 registration.  A stage is one ``StageConfig``; its checkpoint, the files
-``stageK.arch``, ``.gmw`` and ``.cfg``, is written by ``train_run`` and
+``stageK.arch``, ``.gmw`` and ``.cfg``, is written by ``write_stage`` and
 read by ``read_stages``."""
 
 from __future__ import annotations
@@ -561,6 +561,16 @@ def stage_path(ckpt_dir, k: int, suffix: str) -> str:
     return os.path.join(ckpt_dir, f"stage{k}{suffix}")
 
 
+def write_stage(ckpt_dir, k: int, stage: StageConfig,
+                store: ParamStore) -> None:
+    """Write the checkpoint of stage ``k`` to ``ckpt_dir``, the files that
+    ``read_stages`` reads: the weights to ``.gmw``, the architecture to
+    ``.arch`` and the other settings to ``.cfg``."""
+    write_gmw(stage_path(ckpt_dir, k, ".gmw"), store)
+    write_arch(stage_path(ckpt_dir, k, ".arch"), stage.net_config())
+    write_stage_cfg(stage_path(ckpt_dir, k, ".cfg"), stage)
+
+
 def read_stages(ckpt_dir):
     """(StageConfig, ParamStore) of the checkpoints stage1 ... stageK that
     ``train_run`` wrote to ``ckpt_dir``: the architecture from ``.arch``,
@@ -621,9 +631,7 @@ def train_run(cfg: RunConfig, pairs, ckpt_dir, log=None):
     for k, stage in enumerate(cfg.stages, 1):
         store, trace = train_stage(stage, train_pairs, val_pairs, cfg.seed,
                                    log=log)
-        write_gmw(stage_path(ckpt_dir, k, ".gmw"), store)
-        write_arch(stage_path(ckpt_dir, k, ".arch"), stage.net_config())
-        write_stage_cfg(stage_path(ckpt_dir, k, ".cfg"), stage)
+        write_stage(ckpt_dir, k, stage, store)
         with open(stage_path(ckpt_dir, k, "_trace.csv"), "w") as fh:
             fh.write("epoch,train_loss,val_cc\n")
             for rec in trace:

@@ -127,6 +127,20 @@ def test_synth_rejects_settings_it_cannot_generate(tmp_path, capsys, flag,
     assert not (tmp_path / "d").exists()
 
 
+def test_synth_checks_settings_without_pairs(tmp_path, capsys):
+    # with no pair to make, the settings are still checked before --out
+    # is created
+    from spherereg import cli
+
+    code = cli.main(["synth", "--order", "1", "--pairs", "0", "--seed", "-5",
+                     "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: synthetic warp: seed must be >= 0")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "d").exists()
+
+
 def test_synth_write_failure_is_an_io_error(tmp_path, capsys):
     from spherereg import cli
 
@@ -280,19 +294,15 @@ def _three_stages():
 @pytest.fixture(scope="module")
 def three_stage_ckpt(tmp_path_factory):
     """Seed-initialized checkpoints of three stages and one order-2 pair."""
-    from spherereg.conv import write_arch
     from spherereg.mesh import write_sfm
-    from spherereg.optim import write_gmw
     from spherereg.pipeline import SyntheticWarpSpec, StageModel, \
-        generate_synthetic_pair, write_stage_cfg
+        generate_synthetic_pair, write_stage
 
     root = tmp_path_factory.mktemp("three_stages")
     ckpt = root / "ckpt"
     ckpt.mkdir()
     for k, stage in enumerate(_three_stages(), 1):
-        write_gmw(ckpt / f"stage{k}.gmw", StageModel(stage, seed=k).store)
-        write_arch(ckpt / f"stage{k}.arch", stage.net_config())
-        write_stage_cfg(ckpt / f"stage{k}.cfg", stage)
+        write_stage(ckpt, k, stage, StageModel(stage, seed=k).store)
     moving, fixed, _ = generate_synthetic_pair(SyntheticWarpSpec(seed=4), 2)
     write_sfm(root / "moving.sfm", moving)
     write_sfm(root / "fixed.sfm", fixed)

@@ -85,7 +85,7 @@ def test_similarity_respects_masks():
     # the moving-side mask composes by intersection
     mv_mask = np.ones(42, dtype=bool)
     mv_mask[5:] = False
-    got2 = float(similarity_loss(fixed, w, moving_mask=mv_mask).value)
+    got2 = float(similarity_loss(fixed, w, mask=mv_mask).value)
     assert got2 == pytest.approx(-1.0, abs=1e-12)
 
 

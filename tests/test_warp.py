@@ -203,6 +203,24 @@ def _oracle_scores(vertices, faces, queries):
         return np.where(total > 1e-12, w.min(axis=0) / total, -np.inf)
 
 
+def _count_tiers(monkeypatch, sphere):
+    """A dict that counts the queries ``best_face`` scores in the search's
+    two-ring and exhaustive tiers on ``sphere``: a candidate table wider
+    than one vertex's six faces, and one as wide as the face count."""
+    tiers = {"ring2": 0, "exhaustive": 0}
+    search = mesh.best_face
+
+    def counted(normals, queries, cand):
+        if cand.shape[1] == sphere.n_faces:
+            tiers["exhaustive"] += len(queries)
+        elif cand.shape[1] > 6:
+            tiers["ring2"] += len(queries)
+        return search(normals, queries, cand)
+
+    monkeypatch.setattr(mesh, "best_face", counted)
+    return tiers
+
+
 @pytest.mark.parametrize("order, amplitude", [(2, 0.2), (3, 0.05)])
 def test_locate_warped_faces_matches_brute_force_oracle(order, amplitude,
                                                         monkeypatch):
@@ -210,17 +228,7 @@ def test_locate_warped_faces_matches_brute_force_oracle(order, amplitude,
     # nearest warped vertex misses some queries: the two-ring and the
     # exhaustive tiers must still find a containing face
     sphere = build_icosphere(order)
-    tiers = {"ring2": 0, "exhaustive": 0}
-    search = mesh.best_face
-
-    def counted(normals, queries, cand=None):
-        if cand is None:
-            tiers["exhaustive"] += len(queries)
-        elif cand.shape[1] > 6:
-            tiers["ring2"] += len(queries)
-        return search(normals, queries, cand)
-
-    monkeypatch.setattr(mesh, "best_face", counted)
+    tiers = _count_tiers(monkeypatch, sphere)
     for seed in range(5):
         rng = np.random.Generator(np.random.Philox(seed))
         ends = sphere.vertices + amplitude * rng.standard_normal(
@@ -255,6 +263,32 @@ def test_locate_warped_faces_memory_is_near_linear():
         tracemalloc.stop()
     assert peak < 64e6
     assert len(faces) == sphere.n_vertices
+
+
+def test_exhaustive_tier_memory_is_bounded(monkeypatch):
+    # jitter of half an edge folds the order-5 mesh so that some queries
+    # miss both rings; the last tier scores every face for a few queries
+    # at a time, where one (N, F, 3) block would take hundreds of MB
+    import tracemalloc
+
+    sphere = build_icosphere(5)
+    ends = _jitter(sphere, 0.5 * mesh.longest_edge(5),
+                   np.random.Generator(np.random.Philox(5)))
+    tiers = _count_tiers(monkeypatch, sphere)
+    tracemalloc.start()
+    try:
+        faces = locate_warped_faces(ends, sphere, sphere.vertices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tiers["exhaustive"] > 0
+    normals = mesh.face_normals(ends, sphere.faces)
+    score = mesh.best_face(normals, sphere.vertices, faces[:, None])[1]
+    # a query outside its face is one that no face holds
+    outside = sphere.vertices[score < -1e-9]
+    assert (_oracle_scores(ends, sphere.faces, outside).max(
+        axis=1, initial=-np.inf) < -1e-9).all()
+    assert peak < 64 * 2**20
 
 
 def _jitter(sphere, amplitude, rng):
