@@ -6,7 +6,10 @@ Exit codes: 0 success; 1 a usage, config or data error (``ValueError``);
 (``FloatingPointError``, ``RuntimeError``).  Commands raise, and ``main``
 alone turns an exception into its code and one ``error:`` line; any other
 exception is a fault of the program and keeps its traceback.  A command
-catches an error only to add words to it and raise it again.
+catches an error only to add words to it and raise it again.  A usage
+error (a missing or malformed flag, or a value out of range) is a
+``ValueError`` too: it exits 1 with its ``error:`` line and the usage
+line.
 
 ``--threads 1`` pins the numerical libraries to one thread, which
 guarantees bitwise-reproducible runs.  The cap is set through the
@@ -277,19 +280,19 @@ def cmd_selftest(args) -> int:
     normals = face_normals(ends, sphere.faces)
     ring1 = best_face(normals, sphere.vertices,
                       sphere.vertex_faces[nearest])[1]
-    faces = locate_warped_faces(ends, sphere, sphere.vertices)
+    faces, _ = locate_warped_faces(ends, sphere, sphere.vertices)
     score = best_face(normals, sphere.vertices, faces[:, None])[1]
     check("warped face location past the one-ring",
           bool((ring1 < -1e-9).any() and (score >= -1e-9).all()))
     # the identity warp's faces as a hint: on the jittered warp, which
     # folds, and on a fifth of its jitter, which covers the sphere once
-    start = locate_warped_faces(sphere.vertices, sphere, sphere.vertices)
+    start, _ = locate_warped_faces(sphere.vertices, sphere, sphere.vertices)
     mild = sphere.vertices + 0.2 * (ends - sphere.vertices)
     mild /= np.linalg.norm(mild, axis=1, keepdims=True)
     check("warm face location matches the cold search", all(
         np.array_equal(locate_warped_faces(w, sphere, sphere.vertices,
-                                           hint=start),
-                       locate_warped_faces(w, sphere, sphere.vertices))
+                                           hint=start)[0],
+                       locate_warped_faces(w, sphere, sphere.vertices)[0])
         for w in (ends, mild)))
 
     errs = check_registered_ops(n_probes=10, seed=0)
@@ -340,8 +343,16 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValueError, with the
+    usage line after the message, instead of exiting 2 (the I/O code)."""
+
+    def error(self, message):
+        raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spherereg",
         description="Spherical surface registration via discrete "
                     "deformation learning.",
@@ -398,28 +409,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(args) -> str | None:
+def _validate(parser, args) -> None:
     if args.command == "mesh" and not 0 <= args.order <= 8:
-        return "mesh order must be between 0 and 8"
+        parser.error("mesh order must be between 0 and 8")
     if args.command == "synth":
         if args.pairs < 0:
-            return "pair count must be nonnegative"
+            parser.error("pair count must be nonnegative")
         if not 0 <= args.order <= 6:
-            return "synth order must be between 0 and 6"
-    return None
+            parser.error("synth order must be between 0 and 6")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads > 0:
-        _set_threads(args.threads)
-    problem = _validate(args)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        print(parser.format_usage(), file=sys.stderr, end="")
-        return EXIT_USAGE
     try:
+        args = parser.parse_args(argv)
+        if args.threads > 0:
+            _set_threads(args.threads)
+        _validate(parser, args)
         return args.func(args)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)

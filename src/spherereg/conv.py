@@ -11,9 +11,9 @@ A convolution is two tape nodes.  ``_gaussian_weights`` forms the kernel
 exponent, a quadratic in the fixed offsets, as one GEMM of per-order
 quadratic features against a (6, J) parameter matrix.  ``_aggregate``
 gathers the ring, forms the weighted patches and mixes them with one GEMM;
-its backward sums the features' gradient over a reverse ring table.  The
-resolution transfers, ``tape_maxpool`` and ``tape_upsample``, are one tape
-node each.
+its backward sums the features' gradient over the sphere's reverse ring
+table (``Icosphere.ring_sum``).  The resolution transfers,
+``tape_maxpool`` and ``tape_upsample``, are one tape node each.
 
 ``NetConfig`` is a stage network's architecture.  ``parse_settings`` and
 ``build_config`` turn setting text (the run INI, a ``.cfg`` or an
@@ -41,17 +41,14 @@ class PseudoCoords:
     """Per directed one-ring edge: (polar offset, azimuthal offset scaled by
     sin of the center's polar angle).  Aligned with ``Icosphere.nbr_pad``;
     the self slot and padding carry (0, 0).  ``quad`` holds each slot's
-    quadratic features, ``pad`` the flat padded slots, and row k of ``rev``
-    a flat slot holding each vertex: every vertex fills seven slots (its
-    own, one in each neighbour's ring, and a pentagon's padding, which
-    repeats the center).  The arrays are shared, so read-only."""
+    quadratic features and ``pad`` the flat padded slots.  The arrays are
+    shared, so read-only."""
 
     order: int
     offsets: np.ndarray  # (V, 7, 2)
     counts: np.ndarray  # (V,) including the center
     quad: np.ndarray  # (V * 7, 6)
     pad: np.ndarray  # flat indices of the padded slots
-    rev: np.ndarray  # (7, V) flat ring slots
 
     @property
     def box(self) -> float:
@@ -96,13 +93,10 @@ def pseudo_coords(order: int) -> PseudoCoords:
     ox, oy = offsets[:, :, 0].ravel(), offsets[:, :, 1].ravel()
     quad = np.stack([ox * ox, 2 * ox * oy, oy * oy, ox, oy,
                      np.ones_like(ox)], axis=1)
-    rev = np.argsort(nbr.ravel(), kind="stable").reshape(-1, 7).T
     coords = PseudoCoords(order, offsets,
                           sphere.nbr_mask.sum(axis=1).astype(np.float64),
-                          quad, np.flatnonzero(~sphere.nbr_mask),
-                          np.ascontiguousarray(rev))
-    for table in (coords.offsets, coords.counts, coords.quad, coords.pad,
-                  coords.rev):
+                          quad, np.flatnonzero(~sphere.nbr_mask))
+    for table in (coords.offsets, coords.counts, coords.quad, coords.pad):
         table.setflags(write=False)
     return coords
 
@@ -166,14 +160,14 @@ def _aggregate(coords: PseudoCoords, features: Tensor, w: Tensor, g: Tensor,
                b: Tensor) -> Tensor:
     """One tape node: the ring mean of the kernel-weighted features, mixed
     by ``g`` (J, C_in, C_out) with one GEMM, plus ``b``.  The backward
-    forms ``g_out @ mixing^T`` once for all four VJPs and sums the
-    features' gradient over ``coords.rev`` instead of scattering it."""
-    ring = build_icosphere(coords.order).nbr_pad
+    forms ``g_out @ mixing^T`` once for all four VJPs and takes the ring
+    gather of the features back with ``Icosphere.ring_sum``."""
+    sphere = build_icosphere(coords.order)
     n, _, n_k = w.shape
     c_in = features.shape[1]
     mixing = g.value.reshape(n_k * c_in, -1)
     counts = coords.counts[:, None]
-    gathered = np.take(features.value, ring, axis=0)  # (V, 7, C_in)
+    gathered = np.take(features.value, sphere.nbr_pad, axis=0)  # (V, 7, C_in)
     patches = np.matmul(w.value.transpose(0, 2, 1), gathered).reshape(n, -1)
     out = patches @ mixing
     out /= counts
@@ -189,8 +183,7 @@ def _aggregate(coords: PseudoCoords, features: Tensor, w: Tensor, g: Tensor,
         return shared[1], shared[2]
 
     def vjp_features(g_out):
-        slots = np.matmul(w.value, back(g_out)[1]).reshape(-1, c_in)
-        return np.take(slots, coords.rev, axis=0).sum(axis=0)
+        return sphere.ring_sum(np.matmul(w.value, back(g_out)[1]))
 
     def vjp_weights(g_out):
         return np.matmul(gathered, back(g_out)[1].transpose(0, 2, 1))

@@ -21,9 +21,14 @@ computed once per call from (3, V) component rows.  ``PAIR_BUDGET``
 bounds the pairs that the grid search and the last, exhaustive tier score
 at once.  Given a hint, such as the faces of the previous refinement
 step, it walks instead of searching: a query keeps its hinted face, or
-else one of the faces around that face's corners, when the face holds it
-strictly inside, which is the search's own answer whenever the warped
-faces cannot overlap; only the rest are searched.  Every table of an
+else the first face it reaches by stepping across the edge facing its
+smallest weight, when the face holds it strictly inside, which is the
+search's own answer whenever the warped faces cannot overlap; only the
+rest are searched.  The walk scores each face with the triple products
+that resampling interpolates with (``triple_products``), formed on the
+(3, N) corner rows of the faces it visits, so the face table is built
+only for a search.  The search returns these triple products with the
+faces, so a resampling forms none of its own.  Every table of an
 icosphere is built from sorted integer keys.
 """
 
@@ -55,8 +60,14 @@ class Icosphere:
     ``n_parent + i`` (empty at order 0).  ``nbr_pad`` is the one
     neighbour table, (V, 7): column 0 is the vertex itself, columns 1..
     hold its one-ring in ascending index order, padded by repeating the
-    vertex itself; ``nbr_mask`` marks real entries.  ``vertex_faces`` is
-    (V, 6): each vertex's faces in ascending order, padded with -1.
+    vertex itself; ``nbr_mask`` marks real entries.  ``nbr_rev`` is the
+    reverse ring table, (7, V): row k gives one flat ``nbr_pad`` slot
+    holding each vertex, and every vertex fills seven slots (its own, one
+    in each neighbour's ring, and a pentagon's padding, which repeats the
+    center), listed in ascending slot order.  ``ring_sum`` gathers over it
+    to take a ring gather back.  ``vertex_faces`` is (V, 6): each vertex's
+    faces in ascending order, padded with -1.  ``face_across`` is (F, 3):
+    the face across the edge opposite each corner.
     """
 
     order: int
@@ -65,7 +76,9 @@ class Icosphere:
     midpoint_edges: np.ndarray
     nbr_pad: np.ndarray = field(repr=False)
     nbr_mask: np.ndarray = field(repr=False)
+    nbr_rev: np.ndarray = field(repr=False)
     vertex_faces: np.ndarray = field(repr=False)
+    face_across: np.ndarray = field(repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -74,6 +87,19 @@ class Icosphere:
     @property
     def n_faces(self) -> int:
         return self.faces.shape[0]
+
+    def ring_sum(self, slots: np.ndarray) -> np.ndarray:
+        """The transpose of the ring gather ``np.take(x, nbr_pad,
+        axis=0)``: the (V, 7, ...) slot values summed into the rows of the
+        vertices they were gathered from, as a (V, columns) array.  Each
+        row adds its seven slots in ascending slot order, as
+        ``autodiff.scatter_rows`` does, but as seven row gathers over
+        ``nbr_rev`` instead of one ``bincount`` per column."""
+        flat = np.reshape(slots, (self.n_vertices * 7, -1))
+        out = np.take(flat, self.nbr_rev[0], axis=0)
+        for slot in self.nbr_rev[1:]:
+            out += np.take(flat, slot, axis=0)
+        return out
 
 
 def _base_icosahedron():
@@ -152,6 +178,8 @@ def build_icosphere(order: int) -> Icosphere:
     nbr_mask = np.zeros((n, 7), dtype=bool)
     nbr_mask[:, 0] = True
     nbr_mask[rows, slot] = True
+    nbr_rev = np.ascontiguousarray(
+        np.argsort(nbr_pad.ravel(), kind="stable").reshape(-1, 7).T)
 
     # a stable sort of the corners by vertex keeps each vertex's faces in
     # ascending order
@@ -162,8 +190,18 @@ def build_icosphere(order: int) -> Icosphere:
     vertex_faces[owner, np.arange(len(owner))
                  - np.searchsorted(owner, owner)] = by_vertex // 3
 
+    # the edge opposite corner k of face f, keyed like the directed edges
+    # above: its two (face, corner) slots 3 f + k sort next to each other
+    u, v = faces[:, [1, 2, 0]].ravel(), faces[:, [2, 0, 1]].ravel()
+    pairs = np.argsort(np.minimum(u, v) * n + np.maximum(u, v),
+                       kind="stable").reshape(-1, 2)
+    face_across = np.empty(len(u), dtype=np.int64)
+    face_across[pairs[:, 0]] = pairs[:, 1] // 3
+    face_across[pairs[:, 1]] = pairs[:, 0] // 3
+    face_across = face_across.reshape(-1, 3)
+
     for table in (vertices, faces, midpoint_edges, nbr_pad, nbr_mask,
-                  vertex_faces):
+                  nbr_rev, vertex_faces, face_across):
         table.setflags(write=False)
     return Icosphere(
         order=order,
@@ -172,7 +210,9 @@ def build_icosphere(order: int) -> Icosphere:
         midpoint_edges=midpoint_edges,
         nbr_pad=nbr_pad,
         nbr_mask=nbr_mask,
+        nbr_rev=nbr_rev,
         vertex_faces=vertex_faces,
+        face_across=face_across,
     )
 
 
@@ -260,12 +300,26 @@ def cross_rows(u, v):
                      u[0] * v[1] - u[1] * v[0]])
 
 
-def _face_rows(vertices, faces):
-    """Each face's corners (a, b, c) and edge normals (b x c, c x a,
-    a x b), all as (3, F) component rows."""
-    vt = np.ascontiguousarray(vertices.T)
-    a, b, c = (np.take(vt, faces[:, k], axis=1) for k in range(3))
-    return (a, b, c), (cross_rows(b, c), cross_rows(c, a), cross_rows(a, b))
+def _dot_rows(u, v):
+    """Dot products of (3, N) component rows, as column adds in order."""
+    p = u * v
+    return p[0] + p[1] + p[2]
+
+
+def corner_rows(rows, corners):
+    """The corners (a, b, c) of faces, as three (3, N) component rows, from
+    the vertices' (3, V) ``rows`` and an (N, 3) table of corner indices."""
+    return [np.take(rows, corners[:, k], axis=1) for k in range(3)]
+
+
+def triple_products(queries, a, b, c):
+    """The triple products ``q . (b x c), q . (c x a), q . (a x b)`` of
+    (3, N) query rows with the edge normals of faces (a, b, c) given as
+    (3, N) corner rows: each query's unnormalized barycentric weights on
+    corners a, b and c."""
+    return [_dot_rows(queries, cross_rows(b, c)),
+            _dot_rows(queries, cross_rows(c, a)),
+            _dot_rows(queries, cross_rows(a, b))]
 
 
 def _normal_table(rows):
@@ -278,7 +332,9 @@ def face_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     the triple product of a point with normal ``i`` is its unnormalized
     barycentric weight on corner ``i``.  Built from component rows, with
     the arithmetic of ``np.cross`` and so its bits."""
-    return _normal_table(_face_rows(vertices, faces)[1])
+    a, b, c = corner_rows(np.ascontiguousarray(vertices.T), faces)
+    return _normal_table((cross_rows(b, c), cross_rows(c, a),
+                          cross_rows(a, b)))
 
 
 def best_face(normals: np.ndarray, queries: np.ndarray, cand: np.ndarray):
@@ -298,14 +354,20 @@ def best_face(normals: np.ndarray, queries: np.ndarray, cand: np.ndarray):
     # np.take gathers rows several times faster than fancy indexing
     w = np.einsum("nj,nkij->nki", queries,
                   np.take(normals, np.clip(cand, 0, None), axis=0))
-    w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
-    s = w0 + w1 + w2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        score = np.minimum(np.minimum(w0, w1), w2) / s
-    score = np.where((s > 1e-12) & (cand >= 0), score, -np.inf)
+    score = np.where(cand >= 0, _score(w[..., 0], w[..., 1], w[..., 2]),
+                     -np.inf)
     pick = np.argmax(score, axis=1)
     rows = np.arange(len(queries))
     return cand[rows, pick], score[rows, pick], w[rows, pick]
+
+
+def _score(w0, w1, w2):
+    """The score of unnormalized weights in a face: the smallest over
+    their sum, and -inf on the far side (sum <= 1e-12)."""
+    s = w0 + w1 + w2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = np.minimum(np.minimum(w0, w1), w2) / s
+    return np.where(s > 1e-12, score, -np.inf)
 
 
 # (query, point) or (query, face) pairs scored at once, by the grid search
@@ -412,11 +474,12 @@ def _block_nearest(points, order, queries, start, stop):
 
 
 HINT_MARGIN = 1e-6  # score that settles a query in a hinted or walked face
+WALK_STEPS = 4  # faces a walk visits past the hinted one before a search
 
 
 def locate_warped_faces(endpoints: np.ndarray, sphere: Icosphere,
                         queries: np.ndarray,
-                        hint: np.ndarray | None = None) -> np.ndarray:
+                        hint: np.ndarray | None = None):
     """Per unit query, the face of the sphere's mesh that contains it once
     the vertices move to ``endpoints``; ``sphere.vertices`` locates on the
     sphere itself (the identity warp).
@@ -435,28 +498,55 @@ def locate_warped_faces(endpoints: np.ndarray, sphere: Icosphere,
     cover the sphere exactly once (``_covers_once``) no two of them
     overlap, so a query that scores above ``HINT_MARGIN`` in a face lies
     in no other face, and that face is the search's answer.  A query keeps
-    its hinted face when it scores so there; otherwise the walk takes one
-    step, to the faces around the hinted face's corners, and the query
-    keeps the one it scores so in.  The queries left, and every query of a
-    warp that folds, take the search above.
+    its hinted face when it scores so there, by its ``triple_products``
+    with the hinted face; otherwise it walks, up to ``WALK_STEPS`` faces,
+    each across the edge opposite the corner of its smallest weight (a
+    visibility walk), and keeps the first face it scores so in.  The
+    queries left, and every query of a warp that folds, take the search
+    above; only the search builds the face table.
+
+    Returns the faces and each query's ``triple_products`` in its face,
+    three (N,) arrays: its unnormalized barycentric weights, formed once
+    per query and face.
     """
-    corners, rows = _face_rows(endpoints, sphere.faces)
-    normals = _normal_table(rows)
-    if hint is None or not _covers_once(corners, rows[0]):
-        return _search_faces(endpoints, sphere, normals, queries)
+    rows = np.ascontiguousarray(endpoints.T)
+    a, b, c = corners = corner_rows(rows, sphere.faces)
+    normals_a = cross_rows(b, c)
+
+    def search(queries):
+        table = _normal_table((normals_a, cross_rows(c, a), cross_rows(a, b)))
+        faces = _search_faces(endpoints, sphere, table, queries)
+        return faces, _face_weights(rows, sphere, faces, queries)
+
+    if hint is None or not _covers_once(corners, normals_a):
+        return search(queries)
     faces = np.array(hint, dtype=np.int64)
-    cold = np.nonzero(best_face(normals, queries, faces[:, None])[1]
-                      <= HINT_MARGIN)[0]
-    if len(cold):
-        ring = sphere.vertex_faces[sphere.faces[faces[cold]]]
-        found, score, _ = best_face(normals, queries[cold],
-                                    ring.reshape(len(cold), -1))
-        inside = score > HINT_MARGIN
-        faces[cold[inside]] = found[inside]
-        cold = cold[~inside]
-    if len(cold):
-        faces[cold] = _search_faces(endpoints, sphere, normals, queries[cold])
-    return faces
+    w = _face_weights(rows, sphere, faces, queries)
+    walk = np.nonzero(_score(*w) <= HINT_MARGIN)[0]
+    at, walk_w = faces[walk], [wk[walk] for wk in w]
+    for _ in range(WALK_STEPS):
+        if not len(walk):
+            break
+        at = sphere.face_across[at, np.argmin(walk_w, axis=0)]
+        walk_w = _face_weights(rows, sphere, at, queries[walk])
+        inside = _score(*walk_w) > HINT_MARGIN
+        faces[walk[inside]] = at[inside]
+        for wk, new in zip(w, walk_w):
+            wk[walk[inside]] = new[inside]
+        walk, at = walk[~inside], at[~inside]
+        walk_w = [wk[~inside] for wk in walk_w]
+    if len(walk):
+        faces[walk], found_w = search(queries[walk])
+        for wk, new in zip(w, found_w):
+            wk[walk] = new
+    return faces, w
+
+
+def _face_weights(rows, sphere, faces, queries):
+    """The ``triple_products`` of (N, 3) queries in their ``faces`` of the
+    warped sphere whose vertices have (3, V) component ``rows``."""
+    return triple_products(queries.T, *corner_rows(
+        rows, np.take(sphere.faces, faces, axis=0)))
 
 
 def _covers_once(corners, normals_a) -> bool:
@@ -508,7 +598,9 @@ def barycentric_map(sphere: Icosphere, queries: np.ndarray) -> BarycentricMap:
     if np.any(norms < 1e-12):
         raise ValueError("degenerate (zero) query point")
     queries = queries / norms[:, None]
-    faces = locate_warped_faces(sphere.vertices, sphere, queries)
+    faces, _ = locate_warped_faces(sphere.vertices, sphere, queries)
+    # best_face's weights, not the search's triple products, which round
+    # differently in the last bit: the transfer maps keep their bits
     _, _, w = best_face(face_normals(sphere.vertices, sphere.faces), queries,
                         faces[:, None])
     w = np.clip(w, 0.0, None)

@@ -92,7 +92,9 @@ def similarity_loss(fixed: SphericalFeatureMap, warped, mask=None) -> Tensor:
 def smoothness_loss(endpoints, order: int) -> Tensor:
     """Diffusion penalty: mean over vertices of the summed tangent-gradient
     magnitudes of the three displacement components.  One tape node; the
-    (V, 2, 7) stencil is applied as a batched matrix product."""
+    (V, 2, 7) stencil is applied as a batched matrix product, the sums over
+    the two tangent and three displacement components are column adds,
+    and the backward takes the ring gather back with ``ring_sum``."""
     endpoints_t = endpoints if isinstance(endpoints, Tensor) else ad.constant(
         np.asarray(endpoints))
     sphere = build_icosphere(order)
@@ -100,13 +102,14 @@ def smoothness_loss(endpoints, order: int) -> Tensor:
     disp = endpoints_t.value - sphere.vertices
     gathered = np.take(disp, sphere.nbr_pad, axis=0)  # (V, 7, 3)
     gvec = coef @ gathered  # (V, 2, 3)
-    mag = np.sqrt((gvec * gvec).sum(axis=1) + GRAD_EPS)  # (V, 3)
+    sq = gvec * gvec
+    mag = np.sqrt(sq[:, 0] + sq[:, 1] + GRAD_EPS)  # (V, 3)
     n = len(mag)
-    loss = mag.sum(axis=1).sum() * (1.0 / n)
+    loss = (mag[:, 0] + mag[:, 1] + mag[:, 2]).sum() * (1.0 / n)
 
     def vjp(g):
         ggathered = coef.transpose(0, 2, 1) @ (gvec * ((g / n) / mag)[:, None])
-        return ad.scatter_rows(sphere.nbr_pad, ggathered, n)
+        return sphere.ring_sum(ggathered)
 
     return Tensor(loss, (endpoints_t,), (vjp,),
                   requires_grad=endpoints_t.requires_grad)

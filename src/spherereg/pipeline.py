@@ -273,10 +273,13 @@ class StageModel:
                           self.stage.use_crf)[0]
 
     def register(self, moving: SphericalFeatureMap,
-                 fixed: SphericalFeatureMap, logits: np.ndarray | None = None):
+                 fixed: SphericalFeatureMap, logits: np.ndarray | None = None,
+                 hint: np.ndarray | None = None):
         """Deformation field and warped moving map (no tape), decoded from
         ``logits`` (the label scores ``refine`` returns) or, when None,
-        from the network's prediction."""
+        from the network's prediction.  ``hint`` is the ``resample_tensor``
+        hint of the final resampling, such as the faces ``refine``
+        returns."""
         if logits is None:
             scores = self._constant_logits(moving, fixed)
         else:
@@ -284,15 +287,15 @@ class StageModel:
         endpoints = self._endpoints(scores, self.stage.use_crf)
         field_ = DeformationField(self.stage.input_order, endpoints.value)
         sphere = build_icosphere(self.stage.input_order)
-        warped = resample_moving(moving, field_, sphere)
+        warped = resample_moving(moving, field_, sphere, hint)
         return field_, warped
 
-    def refine(self, moving: SphericalFeatureMap,
-               fixed: SphericalFeatureMap) -> np.ndarray | None:
+    def refine(self, moving: SphericalFeatureMap, fixed: SphericalFeatureMap):
         """Instance refinement: optimize this pair's control-point label
         scores directly, starting from the network's prediction.  Returns
-        the refined scores for ``register``, or None when the stage has no
-        refine steps.
+        the refined scores and the warped faces that the last step
+        located, the scores and the hint for ``register``; both are None
+        when the stage has no refine steps.
 
         Only the logits move; the networks and the pairwise regularizer
         stay frozen, so the regularization is not optimized away and no
@@ -303,7 +306,7 @@ class StageModel:
         the earlier steps use the cheaper plain softmax decode.
         """
         if self.stage.refine_steps <= 0:
-            return None
+            return None, None
         init = self._constant_logits(moving, fixed).value
         # keep the network's label ranking but reset its confidence: a
         # saturated softmax leaves the optimizer with vanishing gradients
@@ -323,7 +326,7 @@ class StageModel:
                 raise FloatingPointError("non-finite refinement loss")
             loss.backward()
             opt.adam_step(self.stage.refine_lr)
-        return logits.value
+        return logits.value, faces
 
 
 # -- dataset plumbing ------------------------------------------------------
@@ -451,8 +454,8 @@ def register_pair(stages, moving: SphericalFeatureMap,
                 f"stage expects order {stage.input_order}, "
                 f"data is order {moving.sphere_order}")
         model = StageModel(stage, store)
-        logits = model.refine(current, fixed)
-        step_field, current = model.register(current, fixed, logits)
+        logits, faces = model.refine(current, fixed)
+        step_field, current = model.register(current, fixed, logits, faces)
         field_ = step_field if field_ is None else compose(field_, step_field)
     sphere = build_icosphere(moving.sphere_order)
     stats = distortion_stats(sphere, field_)

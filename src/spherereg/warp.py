@@ -99,6 +99,21 @@ def identity_field(order: int) -> DeformationField:
     return DeformationField(order, build_icosphere(order).vertices.copy())
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (N, 3) array, as (N, 1), summed
+    by column adds in order."""
+    sq = x * x
+    return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])[:, None]
+
+
+def _unit_rows_vjp(g: np.ndarray, out: np.ndarray,
+                   norm: np.ndarray) -> np.ndarray:
+    """The gradient through ``out = x / norm``: the part of ``g``
+    orthogonal to ``out``, over the norm."""
+    p = g * out
+    return (g - out * (p[:, 0] + p[:, 1] + p[:, 2])[:, None]) / norm
+
+
 def soft_deform_tensor(labels: LabelSpace, q: Tensor) -> Tensor:
     """Probability-weighted label endpoints, renormalized to the sphere.
 
@@ -106,17 +121,18 @@ def soft_deform_tensor(labels: LabelSpace, q: Tensor) -> Tensor:
     label endpoint (constant w.r.t. the tape).  One tape node on ``q``.
     """
     expect = np.einsum("ik,ikd->id", q.value, labels.endpoints)
-    ok = (np.linalg.norm(expect, axis=1) >= DEGENERATE_NORM)[:, None]
+    norm = _row_norms(expect)
+    ok = norm >= DEGENERATE_NORM
     if not ok.all():
         best = np.argmax(q.value, axis=1)
         fallback = labels.endpoints[np.arange(len(best)), best]
         expect = np.where(ok, expect, 0.0) + np.where(ok, 0.0, fallback)
-    norm = np.sqrt((expect * expect).sum(axis=-1, keepdims=True))
+        norm = _row_norms(expect)
     out = expect / norm
 
     def vjp(g):
-        g_expect = (g - out * (g * out).sum(axis=-1, keepdims=True)) / norm
-        return np.einsum("id,ikd->ik", np.where(ok, g_expect, 0.0),
+        return np.einsum("id,ikd->ik",
+                         np.where(ok, _unit_rows_vjp(g, out, norm), 0.0),
                          labels.endpoints)
 
     return Tensor(out, (q,), (vjp,), requires_grad=q.requires_grad)
@@ -147,11 +163,11 @@ def upsample_deformation_tensor(endpoints: Tensor, coarse_order: int,
     disp = endpoints.value - coarse.vertices
     moved = np.einsum("nk,nkd->nd", bmap.weights,
                       np.take(disp, corner_idx, axis=0)) + target.vertices
-    norm = np.sqrt((moved * moved).sum(axis=-1, keepdims=True))
+    norm = _row_norms(moved)
     out = moved / norm
 
     def vjp(g):
-        g_moved = (g - out * (g * out).sum(axis=-1, keepdims=True)) / norm
+        g_moved = _unit_rows_vjp(g, out, norm)
         return ad.scatter_rows(corner_idx, bmap.weights[:, :, None]
                                * g_moved[:, None, :], len(endpoints.value))
 
@@ -182,26 +198,24 @@ def resample_tensor(moving_values: np.ndarray, endpoints: Tensor,
     the hint for a nearby warp.
     """
     sphere = build_icosphere(order)
-    faces = locate_warped_faces(endpoints.value, sphere, sphere.vertices,
-                                hint=hint)
-    return _interpolate_warped(moving_values, endpoints, sphere, faces), faces
+    faces, w = locate_warped_faces(endpoints.value, sphere, sphere.vertices,
+                                   hint=hint)
+    return _interpolate_warped(moving_values, endpoints, sphere, faces,
+                               w), faces
 
 
 def _interpolate_warped(moving_values: np.ndarray, endpoints: Tensor,
-                        sphere: Icosphere, faces: np.ndarray) -> Tensor:
+                        sphere: Icosphere, faces: np.ndarray, w) -> Tensor:
     """Interpolate the moving values at ``sphere``'s vertices inside the
     given warped faces, differentiably in the endpoints.
 
     One tape node.  Corner ``k``'s weight is the triple product of the
     query with the opposite edge's corners, ``w0 = q . (b x c)``, over the
-    weight sum.  Vectors are held as (3, V) component rows."""
-    q = sphere.vertices.T
+    weight sum; ``w`` holds these triple products, as
+    ``locate_warped_faces`` returns them with ``faces``.  Vectors are held
+    as (3, V) component rows."""
     corner_idx = np.take(sphere.faces, faces, axis=0)  # (V, 3)
-    a, b, c = (np.take(endpoints.value, corner_idx[:, k], axis=0).T
-               for k in range(3))
-    w = [(q * cross_rows(b, c)).sum(axis=0)[:, None],
-         (q * cross_rows(c, a)).sum(axis=0)[:, None],
-         (q * cross_rows(a, b)).sum(axis=0)[:, None]]
+    w = [wk[:, None] for wk in w]
     total = w[0] + w[1] + w[2]
     vals = [np.take(moving_values, corner_idx[:, k], axis=0) for k in range(3)]
     out = (w[0] / total) * vals[0] + \
@@ -212,6 +226,9 @@ def _interpolate_warped(moving_values: np.ndarray, endpoints: Tensor,
         # d out / d w_k = (v_k - out) / total; d w0 / d b = c x q and
         # d w0 / d c = q x b, cyclically, so corner a takes
         # q x (gw1 c - gw2 b)
+        q = sphere.vertices.T
+        a, b, c = (np.take(endpoints.value, corner_idx[:, k], axis=0).T
+                   for k in range(3))
         gw = [(g * (v - out)).sum(axis=1) / total[:, 0] for v in vals]
         grads = np.stack([cross_rows(q, gw[1] * c - gw[2] * b),
                           cross_rows(q, gw[2] * a - gw[0] * c),
@@ -225,13 +242,16 @@ def _interpolate_warped(moving_values: np.ndarray, endpoints: Tensor,
 
 
 def resample_moving(moving: SphericalFeatureMap, warped: DeformationField,
-                    fixed_sphere: Icosphere) -> SphericalFeatureMap:
+                    fixed_sphere: Icosphere,
+                    hint: np.ndarray | None = None) -> SphericalFeatureMap:
+    """The moving map pulled through ``warped`` onto the fixed sphere;
+    ``hint`` is passed on to ``resample_tensor``."""
     if warped.order != moving.sphere_order:
         raise ValueError("deformation field is not at the moving map's order")
     if fixed_sphere.order != moving.sphere_order:
         raise ValueError("fixed sphere order differs from the moving map's")
     out, faces = resample_tensor(moving.values, ad.constant(warped.endpoints),
-                                 fixed_sphere.order)
+                                 fixed_sphere.order, hint)
     return SphericalFeatureMap(fixed_sphere.order, out.value,
                                warped_mask(moving.mask, fixed_sphere, faces))
 

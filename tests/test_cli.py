@@ -157,7 +157,13 @@ def test_synth_write_failure_is_an_io_error(tmp_path, capsys):
 def test_synth_requires_seed(tmp_path):
     out = run_cli("synth", "--order", "2", "--pairs", "1",
                   "--out", str(tmp_path / "d"))
-    assert out.returncode == 2  # argparse usage error
+    # argparse's usage error takes the usage code, with one error line and
+    # the subcommand's usage
+    assert out.returncode == 1
+    assert out.stderr.startswith(
+        "error: the following arguments are required: --seed\n"
+        "usage: spherereg synth ")
+    assert out.stderr.count("error") == 1
 
 
 def test_train_rejects_missing_config(tmp_path):

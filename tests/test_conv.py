@@ -204,19 +204,22 @@ def test_ring_tables_read_only_and_reverse_complete():
         # icosphere's, the gradient stencil and the transfer map
         sphere = build_icosphere(order)
         bmap = _transfer_map(order, order + 1)
-        for table in (pc.offsets, pc.counts, pc.quad, pc.pad, pc.rev,
+        for table in (pc.offsets, pc.counts, pc.quad, pc.pad,
                       sphere.vertices, sphere.faces, sphere.midpoint_edges,
-                      sphere.nbr_pad, sphere.nbr_mask, sphere.vertex_faces,
+                      sphere.nbr_pad, sphere.nbr_mask, sphere.nbr_rev,
+                      sphere.vertex_faces,
                       gradient_coefficients(order), bmap.face_index,
                       bmap.weights):
             assert not table.flags.writeable
         with pytest.raises(ValueError):
             pc.quad[0, 0] = 1.0
         # every flat ring slot once, and row k maps back to every vertex
-        ring = build_icosphere(order).nbr_pad.ravel()
+        ring = sphere.nbr_pad.ravel()
         n = vertex_count(order)
-        assert np.array_equal(np.sort(pc.rev.ravel()), np.arange(7 * n))
-        assert all(np.array_equal(ring[row], np.arange(n)) for row in pc.rev)
+        assert np.array_equal(np.sort(sphere.nbr_rev.ravel()),
+                              np.arange(7 * n))
+        assert all(np.array_equal(ring[row], np.arange(n))
+                   for row in sphere.nbr_rev)
         assert np.array_equal(
             pc.pad, np.flatnonzero(~build_icosphere(order).nbr_mask))
 

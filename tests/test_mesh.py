@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spherereg import autodiff as ad
 from spherereg import mesh
 from spherereg.mesh import (
     BarycentricMap,
@@ -272,12 +273,34 @@ def test_tables_match_brute_force_oracle(order):
         assert s.nbr_mask[v].tolist() == [True] * (7 - pad) + [False] * pad
         assert s.vertex_faces[v].tolist() == \
             sorted(incident[v]) + [-1] * (6 - len(incident[v]))
+    for f, tri in enumerate(s.faces.tolist()):
+        for k in range(3):
+            edge = {tri[(k + 1) % 3], tri[(k + 2) % 3]}
+            other = set(incident[tri[(k + 1) % 3]]) \
+                & set(incident[tri[(k + 2) % 3]])
+            assert other - {f} == {s.face_across[f, k]}
+            assert edge <= set(s.faces[s.face_across[f, k]].tolist())
     edges = set()
     if order:
         for a, b, c in build_icosphere(order - 1).faces.tolist():
             edges |= {tuple(sorted(e)) for e in ((a, b), (b, c), (c, a))}
     assert s.midpoint_edges.shape == (len(edges), 2)
     assert s.midpoint_edges.tolist() == [list(e) for e in sorted(edges)]
+
+
+@pytest.mark.parametrize("order", range(6))
+def test_reverse_ring_table_and_its_sum(order):
+    # row k of the reverse ring table is the k-th flat nbr_pad slot of each
+    # vertex in slot order, and its gather sums a ring's slots back into
+    # their vertices with the bits of the bincount scatter
+    s = build_icosphere(order)
+    assert np.array_equal(
+        s.nbr_rev, np.argsort(s.nbr_pad.ravel(), kind="stable")
+        .reshape(-1, 7).T)
+    assert s.nbr_rev.flags.c_contiguous
+    slots = rng(order).standard_normal((s.n_vertices, 7, 3))
+    assert np.array_equal(s.ring_sum(slots),
+                          ad.scatter_rows(s.nbr_pad, slots, s.n_vertices))
 
 
 def test_best_face_skips_padding_and_far_side():

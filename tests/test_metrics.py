@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spherereg import autodiff as ad
+from spherereg import mesh
 from spherereg.mesh import (
     SphericalFeatureMap,
     build_icosphere,
@@ -221,6 +222,29 @@ def test_smoothness_matches_numpy_recomputation():
     expect /= sphere.n_vertices
     got = float(smoothness_loss(ad.Tensor(end), 2).value)
     assert abs(got - expect) < 1e-12
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_smoothness_equals_the_reduction_formula_bitwise(order):
+    # the node's column sums and ring gather against the formula they
+    # replaced: numpy reductions over the short axes and a bincount
+    # scatter, written out here
+    sphere = build_icosphere(order)
+    rng = np.random.Generator(np.random.Philox(60 + order))
+    end = sphere.vertices + 0.3 * mesh.longest_edge(order) \
+        * rng.standard_normal(sphere.vertices.shape)
+    end /= np.linalg.norm(end, axis=1, keepdims=True)
+    coef = gradient_coefficients(order)
+    gvec = coef @ np.take(end - sphere.vertices, sphere.nbr_pad, axis=0)
+    mag = np.sqrt((gvec * gvec).sum(axis=1) + GRAD_EPS)
+    n = len(mag)
+    g = np.float64(rng.random())
+    expect_grad = ad.scatter_rows(
+        sphere.nbr_pad,
+        coef.transpose(0, 2, 1) @ (gvec * ((g / n) / mag)[:, None]), n)
+    loss = smoothness_loss(ad.Tensor(end), order)
+    assert np.array_equal(loss.value, mag.sum(axis=1).sum() * (1.0 / n))
+    assert np.array_equal(loss.vjps[0](g), expect_grad)
 
 
 def test_total_loss_combines_terms():

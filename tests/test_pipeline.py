@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spherereg import autodiff as ad
+from spherereg import mesh, pipeline, warp
 from spherereg.mesh import SphericalFeatureMap, build_icosphere, write_sfm
 from spherereg.metrics import cc_similarity, distortion_stats
 from spherereg.optim import ParamStore
@@ -220,7 +221,7 @@ def test_refined_logits_do_not_leak_into_the_next_pair():
     pairs = _tiny_pairs(2)
     stage = _tiny_stage(refine_steps=3, use_crf=True)
     model = StageModel(stage, seed=4)
-    logits = model.refine(*pairs[0])
+    logits, _ = model.refine(*pairs[0])
     field, warped = model.register(*pairs[1])
     fresh_field, fresh_warped = StageModel(stage, seed=4).register(*pairs[1])
     assert np.array_equal(field.endpoints, fresh_field.endpoints)
@@ -240,8 +241,6 @@ def _unfolding_stage(**kw):
 
 
 def test_refine_hints_each_step_with_the_last_steps_faces(monkeypatch):
-    from spherereg import mesh, warp
-
     pair = _tiny_pairs(1, order=3)[0]
     model = StageModel(_unfolding_stage(refine_steps=4), seed=4)
     model.register(*pair)  # builds the cached transfer maps
@@ -254,9 +253,9 @@ def test_refine_hints_each_step_with_the_last_steps_faces(monkeypatch):
 
     def count_locate(endpoints, sphere, queries, hint=None):
         before = sum(cold)
-        faces = locate(endpoints, sphere, queries, hint)
+        found = locate(endpoints, sphere, queries, hint)
         calls.append((len(queries), hint is not None, sum(cold) - before))
-        return faces
+        return found
 
     monkeypatch.setattr(mesh, "nearest_vertex", count_nearest)
     monkeypatch.setattr(warp, "locate_warped_faces", count_locate)
@@ -267,19 +266,93 @@ def test_refine_hints_each_step_with_the_last_steps_faces(monkeypatch):
     assert sum(c for _, _, c in hinted) < 0.2 * sum(n for n, _, _ in hinted)
 
 
+def _interpolation_weights(ends, sphere, faces):
+    """The triple products that ``warp._interpolate_warped`` formed from
+    the located faces before the search returned them: numpy sums over the
+    three components of (3, V) rows."""
+    corner_idx = sphere.faces[faces]
+    a, b, c = (ends[corner_idx[:, k]].T for k in range(3))
+    q = sphere.vertices.T
+    return [(q * mesh.cross_rows(b, c)).sum(axis=0),
+            (q * mesh.cross_rows(c, a)).sum(axis=0),
+            (q * mesh.cross_rows(a, b)).sum(axis=0)]
+
+
+def test_refine_warps_locate_warm_as_cold(monkeypatch):
+    # every hinted location of an order-4 refine run, and one of a folded
+    # warp, gives the cold search's faces and the interpolation weights of
+    # those faces, bitwise
+    pair = _tiny_pairs(1, order=4)[0]
+    stage = _tiny_stage(input_order=4, control_order=1, label_order=3,
+                        lam_sm=1.0, use_crf=True, refine_steps=6)
+    seen = []
+    locate = warp.locate_warped_faces
+
+    def record(endpoints, sphere, queries, hint=None):
+        if hint is not None:
+            seen.append((endpoints.copy(), hint.copy()))
+        return locate(endpoints, sphere, queries, hint)
+
+    monkeypatch.setattr(warp, "locate_warped_faces", record)
+    StageModel(stage, seed=4).refine(*pair)
+    monkeypatch.undo()
+    assert len(seen) == 5
+    sphere = build_icosphere(4)
+    folded = seen[-1][0].copy()
+    # swapping a vertex with its neighbour turns their shared faces over
+    folded[[0, sphere.nbr_pad[0, 1]]] = folded[[sphere.nbr_pad[0, 1], 0]]
+    moved = 0
+    for ends, hint in seen + [(folded, seen[-1][1])]:
+        cold, _ = locate(ends, sphere, sphere.vertices)
+        faces, w = locate(ends, sphere, sphere.vertices, hint)
+        assert np.array_equal(faces, cold)
+        expect = _interpolation_weights(ends, sphere, cold)
+        assert all(np.array_equal(got, ref) for got, ref in zip(w, expect))
+        moved += int((faces != hint).sum())
+    assert moved > 0
+
+
+def test_warm_final_resample_changes_nothing(monkeypatch):
+    # register_pair hands each stage's last refine faces to the final
+    # resampling; dropping that hint gives the same registration
+    pair = _tiny_pairs(1, order=3)[0]
+    stages = [_unfolding_stage(refine_steps=3),
+              _tiny_stage(input_order=3, control_order=2, label_order=3,
+                          lam_sm=1.0, use_crf=True, refine_steps=2)]
+    stages = [(s, StageModel(s, seed=5).store) for s in stages]
+    hints = []
+    resample = pipeline.resample_moving
+
+    def spy(moving, field, sphere, hint=None):
+        hints.append(hint)
+        return resample(moving, field, sphere, hint)
+
+    monkeypatch.setattr(pipeline, "resample_moving", spy)
+    warm = register_pair(stages, *pair)
+    monkeypatch.setattr(pipeline, "resample_moving",
+                        lambda moving, field, sphere, hint=None:
+                        resample(moving, field, sphere))
+    cold = register_pair(stages, *pair)
+    assert len(hints) == 2 and all(h is not None for h in hints)
+    assert np.array_equal(warm[0].endpoints, cold[0].endpoints)
+    assert np.array_equal(warm[1].values, cold[1].values)
+    assert warm[2] == cold[2]
+
+
 def test_refining_one_pair_leaves_the_next_pairs_logits_alone():
     pairs = _tiny_pairs(2, order=3)
     stage = _unfolding_stage(refine_steps=3)
     model = StageModel(stage, seed=4)
     model.refine(*pairs[0])
-    after = model.refine(*pairs[1])
-    alone = StageModel(stage, seed=4).refine(*pairs[1])
+    after, after_faces = model.refine(*pairs[1])
+    alone, alone_faces = StageModel(stage, seed=4).refine(*pairs[1])
     assert np.array_equal(after, alone)
+    assert np.array_equal(after_faces, alone_faces)
 
 
 def test_refine_without_steps_returns_none():
     pairs = _tiny_pairs(1)
-    assert StageModel(_tiny_stage(), seed=0).refine(*pairs[0]) is None
+    assert StageModel(_tiny_stage(), seed=0).refine(*pairs[0]) == (None, None)
 
 
 def test_desk_scale_tape_sizes():
@@ -314,7 +387,7 @@ def test_refine_and_register_run_the_network_off_the_tape(monkeypatch):
     model = StageModel(_tiny_stage(refine_steps=2, use_crf=True), seed=3)
     flags = {name: model.store[name].requires_grad
              for name in model.store.names()}
-    model.register(*pair, model.refine(*pair))
+    model.register(*pair, *model.refine(*pair))
     model.register(*pair)
     assert len(passes) == 2
     assert all(not p.requires_grad and p.parents == () and p.vjps == ()

@@ -183,7 +183,7 @@ def test_locate_warped_faces_identity_contains_queries():
     rng = np.random.Generator(np.random.Philox(9))
     q = rng.standard_normal((200, 3))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    faces = locate_warped_faces(sphere.vertices, sphere, q)
+    faces, _ = locate_warped_faces(sphere.vertices, sphere, q)
     tri = sphere.vertices[sphere.faces[faces]]
     w0 = np.einsum("ij,ij->i", q, np.cross(tri[:, 1], tri[:, 2]))
     w1 = np.einsum("ij,ij->i", q, np.cross(tri[:, 2], tri[:, 0]))
@@ -237,7 +237,7 @@ def test_locate_warped_faces_matches_brute_force_oracle(order, amplitude,
         q = np.concatenate([sphere.vertices,
                             rng.standard_normal((300, 3))])
         q /= np.linalg.norm(q, axis=1, keepdims=True)
-        faces = locate_warped_faces(ends, sphere, q)
+        faces, _ = locate_warped_faces(ends, sphere, q)
         score = _oracle_scores(ends, sphere.faces, q)
         contained = score.max(axis=1) >= -1e-9
         assert contained[:sphere.n_vertices].all()
@@ -257,7 +257,7 @@ def test_locate_warped_faces_memory_is_near_linear():
                         np.random.Generator(np.random.Philox(1)))
     tracemalloc.start()
     try:
-        faces = locate_warped_faces(ends, sphere, sphere.vertices)
+        faces, _ = locate_warped_faces(ends, sphere, sphere.vertices)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -277,7 +277,7 @@ def test_exhaustive_tier_memory_is_bounded(monkeypatch):
     tiers = _count_tiers(monkeypatch, sphere)
     tracemalloc.start()
     try:
-        faces = locate_warped_faces(ends, sphere, sphere.vertices)
+        faces, _ = locate_warped_faces(ends, sphere, sphere.vertices)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -327,15 +327,16 @@ def test_hinted_location_matches_cold_location(order, monkeypatch):
         q = np.concatenate(
             [sphere.vertices, mids / np.linalg.norm(mids, axis=1,
                                                     keepdims=True)])
-        cold = locate_warped_faces(ends, sphere, q)
+        cold, _ = locate_warped_faces(ends, sphere, q)
         hints = {"exact": cold, "shifted": np.roll(cold, 1),
                  "random": rng.integers(0, sphere.n_faces, len(q)),
-                 "identity": locate_warped_faces(sphere.vertices, sphere, q),
+                 "identity": locate_warped_faces(sphere.vertices, sphere,
+                                                 q)[0],
                  "previous": locate_warped_faces(
-                     _jitter(sphere, amplitude, rng), sphere, q)}
+                     _jitter(sphere, amplitude, rng), sphere, q)[0]}
         seen = _count_cold_queries(monkeypatch)
         for name, hint in hints.items():
-            got = locate_warped_faces(ends, sphere, q, hint=hint)
+            got, _ = locate_warped_faces(ends, sphere, q, hint=hint)
             assert np.array_equal(got, cold), name
         # on a mesh that does not fold, an exact hint settles every query
         # strictly inside its face, which is all but those near an edge
@@ -348,9 +349,10 @@ def test_hinted_location_matches_cold_location(order, monkeypatch):
 
 
 def test_nearby_hint_walks_instead_of_searching(monkeypatch):
-    # the faces of a nearby warp miss many queries by a face; the walk to
-    # the faces around the hinted face's corners settles most of them, so
-    # fewer queries take the cold search than leave their hinted face
+    # the faces of a nearby warp miss many queries by a face; the walk
+    # across the edges facing their smallest weights settles most of them,
+    # so fewer queries take the cold search than leave their hinted face,
+    # and the face table is built only for that search
     sphere = build_icosphere(4)
     rng = np.random.Generator(np.random.Philox(41))
     amplitude = 0.05 * mesh.longest_edge(4)
@@ -358,16 +360,21 @@ def test_nearby_hint_walks_instead_of_searching(monkeypatch):
     nearby = ends + amplitude * rng.standard_normal(ends.shape)
     nearby /= np.linalg.norm(nearby, axis=1, keepdims=True)
     q = sphere.vertices
-    cold = locate_warped_faces(ends, sphere, q)
-    hint = locate_warped_faces(nearby, sphere, q)
+    cold, _ = locate_warped_faces(ends, sphere, q)
+    hint, _ = locate_warped_faces(nearby, sphere, q)
     normals = mesh.face_normals(ends, sphere.faces)
     missed = int((mesh.best_face(normals, q, hint[:, None])[1]
                   <= mesh.HINT_MARGIN).sum())
     seen = _count_cold_queries(monkeypatch)
-    got = locate_warped_faces(ends, sphere, q, hint=hint)
+    tables = []
+    normal_table = mesh._normal_table
+    monkeypatch.setattr(mesh, "_normal_table",
+                        lambda rows: tables.append(1) or normal_table(rows))
+    got, _ = locate_warped_faces(ends, sphere, q, hint=hint)
     assert np.array_equal(got, cold)
     assert missed > 100
     assert sum(seen) < missed
+    assert len(tables) == len(seen) <= 1
 
 
 def test_hint_changes_nothing_on_a_folded_warp(monkeypatch):
@@ -378,9 +385,9 @@ def test_hint_changes_nothing_on_a_folded_warp(monkeypatch):
     normals = mesh.face_normals(ends, sphere.faces)
     det = np.einsum("ij,ij->i", ends[sphere.faces[:, 0]], normals[:, 0])
     assert (det <= 0).any()
-    cold = locate_warped_faces(ends, sphere, sphere.vertices)
+    cold, _ = locate_warped_faces(ends, sphere, sphere.vertices)
     seen = _count_cold_queries(monkeypatch)
-    got = locate_warped_faces(ends, sphere, sphere.vertices, hint=cold)
+    got, _ = locate_warped_faces(ends, sphere, sphere.vertices, hint=cold)
     assert np.array_equal(got, cold)
     assert seen == [sphere.n_vertices]
 
@@ -403,14 +410,14 @@ def test_hint_changes_nothing_on_a_double_cover():
     det = np.einsum("ij,ij->i", ends[sphere.faces[:, 0]], normals[:, 0])
     assert (det > 0).all()
     q = sphere.vertices
-    cold = locate_warped_faces(ends, sphere, q)
+    cold, _ = locate_warped_faces(ends, sphere, q)
     w = np.einsum("nj,fij->nfi", q, normals)
     with np.errstate(divide="ignore", invalid="ignore"):
         inside = w.min(axis=2) / w.sum(axis=2) > mesh.HINT_MARGIN
     inside[np.arange(len(q)), cold] = False
     other = np.where(inside.any(axis=1), np.argmax(inside, axis=1), cold)
     assert (other != cold).sum() > len(q) // 2
-    got = locate_warped_faces(ends, sphere, q, hint=other)
+    got, _ = locate_warped_faces(ends, sphere, q, hint=other)
     assert np.array_equal(got, cold)
 
 
@@ -433,7 +440,7 @@ def test_resample_moving_locates_masked_map_once(monkeypatch):
     assert calls == [162]
     expect = resample_tensor(moving.values, ad.constant(ends), 2)[0].value
     assert np.array_equal(out.values, expect)
-    faces = locate(ends, sphere, sphere.vertices)
+    faces, _ = locate(ends, sphere, sphere.vertices)
     assert np.array_equal(out.mask, mask[sphere.faces[faces]].all(axis=1))
 
 
@@ -508,12 +515,12 @@ def test_interpolate_warped_matches_barycentric_reference():
     # normalized and applied by mesh.interpolate
     sphere, end = _jittered_warp(2, 11)
     vals = np.random.Generator(np.random.Philox(12)).standard_normal((162, 2))
-    faces = locate_warped_faces(end, sphere, sphere.vertices)
-    _, _, w = mesh.best_face(mesh.face_normals(end, sphere.faces),
-                             sphere.vertices, faces[:, None])
-    bmap = mesh.BarycentricMap(2, faces, w / w.sum(axis=1, keepdims=True))
+    faces, w = locate_warped_faces(end, sphere, sphere.vertices)
+    _, _, ref = mesh.best_face(mesh.face_normals(end, sphere.faces),
+                               sphere.vertices, faces[:, None])
+    bmap = mesh.BarycentricMap(2, faces, ref / ref.sum(axis=1, keepdims=True))
     expect = mesh.interpolate(bmap, SphericalFeatureMap(2, vals))
-    got = warp._interpolate_warped(vals, ad.constant(end), sphere, faces)
+    got = warp._interpolate_warped(vals, ad.constant(end), sphere, faces, w)
     assert np.abs(got.value - expect).max() < 1e-12
 
 
@@ -522,13 +529,16 @@ def test_interpolate_warped_grad_check():
     sphere, end = _jittered_warp(2, 13)
     rng = np.random.Generator(np.random.Philox(14))
     vals = rng.standard_normal((162, 2))
-    faces = locate_warped_faces(end, sphere, sphere.vertices)
+    faces, _ = locate_warped_faces(end, sphere, sphere.vertices)
     store = ParamStore()
     store.add("end", end)
     probe = rng.standard_normal((162, 2))
 
     def loss_fn(params):
-        out = warp._interpolate_warped(vals, params["end"], sphere, faces)
+        # the weights the search would return with these faces
+        w = mesh.triple_products(sphere.vertices.T, *mesh.corner_rows(
+            params["end"].value.T, sphere.faces[faces]))
+        out = warp._interpolate_warped(vals, params["end"], sphere, faces, w)
         return ad.sum_(out * probe)
 
     assert grad_check(loss_fn, store, n_probes=20, seed=15) < 1e-4
@@ -560,6 +570,50 @@ def test_upsample_deformation_grad_check():
         return ad.sum_(out * probe)
 
     assert grad_check(loss_fn, store, n_probes=20, seed=46) < 1e-4
+
+
+def _unit_rows_reference(x, g):
+    """Rows over their norms, and the gradient through that, with the
+    numpy reductions the warp nodes used before their column sums."""
+    norm = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    out = x / norm
+    return out, norm, (g - out * (g * out).sum(axis=-1, keepdims=True)) / norm
+
+
+@pytest.mark.parametrize("coarse_order, order", [(1, 3), (2, 4)])
+def test_upsample_deformation_equals_the_reduction_formula_bitwise(
+        coarse_order, order):
+    coarse, end = _jittered_warp(coarse_order, 70 + order, scale=0.05)
+    g = np.random.Generator(np.random.Philox(71)).standard_normal(
+        (vertex_count(order), 3))
+    bmap = warp._transfer_map(coarse_order, order)
+    corner_idx = coarse.faces[bmap.face_index]
+    moved = np.einsum("nk,nkd->nd", bmap.weights,
+                      (end - coarse.vertices)[corner_idx]) \
+        + build_icosphere(order).vertices
+    out, _, g_moved = _unit_rows_reference(moved, g)
+    expect_grad = ad.scatter_rows(
+        corner_idx, bmap.weights[:, :, None] * g_moved[:, None, :],
+        len(end))
+    got = warp.upsample_deformation_tensor(ad.Tensor(end), coarse_order,
+                                           order)
+    assert np.array_equal(got.value, out)
+    assert np.array_equal(got.vjps[0](g), expect_grad)
+
+
+@pytest.mark.parametrize("label_order", [3, 4])
+def test_soft_deform_equals_the_reduction_formula_bitwise(label_order):
+    labels = build_label_space(control_grid(2), label_order, 16)
+    rng = np.random.Generator(np.random.Philox(72 + label_order))
+    q = ad.softmax_rows(ad.Tensor(rng.standard_normal((162, 16)))).value
+    g = rng.standard_normal((162, 3))
+    expect = np.einsum("ik,ikd->id", q, labels.endpoints)
+    assert (np.linalg.norm(expect, axis=1) >= warp.DEGENERATE_NORM).all()
+    out, _, g_expect = _unit_rows_reference(expect, g)
+    got = soft_deform_tensor(labels, ad.Tensor(q))
+    assert np.array_equal(got.value, out)
+    assert np.array_equal(got.vjps[0](g),
+                          np.einsum("id,ikd->ik", g_expect, labels.endpoints))
 
 
 # -- deformation field I/O -------------------------------------------------
