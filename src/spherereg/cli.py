@@ -242,7 +242,7 @@ def cmd_selftest(args) -> int:
     from .conv import NetConfig, RegistrationNet
     from .crf import CrfConfig, crf_forward, meanfield_reference
     from .mesh import barycentric_map, best_face, build_icosphere, \
-        face_normals, longest_edge, nearest_vertex, vertex_count
+        corner_rows, face_normals, longest_edge, nearest_vertex, vertex_count
     from .metrics import distortion_stats
     from .optim import ParamStore, check_registered_ops
     from .warp import DeformationField, build_label_space, control_grid, \
@@ -277,7 +277,7 @@ def cmd_selftest(args) -> int:
     dense = [np.argmax(ends @ v) for v in sphere.vertices]
     check("nearest warped vertex matches the dense search",
           np.array_equal(nearest, dense))
-    normals = face_normals(ends, sphere.faces)
+    normals = face_normals(*corner_rows(ends.T, sphere.faces))
     ring1 = best_face(normals, sphere.vertices,
                       sphere.vertex_faces[nearest])[1]
     faces, _ = locate_warped_faces(ends, sphere, sphere.vertices)

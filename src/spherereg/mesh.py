@@ -16,20 +16,22 @@ it composition and the coarse-to-fine transfer maps).  It seeds its
 candidate faces from ``nearest_vertex``, which finds the point with the
 largest dot product per query on a uniform grid in near-linear time and
 memory, and scores them through ``best_face``, the one point-in-triangle
-test, against a table of each face's edge normals (``face_normals``)
-computed once per call from (3, V) component rows.  ``PAIR_BUDGET``
-bounds the pairs that the grid search and the last, exhaustive tier score
-at once.  Given a hint, such as the faces of the previous refinement
-step, it walks instead of searching: a query keeps its hinted face, or
-else the first face it reaches by stepping across the edge facing its
-smallest weight, when the face holds it strictly inside, which is the
-search's own answer whenever the warped faces cannot overlap; only the
-rest are searched.  The walk scores each face with the triple products
-that resampling interpolates with (``triple_products``), formed on the
-(3, N) corner rows of the faces it visits, so the face table is built
-only for a search.  The search returns these triple products with the
-faces, so a resampling forms none of its own.  Every table of an
-icosphere is built from sorted integer keys.
+test, against each face's edge normals (``face_normals``), three (3, F)
+component rows formed once per call.  ``PAIR_BUDGET`` bounds the pairs
+that the grid search and the last, exhaustive tier score at once.  Given
+a hint, such as the faces of the previous refinement step, it walks
+instead of searching: a query keeps its hinted face, or else the first
+face it reaches by stepping across the edge facing its smallest weight,
+when the face holds it strictly inside, which is the search's own answer
+whenever the warped faces cannot overlap; only the rest are searched.
+
+There is one barycentric arithmetic: a face's weights are the triple
+products of the query with its edge normals (``triple_products``), dot
+products of (3, N) component rows.  The walk forms them on the corner
+rows of the faces it visits, and the search on the normal rows it
+gathers, with the same bits.  Location returns them with the faces, so a
+resampling forms none of its own and ``barycentric_map`` only normalizes
+them.  Every table of an icosphere is built from sorted integer keys.
 """
 
 from __future__ import annotations
@@ -312,53 +314,47 @@ def corner_rows(rows, corners):
     return [np.take(rows, corners[:, k], axis=1) for k in range(3)]
 
 
+def face_normals(a, b, c):
+    """The edge normals ``b x c, c x a, a x b`` of faces (a, b, c) given as
+    (3, N) corner rows, as three (3, N) rows: the triple product of a point
+    with normal ``i`` is its unnormalized barycentric weight on corner
+    ``i``."""
+    return [cross_rows(b, c), cross_rows(c, a), cross_rows(a, b)]
+
+
 def triple_products(queries, a, b, c):
     """The triple products ``q . (b x c), q . (c x a), q . (a x b)`` of
-    (3, N) query rows with the edge normals of faces (a, b, c) given as
+    (3, N) query rows with the ``face_normals`` of faces (a, b, c) given as
     (3, N) corner rows: each query's unnormalized barycentric weights on
     corners a, b and c."""
-    return [_dot_rows(queries, cross_rows(b, c)),
-            _dot_rows(queries, cross_rows(c, a)),
-            _dot_rows(queries, cross_rows(a, b))]
+    return [_dot_rows(queries, n) for n in face_normals(a, b, c)]
 
 
-def _normal_table(rows):
-    """The (F, 3, 3) table of ``face_normals`` from its component rows."""
-    return np.concatenate(rows).T.reshape(-1, 3, 3).copy()
-
-
-def face_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """(F, 3, 3) edge normals ``b x c, c x a, a x b`` of each face (a, b, c):
-    the triple product of a point with normal ``i`` is its unnormalized
-    barycentric weight on corner ``i``.  Built from component rows, with
-    the arithmetic of ``np.cross`` and so its bits."""
-    a, b, c = corner_rows(np.ascontiguousarray(vertices.T), faces)
-    return _normal_table((cross_rows(b, c), cross_rows(c, a),
-                          cross_rows(a, b)))
-
-
-def best_face(normals: np.ndarray, queries: np.ndarray, cand: np.ndarray):
+def best_face(normals, queries: np.ndarray, cand: np.ndarray):
     """Per unit query, the candidate face that best contains it.
 
-    ``normals`` is the (F, 3, 3) table of ``face_normals``.  ``cand`` is an
-    (N, K) table of candidate faces padded with -1.  A face's unnormalized
-    weights are the triple products of the query with its three edge
-    normals; its score is the smallest weight over their sum, positive iff
-    the query's gnomonic projection lies inside the face, and -inf on the
-    far side (sum <= 1e-12) and for padding.  Ties go to the earliest
-    candidate.
+    ``normals`` is the three (3, F) rows of ``face_normals`` of every face.
+    ``cand`` is a table of candidate faces padded with -1 that broadcasts
+    against the (N,) queries: (N, K), or (1, F) to score every face
+    without a copy per pair.  A face's unnormalized weights are the triple
+    products of the query with its three edge normals, the bits of
+    ``triple_products``; its score is the smallest weight over their sum,
+    positive iff the query's gnomonic projection lies inside the face, and
+    -inf on the far side (sum <= 1e-12) and for padding.  Ties go to the
+    earliest candidate.
 
     Returns (face, score, w): per query the best face, its score and its
-    (N, 3) unnormalized weights.
+    unnormalized weights, three (N,) arrays.
     """
-    # np.take gathers rows several times faster than fancy indexing
-    w = np.einsum("nj,nkij->nki", queries,
-                  np.take(normals, np.clip(cand, 0, None), axis=0))
-    score = np.where(cand >= 0, _score(w[..., 0], w[..., 1], w[..., 2]),
-                     -np.inf)
+    q = queries.T[:, :, None]
+    # np.take gathers several times faster than fancy indexing; padding
+    # reads the last face, which the score then masks
+    w = [_dot_rows(q, np.take(n, cand, axis=1)) for n in normals]
+    score = np.where(cand >= 0, _score(*w), -np.inf)
     pick = np.argmax(score, axis=1)
     rows = np.arange(len(queries))
-    return cand[rows, pick], score[rows, pick], w[rows, pick]
+    return (np.broadcast_to(cand, score.shape)[rows, pick], score[rows, pick],
+            [wk[rows, pick] for wk in w])
 
 
 def _score(w0, w1, w2):
@@ -503,23 +499,17 @@ def locate_warped_faces(endpoints: np.ndarray, sphere: Icosphere,
     each across the edge opposite the corner of its smallest weight (a
     visibility walk), and keeps the first face it scores so in.  The
     queries left, and every query of a warp that folds, take the search
-    above; only the search builds the face table.
+    above; only the search scores candidates with ``best_face``.
 
     Returns the faces and each query's ``triple_products`` in its face,
     three (N,) arrays: its unnormalized barycentric weights, formed once
     per query and face.
     """
     rows = np.ascontiguousarray(endpoints.T)
-    a, b, c = corners = corner_rows(rows, sphere.faces)
-    normals_a = cross_rows(b, c)
-
-    def search(queries):
-        table = _normal_table((normals_a, cross_rows(c, a), cross_rows(a, b)))
-        faces = _search_faces(endpoints, sphere, table, queries)
-        return faces, _face_weights(rows, sphere, faces, queries)
-
-    if hint is None or not _covers_once(corners, normals_a):
-        return search(queries)
+    corners = corner_rows(rows, sphere.faces)
+    normals = face_normals(*corners)
+    if hint is None or not _covers_once(corners, normals[0]):
+        return _search_faces(endpoints, sphere, normals, queries)
     faces = np.array(hint, dtype=np.int64)
     w = _face_weights(rows, sphere, faces, queries)
     walk = np.nonzero(_score(*w) <= HINT_MARGIN)[0]
@@ -536,7 +526,8 @@ def locate_warped_faces(endpoints: np.ndarray, sphere: Icosphere,
         walk, at = walk[~inside], at[~inside]
         walk_w = [wk[~inside] for wk in walk_w]
     if len(walk):
-        faces[walk], found_w = search(queries[walk])
+        faces[walk], found_w = _search_faces(endpoints, sphere, normals,
+                                             queries[walk])
         for wk, new in zip(w, found_w):
             wk[walk] = new
     return faces, w
@@ -567,30 +558,35 @@ def _covers_once(corners, normals_a) -> bool:
 
 def _search_faces(endpoints, sphere, normals, queries):
     """``locate_warped_faces`` without a hint: ring 1 and ring 2 of the
-    nearest endpoint, then every face."""
+    nearest endpoint, then every face.  Returns the faces and their
+    weights, as ``locate_warped_faces`` does."""
     nearest = nearest_vertex(endpoints, queries, longest_edge(sphere.order))
-    faces, score, _ = best_face(normals, queries,
+    faces, score, w = best_face(normals, queries,
                                 sphere.vertex_faces[nearest])
+
+    def rescore(picked, cand):
+        faces[picked], score[picked], found_w = best_face(
+            normals, queries[picked], cand)
+        for wk, new in zip(w, found_w):
+            wk[picked] = new
+
     missing = np.nonzero(score < -1e-9)[0]
     if len(missing):
         ring2 = sphere.vertex_faces[sphere.nbr_pad[nearest[missing]]]
-        faces[missing], score[missing], _ = best_face(
-            normals, queries[missing], ring2.reshape(len(missing), -1))
+        rescore(missing, ring2.reshape(len(missing), -1))
         missing = missing[score[missing] < -1e-9]
         # every face, for a budget's worth of queries at a time
         step = max(1, PAIR_BUDGET // sphere.n_faces)
-        every = np.arange(sphere.n_faces)
         for start in range(0, len(missing), step):
-            chunk = missing[start:start + step]
-            faces[chunk], _, _ = best_face(
-                normals, queries[chunk],
-                np.broadcast_to(every, (len(chunk), len(every))))
-    return faces
+            rescore(missing[start:start + step],
+                    np.arange(sphere.n_faces)[None])
+    return faces, w
 
 
 def barycentric_map(sphere: Icosphere, queries: np.ndarray) -> BarycentricMap:
     """Locate unit query points on the sphere and compute their barycentric
-    weights in the containing face."""
+    weights in the containing face: the weights ``locate_warped_faces``
+    returns, clipped at zero and normalized to sum to one."""
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim == 1:
         queries = queries[None, :]
@@ -598,12 +594,8 @@ def barycentric_map(sphere: Icosphere, queries: np.ndarray) -> BarycentricMap:
     if np.any(norms < 1e-12):
         raise ValueError("degenerate (zero) query point")
     queries = queries / norms[:, None]
-    faces, _ = locate_warped_faces(sphere.vertices, sphere, queries)
-    # best_face's weights, not the search's triple products, which round
-    # differently in the last bit: the transfer maps keep their bits
-    _, _, w = best_face(face_normals(sphere.vertices, sphere.faces), queries,
-                        faces[:, None])
-    w = np.clip(w, 0.0, None)
+    faces, w = locate_warped_faces(sphere.vertices, sphere, queries)
+    w = np.clip(np.stack(w, axis=1), 0.0, None)
     w /= w.sum(axis=1, keepdims=True)
     return BarycentricMap(sphere.order, faces, w)
 

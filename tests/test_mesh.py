@@ -308,7 +308,7 @@ def test_best_face_skips_padding_and_far_side():
     centre = s.vertices[s.faces[0]].sum(axis=0)
     q = np.concatenate([random_unit(50, seed=7),
                         centre[None] / np.linalg.norm(centre)])
-    normals = mesh.face_normals(s.vertices, s.faces)
+    normals = mesh.face_normals(*mesh.corner_rows(s.vertices.T, s.faces))
     every, score, w = mesh.best_face(
         normals, q, np.tile(np.arange(s.n_faces), (len(q), 1)))
     assert (score > -1e-9).all() and every[-1] == 0
@@ -324,34 +324,30 @@ def test_best_face_skips_padding_and_far_side():
     assert np.allclose(w1, w, atol=1e-15)
 
 
-def test_face_normals_match_per_candidate_cross_products():
-    # one table per call gives the bits that crossing each gathered
-    # (query, candidate) corner triple gave
+def test_best_face_weights_are_the_triple_products():
+    # scoring gathered normal rows has the bits of crossing the gathered
+    # corner rows, for a per-query table and for the every-face row that
+    # broadcasts against the queries
     s = build_icosphere(2)
     ends = s.vertices + 0.05 * rng(3).standard_normal(s.vertices.shape)
     ends /= np.linalg.norm(ends, axis=1, keepdims=True)
-    cand = s.vertex_faces[rng(4).integers(0, s.n_vertices, 300)]
-    tri = ends[s.faces[np.clip(cand, 0, None)]]  # (N, 6, 3, 3)
-    a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
-    per_candidate = np.stack([np.cross(b, c), np.cross(c, a),
-                              np.cross(a, b)], axis=-2)
-    normals = mesh.face_normals(ends, s.faces)
-    assert normals.shape == (s.n_faces, 3, 3)
-    assert np.array_equal(normals[np.clip(cand, 0, None)], per_candidate)
-
-
-def test_face_normals_from_rows_equal_the_cross_table():
-    # the table is built from (3, V) component rows with the arithmetic of
-    # np.cross, so it keeps np.cross's bits
-    s = build_icosphere(3)
-    ends = s.vertices + 0.02 * rng(5).standard_normal(s.vertices.shape)
-    ends /= np.linalg.norm(ends, axis=1, keepdims=True)
-    a, b, c = (ends[s.faces[:, k]] for k in range(3))
-    crossed = np.stack([np.cross(b, c), np.cross(c, a), np.cross(a, b)],
-                       axis=1)
-    normals = mesh.face_normals(ends, s.faces)
-    assert normals.flags.c_contiguous
-    assert np.array_equal(normals, crossed)
+    q = random_unit(300, seed=5)
+    normals = mesh.face_normals(*mesh.corner_rows(ends.T, s.faces))
+    cand = s.vertex_faces[rng(4).integers(0, s.n_vertices, len(q))]
+    for table in (cand, np.arange(s.n_faces)[None]):
+        face, _, w = mesh.best_face(normals, q, table)
+        assert np.array_equal(w, mesh.triple_products(
+            q.T, *mesh.corner_rows(ends.T, s.faces[face])))
+    # barycentric_map clips and normalizes the search's weights at the
+    # queries it normalizes; the finer sphere's vertices lie on the coarse
+    # edges and corners
+    fine = build_icosphere(3).vertices
+    bmap = barycentric_map(s, fine)
+    fine = fine / np.linalg.norm(fine, axis=1)[:, None]
+    faces, w = mesh.locate_warped_faces(s.vertices, s, fine)
+    w = np.clip(np.stack(w, axis=1), 0.0, None)
+    assert np.array_equal(bmap.face_index, faces)
+    assert np.array_equal(bmap.weights, w / w.sum(axis=1, keepdims=True))
 
 
 def _dense_nearest(points, queries):

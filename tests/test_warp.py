@@ -282,8 +282,8 @@ def test_exhaustive_tier_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert tiers["exhaustive"] > 0
-    normals = mesh.face_normals(ends, sphere.faces)
-    score = mesh.best_face(normals, sphere.vertices, faces[:, None])[1]
+    score = mesh.best_face(_normals(ends, sphere), sphere.vertices,
+                           faces[:, None])[1]
     # a query outside its face is one that no face holds
     outside = sphere.vertices[score < -1e-9]
     assert (_oracle_scores(ends, sphere.faces, outside).max(
@@ -295,6 +295,12 @@ def _jitter(sphere, amplitude, rng):
     ends = sphere.vertices + amplitude * rng.standard_normal(
         sphere.vertices.shape)
     return ends / np.linalg.norm(ends, axis=1, keepdims=True)
+
+
+def _normals(ends, sphere):
+    """The three (3, F) edge-normal rows of the sphere's faces warped to
+    ``ends``, as ``best_face`` takes them."""
+    return mesh.face_normals(*mesh.corner_rows(ends.T, sphere.faces))
 
 
 def _count_cold_queries(monkeypatch):
@@ -327,7 +333,7 @@ def test_hinted_location_matches_cold_location(order, monkeypatch):
         q = np.concatenate(
             [sphere.vertices, mids / np.linalg.norm(mids, axis=1,
                                                     keepdims=True)])
-        cold, _ = locate_warped_faces(ends, sphere, q)
+        cold, cold_w = locate_warped_faces(ends, sphere, q)
         hints = {"exact": cold, "shifted": np.roll(cold, 1),
                  "random": rng.integers(0, sphere.n_faces, len(q)),
                  "identity": locate_warped_faces(sphere.vertices, sphere,
@@ -336,12 +342,13 @@ def test_hinted_location_matches_cold_location(order, monkeypatch):
                      _jitter(sphere, amplitude, rng), sphere, q)[0]}
         seen = _count_cold_queries(monkeypatch)
         for name, hint in hints.items():
-            got, _ = locate_warped_faces(ends, sphere, q, hint=hint)
+            got, w = locate_warped_faces(ends, sphere, q, hint=hint)
             assert np.array_equal(got, cold), name
+            # the walk and the search share one arithmetic
+            assert np.array_equal(w, cold_w), name
         # on a mesh that does not fold, an exact hint settles every query
         # strictly inside its face, which is all but those near an edge
-        score = mesh.best_face(mesh.face_normals(ends, sphere.faces), q,
-                               cold[:, None])[1]
+        score = mesh.best_face(_normals(ends, sphere), q, cold[:, None])[1]
         near_edge = int((score <= mesh.HINT_MARGIN).sum())
         assert near_edge < len(mids) + sphere.n_vertices // 10
         assert seen[0] == (len(q) if folds else near_edge)
@@ -352,7 +359,7 @@ def test_nearby_hint_walks_instead_of_searching(monkeypatch):
     # the faces of a nearby warp miss many queries by a face; the walk
     # across the edges facing their smallest weights settles most of them,
     # so fewer queries take the cold search than leave their hinted face,
-    # and the face table is built only for that search
+    # and only that search scores candidates
     sphere = build_icosphere(4)
     rng = np.random.Generator(np.random.Philox(41))
     amplitude = 0.05 * mesh.longest_edge(4)
@@ -362,19 +369,18 @@ def test_nearby_hint_walks_instead_of_searching(monkeypatch):
     q = sphere.vertices
     cold, _ = locate_warped_faces(ends, sphere, q)
     hint, _ = locate_warped_faces(nearby, sphere, q)
-    normals = mesh.face_normals(ends, sphere.faces)
-    missed = int((mesh.best_face(normals, q, hint[:, None])[1]
+    missed = int((mesh.best_face(_normals(ends, sphere), q, hint[:, None])[1]
                   <= mesh.HINT_MARGIN).sum())
     seen = _count_cold_queries(monkeypatch)
-    tables = []
-    normal_table = mesh._normal_table
-    monkeypatch.setattr(mesh, "_normal_table",
-                        lambda rows: tables.append(1) or normal_table(rows))
+    searches = []
+    search = mesh._search_faces
+    monkeypatch.setattr(mesh, "_search_faces",
+                        lambda *args: searches.append(1) or search(*args))
     got, _ = locate_warped_faces(ends, sphere, q, hint=hint)
     assert np.array_equal(got, cold)
     assert missed > 100
     assert sum(seen) < missed
-    assert len(tables) == len(seen) <= 1
+    assert len(searches) == len(seen) <= 1
 
 
 def test_hint_changes_nothing_on_a_folded_warp(monkeypatch):
@@ -382,8 +388,8 @@ def test_hint_changes_nothing_on_a_folded_warp(monkeypatch):
     ends = _jitter(sphere, 0.01, np.random.Generator(np.random.Philox(2)))
     # swapping a vertex with its neighbour turns their shared faces over
     ends[[0, sphere.nbr_pad[0, 1]]] = ends[[sphere.nbr_pad[0, 1], 0]]
-    normals = mesh.face_normals(ends, sphere.faces)
-    det = np.einsum("ij,ij->i", ends[sphere.faces[:, 0]], normals[:, 0])
+    normals = _normals(ends, sphere)
+    det = np.einsum("ji,ji->i", ends[sphere.faces[:, 0]].T, normals[0])
     assert (det <= 0).any()
     cold, _ = locate_warped_faces(ends, sphere, sphere.vertices)
     seen = _count_cold_queries(monkeypatch)
@@ -406,12 +412,12 @@ def test_hint_changes_nothing_on_a_double_cover():
     phi = 2 * np.arctan2(p[:, 1], p[:, 0])
     ends = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
                      np.cos(theta)], axis=1) @ frame
-    normals = mesh.face_normals(ends, sphere.faces)
-    det = np.einsum("ij,ij->i", ends[sphere.faces[:, 0]], normals[:, 0])
+    normals = _normals(ends, sphere)
+    det = np.einsum("ji,ji->i", ends[sphere.faces[:, 0]].T, normals[0])
     assert (det > 0).all()
     q = sphere.vertices
     cold, _ = locate_warped_faces(ends, sphere, q)
-    w = np.einsum("nj,fij->nfi", q, normals)
+    w = np.stack([q @ n for n in normals], axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         inside = w.min(axis=2) / w.sum(axis=2) > mesh.HINT_MARGIN
     inside[np.arange(len(q)), cold] = False
@@ -516,8 +522,9 @@ def test_interpolate_warped_matches_barycentric_reference():
     sphere, end = _jittered_warp(2, 11)
     vals = np.random.Generator(np.random.Philox(12)).standard_normal((162, 2))
     faces, w = locate_warped_faces(end, sphere, sphere.vertices)
-    _, _, ref = mesh.best_face(mesh.face_normals(end, sphere.faces),
-                               sphere.vertices, faces[:, None])
+    _, _, ref = mesh.best_face(_normals(end, sphere), sphere.vertices,
+                               faces[:, None])
+    ref = np.stack(ref, axis=1)
     bmap = mesh.BarycentricMap(2, faces, ref / ref.sum(axis=1, keepdims=True))
     expect = mesh.interpolate(bmap, SphericalFeatureMap(2, vals))
     got = warp._interpolate_warped(vals, ad.constant(end), sphere, faces, w)
