@@ -324,6 +324,38 @@ def test_best_face_skips_padding_and_far_side():
     assert np.allclose(w1, w, atol=1e-15)
 
 
+def test_face_normals_match_per_candidate_cross_products():
+    # gathering the (3, F) normal rows at a candidate table gives the bits
+    # that crossing each gathered (query, candidate) corner triple gave
+    s = build_icosphere(2)
+    ends = s.vertices + 0.05 * rng(3).standard_normal(s.vertices.shape)
+    ends /= np.linalg.norm(ends, axis=1, keepdims=True)
+    cand = np.clip(s.vertex_faces[rng(4).integers(0, s.n_vertices, 300)],
+                   0, None)
+    tri = ends[s.faces[cand]]  # (N, 6, 3, 3)
+    a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
+    per_candidate = [np.cross(b, c), np.cross(c, a), np.cross(a, b)]
+    normals = mesh.face_normals(*mesh.corner_rows(ends.T, s.faces))
+    assert len(normals) == 3
+    for rows, crossed in zip(normals, per_candidate):
+        assert rows.shape == (3, s.n_faces)
+        assert np.array_equal(np.moveaxis(rows[:, cand], 0, -1), crossed)
+
+
+def test_face_normals_from_rows_equal_the_cross_table():
+    # the normals are built from (3, V) component rows with the arithmetic
+    # of np.cross, so they keep np.cross's bits
+    s = build_icosphere(3)
+    ends = s.vertices + 0.02 * rng(5).standard_normal(s.vertices.shape)
+    ends /= np.linalg.norm(ends, axis=1, keepdims=True)
+    a, b, c = (ends[s.faces[:, k]] for k in range(3))
+    crossed = [np.cross(b, c), np.cross(c, a), np.cross(a, b)]
+    normals = mesh.face_normals(*mesh.corner_rows(ends.T, s.faces))
+    for rows, table in zip(normals, crossed):
+        assert rows.flags.c_contiguous
+        assert np.array_equal(rows, table.T)
+
+
 def test_best_face_weights_are_the_triple_products():
     # scoring gathered normal rows has the bits of crossing the gathered
     # corner rows, for a per-query table and for the every-face row that
