@@ -239,6 +239,7 @@ def cmd_eval(args) -> int:
 def cmd_selftest(args) -> int:
     import numpy as np
 
+    from .autodiff import constant
     from .conv import NetConfig, RegistrationNet
     from .crf import CrfConfig, crf_forward, meanfield_reference
     from .mesh import barycentric_map, best_face, build_icosphere, \
@@ -246,7 +247,7 @@ def cmd_selftest(args) -> int:
     from .metrics import distortion_stats
     from .optim import ParamStore, check_registered_ops
     from .warp import DeformationField, build_label_space, control_grid, \
-        identity_field, locate_warped_faces
+        identity_field, locate_warped_faces, resample_tensor
 
     failures = []
 
@@ -292,6 +293,11 @@ def cmd_selftest(args) -> int:
     check("warm face location matches the cold search", all(
         np.array_equal(locate_warped_faces(w, sphere, sphere.vertices,
                                            hint=start)[0],
+                       locate_warped_faces(w, sphere, sphere.vertices)[0])
+        for w in (ends, mild)))
+    # a resampling without a hint walks from the identity warp's faces
+    check("start-face walk matches the cold search", all(
+        np.array_equal(resample_tensor(sphere.vertices, constant(w), 3)[1],
                        locate_warped_faces(w, sphere, sphere.vertices)[0])
         for w in (ends, mild)))
 

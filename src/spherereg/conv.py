@@ -10,10 +10,12 @@ are directly comparable.
 A convolution is two tape nodes.  ``_gaussian_weights`` forms the kernel
 exponent, a quadratic in the fixed offsets, as one GEMM of per-order
 quadratic features against a (6, J) parameter matrix.  ``_aggregate``
-gathers the ring, forms the weighted patches and mixes them with one GEMM;
-its backward sums the features' gradient over the sphere's reverse ring
-table (``Icosphere.ring_sum``).  The resolution transfers,
-``tape_maxpool`` and ``tape_upsample``, are one tape node each.
+gathers the ring a block of rows at a time, forms the weighted patches
+and mixes them with one GEMM; its backward sums the features' gradient
+over the sphere's reverse ring table (``Icosphere.ring_sum``).  A layer
+shared by the two surfaces forms its weight node once and aggregates
+both surfaces with it (``MoNetLayer.forward_each``).  The resolution
+transfers, ``tape_maxpool`` and ``tape_upsample``, are one tape node each.
 
 ``NetConfig`` is a stage network's architecture.  ``parse_settings`` and
 ``build_config`` turn setting text (the run INI, a ``.cfg`` or an
@@ -156,19 +158,34 @@ def _gaussian_weights(coords: PseudoCoords, mu: Tensor, lraw: Tensor) -> Tensor:
                   requires_grad=mu.requires_grad or lraw.requires_grad)
 
 
+# ring-gathered feature values (vertex, slot, channel) that ``_aggregate``
+# holds at once
+RING_BUDGET = 1 << 17
+
+
 def _aggregate(coords: PseudoCoords, features: Tensor, w: Tensor, g: Tensor,
                b: Tensor) -> Tensor:
     """One tape node: the ring mean of the kernel-weighted features, mixed
-    by ``g`` (J, C_in, C_out) with one GEMM, plus ``b``.  The backward
-    forms ``g_out @ mixing^T`` once for all four VJPs and takes the ring
-    gather of the features back with ``Icosphere.ring_sum``."""
+    by ``g`` (J, C_in, C_out) with one GEMM, plus ``b``.  The ring gather
+    (V, 7, C_in) is formed ``RING_BUDGET`` values at a time, each block
+    weighted into its rows of the (V, J, C_in) patches (each row's product
+    is its own, so the bits do not depend on the blocks), and the weights'
+    VJP gathers the ring again.  The backward forms ``g_out @ mixing^T``
+    once for all four VJPs and takes the ring gather of the features back
+    with ``Icosphere.ring_sum``."""
     sphere = build_icosphere(coords.order)
     n, _, n_k = w.shape
     c_in = features.shape[1]
     mixing = g.value.reshape(n_k * c_in, -1)
     counts = coords.counts[:, None]
-    gathered = np.take(features.value, sphere.nbr_pad, axis=0)  # (V, 7, C_in)
-    patches = np.matmul(w.value.transpose(0, 2, 1), gathered).reshape(n, -1)
+    weights_t = w.value.transpose(0, 2, 1)
+    patches = np.empty((n, n_k, c_in))
+    step = max(1, RING_BUDGET // (7 * c_in))
+    for a in range(0, n, step):
+        np.matmul(weights_t[a:a + step],
+                  np.take(features.value, sphere.nbr_pad[a:a + step], axis=0),
+                  out=patches[a:a + step])
+    patches = patches.reshape(n, -1)
     out = patches @ mixing
     out /= counts
     out += b.value
@@ -186,6 +203,7 @@ def _aggregate(coords: PseudoCoords, features: Tensor, w: Tensor, g: Tensor,
         return sphere.ring_sum(np.matmul(w.value, back(g_out)[1]))
 
     def vjp_weights(g_out):
+        gathered = np.take(features.value, sphere.nbr_pad, axis=0)
         return np.matmul(gathered, back(g_out)[1].transpose(0, 2, 1))
 
     def vjp_g(g_out):
@@ -232,15 +250,30 @@ class MoNetLayer:
         return _gaussian_weights(coords, self.store[f"{self.prefix}.mu"],
                                  self.store[f"{self.prefix}.lraw"])
 
-    def forward(self, coords: PseudoCoords, features: Tensor) -> Tensor:
+    def forward(self, coords: PseudoCoords, features: Tensor,
+                weights: Tensor | None = None) -> Tensor:
+        """The convolution of ``features``; ``weights`` are the layer's
+        ``kernel_weights`` at ``coords`` when ``forward_each`` has formed
+        them for several surfaces."""
         if features.shape[1] != self.c_in:
             raise ValueError(
                 f"{self.prefix}: expected {self.c_in} input channels, "
                 f"got {features.shape[1]}"
             )
-        return _aggregate(coords, features, self.kernel_weights(coords),
+        if weights is None:
+            weights = self.kernel_weights(coords)
+        return _aggregate(coords, features, weights,
                           self.store[f"{self.prefix}.g"],
                           self.store[f"{self.prefix}.b"])
+
+    def forward_each(self, coords: PseudoCoords, surfaces) -> list:
+        """The convolution of each surface's features, with the kernel
+        weights formed once for all of them: one weight node whose
+        cotangents from every surface are summed before its one VJP.  The
+        weights are dropped on return, so a pass over constant weights
+        still holds one layer's at a time."""
+        weights = self.kernel_weights(coords)
+        return [self.forward(coords, x, weights) for x in surfaces]
 
 
 # -- tape-level resolution transfers --------------------------------------
@@ -285,7 +318,10 @@ def tape_maxpool(x: Tensor, order: int) -> Tensor:
 class FcbBlock:
     """Feature convolution block: two convolutions with LeakyReLU, max
     pooling one order down, concatenation with the downsampled raw input,
-    and a gating convolution at the pooled order."""
+    and a gating convolution at the pooled order.  ``forward_each`` runs
+    the block on several surfaces in lockstep, each convolution's kernel
+    weights formed once for all of them, as a block shared between the
+    moving and the fixed path is run."""
 
     def __init__(self, store, prefix, order, c_in, c_block, c_raw, c_out,
                  n_kernels, rng):
@@ -300,20 +336,26 @@ class FcbBlock:
                                     c_out, n_kernels, box_out, rng)
 
     def forward(self, features: Tensor, raw_lower: Tensor) -> Tensor:
-        if features.shape[0] != vertex_count(self.order):
-            raise ValueError(
-                f"feature rows {features.shape[0]} do not match order {self.order}"
-            )
-        if raw_lower.shape[0] != vertex_count(self.order - 1):
-            raise ValueError("raw input is not at the block's output order")
+        return self.forward_each([features], [raw_lower])[0]
+
+    def forward_each(self, features, raw_lower) -> list:
+        """The block's output for each surface, from its features and its
+        raw input one order down, two lists in the same order."""
+        for x, raw in zip(features, raw_lower):
+            if x.shape[0] != vertex_count(self.order):
+                raise ValueError(f"feature rows {x.shape[0]} do not match "
+                                 f"order {self.order}")
+            if raw.shape[0] != vertex_count(self.order - 1):
+                raise ValueError(
+                    "raw input is not at the block's output order")
         coords = pseudo_coords(self.order)
-        h = ad.leaky_relu(self.conv1.forward(coords, features))
-        h = ad.leaky_relu(self.conv2.forward(coords, h))
-        pooled = tape_maxpool(h, self.order)
-        skip = ad.leaky_relu(raw_lower)
-        cat = ad.concat([pooled, skip], axis=1)
-        out = self.gate_conv.forward(pseudo_coords(self.order - 1), cat)
-        return ad.leaky_relu(out)
+        h = features
+        for conv in (self.conv1, self.conv2):
+            h = [ad.leaky_relu(x) for x in conv.forward_each(coords, h)]
+        cat = [ad.concat([tape_maxpool(x, self.order), ad.leaky_relu(raw)],
+                         axis=1) for x, raw in zip(h, raw_lower)]
+        out = self.gate_conv.forward_each(pseudo_coords(self.order - 1), cat)
+        return [ad.leaky_relu(x) for x in out]
 
 
 class ResBlock:
@@ -411,40 +453,51 @@ class NetConfig:
 class FeatureExtractor:
     """Two per-surface paths of feature convolution blocks; the last
     ``shared_fcbs`` blocks share parameters across paths.  Outputs the
-    channel-wise concatenation of the two latents."""
+    channel-wise concatenation of the two latents.
+
+    ``paths`` lists each path's blocks; a shared block is one object in
+    both lists, and it runs the two surfaces together (``forward_each``),
+    so each of its convolutions forms its kernel weights once per pass.
+    Blocks are built path by path, so the rng draws every block's weights
+    in the order it always has."""
 
     def __init__(self, store: ParamStore, cfg: NetConfig, rng):
         self.cfg = cfg
         n = len(cfg.fcb_channels)
         self.paths = {}
+        shared = {}
         for path in ("m", "f"):
             blocks = []
             c_in = cfg.in_channels
             order = cfg.input_order
             for i, c_blk in enumerate(cfg.fcb_channels):
-                shared = i >= n - cfg.shared_fcbs
-                tag = "s" if shared else path
-                blocks.append(FcbBlock(
-                    store, f"fx.{tag}.b{i}", order,
-                    c_in, c_blk, cfg.in_channels, c_blk,
-                    cfg.n_kernels, rng,
-                ))
+                if i < n - cfg.shared_fcbs:
+                    block = FcbBlock(store, f"fx.{path}.b{i}", order, c_in,
+                                     c_blk, cfg.in_channels, c_blk,
+                                     cfg.n_kernels, rng)
+                elif i not in shared:
+                    block = shared[i] = FcbBlock(
+                        store, f"fx.s.b{i}", order, c_in, c_blk,
+                        cfg.in_channels, c_blk, cfg.n_kernels, rng)
+                else:
+                    block = shared[i]
+                blocks.append(block)
                 c_in = c_blk
                 order -= 1
             self.paths[path] = blocks
 
-    def _run_path(self, path: str, values: np.ndarray) -> Tensor:
-        x = ad.constant(values)
-        out = x
-        for block in self.paths[path]:
-            raw = x.value[:vertex_count(block.order - 1)]
-            out = block.forward(out, ad.constant(raw))
-        return out
-
     def forward(self, moving_values, fixed_values) -> Tensor:
-        m = self._run_path("m", moving_values)
-        f = self._run_path("f", fixed_values)
-        return ad.concat([m, f], axis=1)
+        raw = [ad.constant(moving_values), ad.constant(fixed_values)]
+        out = raw
+        for m_block, f_block in zip(self.paths["m"], self.paths["f"]):
+            lower = [ad.constant(x.value[:vertex_count(m_block.order - 1)])
+                     for x in raw]
+            if m_block is f_block:
+                out = m_block.forward_each(out, lower)
+            else:
+                out = [m_block.forward(out[0], lower[0]),
+                       f_block.forward(out[1], lower[1])]
+        return ad.concat(out, axis=1)
 
 
 class Classifier:

@@ -19,26 +19,31 @@ memory, and scores them through ``best_face``, the one point-in-triangle
 test, against each face's edge normals (``face_normals``), three (3, F)
 component rows formed once per call.  ``PAIR_BUDGET`` bounds the pairs
 that the grid search and the last, exhaustive tier score at once.  Given
-a hint, such as the faces of the previous refinement step, it walks
-instead of searching: a query keeps its hinted face, or else the first
-face it reaches by stepping across the edge facing its smallest weight,
-when the face holds it strictly inside, which is the search's own answer
-whenever the warped faces cannot overlap; only the rest are searched.
+a hint, a known face per query, it walks instead of searching: a query
+keeps its hinted face, or else the first face it reaches by stepping
+across the edge facing its smallest weight, when the face holds it
+strictly inside, which is the search's own answer whenever the warped
+faces cannot overlap; only the rest are searched.  Resampling and
+composition always give one: the faces of the previous refinement step,
+or else a face of the vertex each query moved from (its face under the
+identity warp).
 
 There is one barycentric arithmetic: a face's weights are the triple
 products of the query with its edge normals (``triple_products``), dot
-products of (3, N) component rows.  The walk forms them on the corner
-rows of the faces it visits, and the search on the normal rows it
-gathers, with the same bits.  Location returns them with the faces, so a
-resampling forms none of its own and ``barycentric_map`` only normalizes
-them.  Every table of an icosphere is built from sorted integer keys.
+products of (3, N) component rows.  The walk and the search both gather
+the normal rows of the faces they score, so they share its bits.
+Location returns the weights with the faces, so a resampling forms none
+of its own and ``barycentric_map`` only normalizes them.  Every table of
+an icosphere is built from sorted integer keys.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
+from itertools import islice
 
 import numpy as np
 
@@ -322,12 +327,14 @@ def face_normals(a, b, c):
     return [cross_rows(b, c), cross_rows(c, a), cross_rows(a, b)]
 
 
-def triple_products(queries, a, b, c):
+def triple_products(queries, normals):
     """The triple products ``q . (b x c), q . (c x a), q . (a x b)`` of
-    (3, N) query rows with the ``face_normals`` of faces (a, b, c) given as
-    (3, N) corner rows: each query's unnormalized barycentric weights on
-    corners a, b and c."""
-    return [_dot_rows(queries, n) for n in face_normals(a, b, c)]
+    (3, N) query rows with the three (3, N) ``face_normals`` rows of each
+    query's face (a, b, c): its unnormalized barycentric weights on
+    corners a, b and c.  Normal rows gathered per face from a table of
+    every face's give the bits of crossing gathered corner rows, because
+    each product is formed element by element."""
+    return [_dot_rows(queries, n) for n in normals]
 
 
 def best_face(normals, queries: np.ndarray, cand: np.ndarray):
@@ -349,7 +356,7 @@ def best_face(normals, queries: np.ndarray, cand: np.ndarray):
     q = queries.T[:, :, None]
     # np.take gathers several times faster than fancy indexing; padding
     # reads the last face, which the score then masks
-    w = [_dot_rows(q, np.take(n, cand, axis=1)) for n in normals]
+    w = triple_products(q, [np.take(n, cand, axis=1) for n in normals])
     score = np.where(cand >= 0, _score(*w), -np.inf)
     pick = np.argmax(score, axis=1)
     rows = np.arange(len(queries))
@@ -470,7 +477,10 @@ def _block_nearest(points, order, queries, start, stop):
 
 
 HINT_MARGIN = 1e-6  # score that settles a query in a hinted or walked face
-WALK_STEPS = 4  # faces a walk visits past the hinted one before a search
+# faces a walk visits past the hinted one before a search: on the
+# benchmark's calls 16 steps send at most 5 of 10,242 queries of a walk
+# from the identity faces to the search, and 8 steps up to 669
+WALK_STEPS = 16
 
 
 def locate_warped_faces(endpoints: np.ndarray, sphere: Icosphere,
@@ -489,15 +499,17 @@ def locate_warped_faces(endpoints: np.ndarray, sphere: Icosphere,
     vertex count for warps that keep neighbours near each other.
 
     ``hint`` is an optional guess of one face per query, such as the faces
-    of a nearby earlier warp, where a walk starts (Devillers, Pion &
-    Teillaud 2002).  It never changes the answer.  When the warped faces
-    cover the sphere exactly once (``_covers_once``) no two of them
-    overlap, so a query that scores above ``HINT_MARGIN`` in a face lies
-    in no other face, and that face is the search's answer.  A query keeps
-    its hinted face when it scores so there, by its ``triple_products``
-    with the hinted face; otherwise it walks, up to ``WALK_STEPS`` faces,
-    each across the edge opposite the corner of its smallest weight (a
-    visibility walk), and keeps the first face it scores so in.  The
+    of a nearby earlier warp or the identity warp's face of the vertex a
+    query moved from, where a walk starts (Devillers, Pion & Teillaud
+    2002).  It never changes the answer.  When the warped faces cover the
+    sphere exactly once (``_covers_once``) no two of them overlap, so a
+    query that scores above ``HINT_MARGIN`` in a face lies in no other
+    face, and that face is the search's answer.  A query keeps its hinted
+    face when it scores so there; otherwise it walks, up to
+    ``WALK_STEPS`` faces, each across the edge opposite the corner of its
+    smallest weight (a visibility walk), and keeps the first face it
+    scores so in.  Each face is scored by its ``triple_products`` with the
+    query, dots with the call's normal rows gathered at that face.  The
     queries left, and every query of a warp that folds, take the search
     above; only the search scores candidates with ``best_face``.
 
@@ -510,15 +522,22 @@ def locate_warped_faces(endpoints: np.ndarray, sphere: Icosphere,
     normals = face_normals(*corners)
     if hint is None or not _covers_once(corners, normals[0]):
         return _search_faces(endpoints, sphere, normals, queries)
+    q = np.ascontiguousarray(queries.T)
+
+    def weights(faces, cols=slice(None)):
+        # the normal rows of the given faces, dotted with query columns
+        return triple_products(q[:, cols], [np.take(n, faces, axis=1)
+                                            for n in normals])
+
     faces = np.array(hint, dtype=np.int64)
-    w = _face_weights(rows, sphere, faces, queries)
+    w = weights(faces)
     walk = np.nonzero(_score(*w) <= HINT_MARGIN)[0]
     at, walk_w = faces[walk], [wk[walk] for wk in w]
     for _ in range(WALK_STEPS):
         if not len(walk):
             break
         at = sphere.face_across[at, np.argmin(walk_w, axis=0)]
-        walk_w = _face_weights(rows, sphere, at, queries[walk])
+        walk_w = weights(at, walk)
         inside = _score(*walk_w) > HINT_MARGIN
         faces[walk[inside]] = at[inside]
         for wk, new in zip(w, walk_w):
@@ -531,13 +550,6 @@ def locate_warped_faces(endpoints: np.ndarray, sphere: Icosphere,
         for wk, new in zip(w, found_w):
             wk[walk] = new
     return faces, w
-
-
-def _face_weights(rows, sphere, faces, queries):
-    """The ``triple_products`` of (N, 3) queries in their ``faces`` of the
-    warped sphere whose vertices have (3, V) component ``rows``."""
-    return triple_products(queries.T, *corner_rows(
-        rows, np.take(sphere.faces, faces, axis=0)))
 
 
 def _covers_once(corners, normals_a) -> bool:
@@ -583,10 +595,13 @@ def _search_faces(endpoints, sphere, normals, queries):
     return faces, w
 
 
-def barycentric_map(sphere: Icosphere, queries: np.ndarray) -> BarycentricMap:
+def barycentric_map(sphere: Icosphere, queries: np.ndarray,
+                    hint: np.ndarray | None = None) -> BarycentricMap:
     """Locate unit query points on the sphere and compute their barycentric
     weights in the containing face: the weights ``locate_warped_faces``
-    returns, clipped at zero and normalized to sum to one."""
+    returns, clipped at zero and normalized to sum to one.  ``hint``, a
+    face per query where the walk starts, is passed on and does not
+    change the result."""
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim == 1:
         queries = queries[None, :]
@@ -594,7 +609,7 @@ def barycentric_map(sphere: Icosphere, queries: np.ndarray) -> BarycentricMap:
     if np.any(norms < 1e-12):
         raise ValueError("degenerate (zero) query point")
     queries = queries / norms[:, None]
-    faces, w = locate_warped_faces(sphere.vertices, sphere, queries)
+    faces, w = locate_warped_faces(sphere.vertices, sphere, queries, hint)
     w = np.clip(np.stack(w, axis=1), 0.0, None)
     w /= w.sum(axis=1, keepdims=True)
     return BarycentricMap(sphere.order, faces, w)
@@ -732,7 +747,34 @@ def read_header(fh, path, tag: str, n_ints: int) -> list:
 def read_rows(fh, path, n: int, width: int) -> np.ndarray:
     """The next ``n`` lines of ``fh``, the lines after a header, as an
     (n, width) array of finite floats.  A short, malformed or non-finite
-    row raises ValueError naming ``path`` and the line."""
+    row raises ValueError naming ``path`` and the line.
+
+    ``np.loadtxt`` parses the block in one call.  It skips blank lines and
+    rejects some text that ``float`` reads (``1_0``), so where it fails or
+    returns too few rows the lines are read again one by one, which names
+    the bad line or reads what ``float`` accepts."""
+    start = fh.tell()
+    try:
+        # readline, not iteration, keeps ``tell`` and ``seek`` working; an
+        # empty block warns before the lines are read again
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(islice(iter(fh.readline, ""), n),
+                              comments=None, ndmin=2)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape != (n, width):
+        fh.seek(start)
+        rows = _parse_rows(fh, path, n, width)
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}: line {int(np.argmax(bad)) + 2}: "
+                         "value is not finite")
+    return rows
+
+
+def _parse_rows(fh, path, n, width):
+    """``read_rows`` line by line, through ``float``."""
     rows = np.empty((n, width))
     for i in range(n):
         parts = fh.readline().split()
@@ -742,10 +784,6 @@ def read_rows(fh, path, n: int, width: int) -> np.ndarray:
             rows[i] = [float(x) for x in parts]
         except ValueError as exc:
             raise ValueError(f"{path}: line {i + 2}: {exc}") from None
-    bad = ~np.isfinite(rows).all(axis=1)
-    if bad.any():
-        raise ValueError(f"{path}: line {int(np.argmax(bad)) + 2}: "
-                         "value is not finite")
     return rows
 
 

@@ -192,12 +192,16 @@ def resample_tensor(moving_values: np.ndarray, endpoints: Tensor,
     vertex is then interpolated inside the warped face containing it.  The
     weights stay differentiable w.r.t. the endpoints; the face assignment
     itself is a constant of the tape.  ``hint`` is passed on to
-    ``locate_warped_faces`` and does not change the result.
+    ``locate_warped_faces`` and does not change the result; without one,
+    fixed vertex v starts its walk at ``sphere.vertex_faces[v, 0]``, its
+    face under the identity warp.
 
     Returns the warped values and the warped face of each fixed vertex,
     the hint for a nearby warp.
     """
     sphere = build_icosphere(order)
+    if hint is None:
+        hint = sphere.vertex_faces[:, 0]
     faces, w = locate_warped_faces(endpoints.value, sphere, sphere.vertices,
                                    hint=hint)
     return _interpolate_warped(moving_values, endpoints, sphere, faces,
@@ -267,11 +271,13 @@ def warped_mask(mask: np.ndarray | None, sphere: Icosphere,
 
 def compose(first: DeformationField, second: DeformationField) -> DeformationField:
     """Apply ``first`` then ``second``: evaluate the second displacement
-    field barycentrically at the first field's endpoints."""
+    field barycentrically at the first field's endpoints.  Endpoint v is
+    located by a walk from ``sphere.vertex_faces[v, 0]``, the face of the
+    vertex it moved from."""
     if first.order != second.order:
         raise ValueError("cannot compose fields at different orders")
     sphere = build_icosphere(first.order)
-    bmap = barycentric_map(sphere, first.endpoints)
+    bmap = barycentric_map(sphere, first.endpoints, sphere.vertex_faces[:, 0])
     disp = SphericalFeatureMap(second.order, second.endpoints - sphere.vertices)
     moved = first.endpoints + interpolate(bmap, disp)
     moved /= np.linalg.norm(moved, axis=1, keepdims=True)

@@ -265,6 +265,30 @@ def test_fcb_block_shape_and_order():
         blk.forward(raw, raw)  # features at the wrong order
 
 
+def test_shared_block_grad_check_with_both_surfaces():
+    # one block run on two surfaces: each convolution's one kernel-weight
+    # node takes the sum of both surfaces' cotangents
+    store = ParamStore()
+    rng = np.random.Generator(np.random.Philox(6))
+    blk = FcbBlock(store, "s", 2, 3, 4, 3, 5, 4, rng)
+    x = [rng.standard_normal((vertex_count(2), 3)) for _ in range(2)]
+    raw = [rng.standard_normal((vertex_count(1), 3)) for _ in range(2)]
+    probe = [rng.standard_normal((vertex_count(1), 5)) for _ in range(2)]
+
+    def loss_fn(params):
+        out = blk.forward_each([ad.constant(v) for v in x],
+                               [ad.constant(v) for v in raw])
+        return ad.sum_(out[0] * probe[0]) + ad.sum_(out[1] * probe[1])
+
+    assert grad_check(loss_fn, store, n_probes=20, seed=16) < 1e-4
+    # and the values are those of each surface run alone
+    both = blk.forward_each([ad.constant(v) for v in x],
+                            [ad.constant(v) for v in raw])
+    for k in range(2):
+        alone = blk.forward(ad.constant(x[k]), ad.constant(raw[k]))
+        assert np.array_equal(both[k].value, alone.value)
+
+
 def test_resblock_identity_skip_when_convs_zeroed():
     # [DERIVED] zeroing the mixing weights leaves LeakyReLU(x) of the skip
     store = ParamStore()
@@ -340,6 +364,83 @@ def test_shared_blocks_share_parameters():
     assert any(n.startswith("fx.f.b0") for n in names)
     assert any(n.startswith("fx.s.b1") for n in names)
     assert not any(n.startswith("fx.m.b1") for n in names)
+
+
+def _path_by_path(extractor, moving, fixed):
+    """The extractor's latent with every block run on one surface at a
+    time, the moving path's blocks and then the fixed path's."""
+    latents = []
+    for path, values in (("m", moving), ("f", fixed)):
+        out = ad.constant(values)
+        for block in extractor.paths[path]:
+            raw = values[:vertex_count(block.order - 1)]
+            out = block.forward(out, ad.constant(raw))
+        latents.append(out)
+    return ad.concat(latents, axis=1)
+
+
+def _desk_scale_nets(order):
+    from dataclasses import replace
+
+    from spherereg.pipeline import desk_scale_stages
+
+    rng = np.random.Generator(np.random.Philox(21))
+    for stage in desk_scale_stages():
+        cfg = replace(stage, input_order=order).net_config()
+        store = ParamStore()
+        RegistrationNet(store, cfg, rng)
+        yield cfg, store
+
+
+def test_shared_blocks_form_kernel_weights_once_per_pass(monkeypatch):
+    # a shared block is one object in both paths; its convolutions form
+    # their kernel weights once for both surfaces, and the latent is the
+    # one the surfaces give run alone, bitwise
+    calls = []
+    weights = conv._gaussian_weights
+    monkeypatch.setattr(conv, "_gaussian_weights",
+                        lambda *args: calls.append(1) or weights(*args))
+    rng = np.random.Generator(np.random.Philox(22))
+    counts = []
+    for cfg, store in _desk_scale_nets(4):
+        net = RegistrationNet(store, cfg, rng)
+        paths = net.extractor.paths
+        assert [m is f for m, f in zip(paths["m"], paths["f"])] == \
+            [i >= len(paths["m"]) - cfg.shared_fcbs
+             for i in range(len(paths["m"]))]
+        moving, fixed = rng.standard_normal((2, vertex_count(4), 1))
+        calls.clear()
+        latent = net.extractor.forward(moving, fixed)
+        net.classifier.forward(latent)
+        counts.append(len(calls))
+        assert np.array_equal(latent.value,
+                              _path_by_path(net.extractor, moving,
+                                            fixed).value)
+    assert counts == [18, 10]
+
+
+def test_order5_constant_pass_peaks_below_the_path_by_path_pass():
+    # run in lockstep, a shared layer drops its kernel weights once both
+    # surfaces have used them, and a convolution gathers its ring a block
+    # at a time, so a constant pass of each desk-scale stage at order 5
+    # peaks below the 33,028,845 and 18,341,622 bytes that the two stages'
+    # passes took when every block ran one surface at a time with whole
+    # ring gathers
+    import tracemalloc
+
+    rng = np.random.Generator(np.random.Philox(23))
+    moving, fixed = rng.standard_normal((2, vertex_count(5), 1))
+    peaks = []
+    for cfg, store in _desk_scale_nets(5):
+        net = RegistrationNet(store.constants(), cfg, None)
+        net.logits(moving, fixed)  # builds the cached coordinate tables
+        tracemalloc.start()
+        try:
+            net.logits(moving, fixed)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 33_028_845 and peaks[1] < 18_341_622
 
 
 def test_network_initialization_deterministic():

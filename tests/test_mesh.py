@@ -368,8 +368,8 @@ def test_best_face_weights_are_the_triple_products():
     cand = s.vertex_faces[rng(4).integers(0, s.n_vertices, len(q))]
     for table in (cand, np.arange(s.n_faces)[None]):
         face, _, w = mesh.best_face(normals, q, table)
-        assert np.array_equal(w, mesh.triple_products(
-            q.T, *mesh.corner_rows(ends.T, s.faces[face])))
+        assert np.array_equal(w, mesh.triple_products(q.T, mesh.face_normals(
+            *mesh.corner_rows(ends.T, s.faces[face]))))
     # barycentric_map clips and normalizes the search's weights at the
     # queries it normalizes; the finer sphere's vertices lie on the coarse
     # edges and corners
@@ -602,3 +602,47 @@ class TestFileFormats:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"bad.sfm: line {line}:"):
             mesh.read_sfm(path)
+
+    # line 7 of a 12-row, 2-column block, and what the file then reads as
+    @pytest.mark.parametrize("line, result", [
+        ("", "line 7: expected 2 columns"),
+        ("   ", "line 7: expected 2 columns"),
+        ("#", "line 7: expected 2 columns"),
+        ("# 1", "line 7: could not convert string to float: '#'"),
+        ("1_0 1", 10.0),
+        ("0.5", "line 7: expected 2 columns"),
+        ("0.5 1 7", "line 7: expected 2 columns"),
+        ("nan 1", "line 7: value is not finite"),
+        ("0.5 inf", "line 7: value is not finite"),
+        (None, "line 9: expected 2 columns"),
+    ])
+    def test_sfm_rows_read_as_float_reads_them(self, tmp_path, line, result):
+        # the block is parsed in one call; where that call fails or skips
+        # a line, each line is read through ``float``, which names the bad
+        # line (a file that ends after seven rows for None) or reads the
+        # text that ``float`` accepts
+        rows = ["%r 1" % (0.1 * k) for k in range(12)]
+        rows = rows[:7] if line is None else rows[:5] + [line] + rows[6:]
+        path = tmp_path / "bad.sfm"
+        path.write_text("SFM1 0 12 1 1\n" + "\n".join(rows) + "\n")
+        if isinstance(result, str):
+            with pytest.raises(ValueError) as err:
+                mesh.read_sfm(path)
+            assert str(err.value) == f"{path}: {result}"
+        else:
+            assert mesh.read_sfm(path).values[5, 0] == result
+
+    def test_sfm_rows_parse_bitwise_as_float(self, tmp_path):
+        rng = np.random.Generator(np.random.Philox(3))
+        vals = np.concatenate([rng.standard_normal(5000),
+                               np.exp(rng.uniform(-700, 700, 5000)),
+                               [0.0, -0.0, 5e-324, 1.7976931348623157e308]])
+        vals = np.resize(vals, (vertex_count(4), 3))
+        texts = [" ".join(f"{x:.17g}" for x in r) for r in vals[:1000]] + \
+            [" ".join(repr(float(x)) for x in r) for r in vals[1000:]]
+        path = tmp_path / "v.sfm"
+        path.write_text(f"SFM1 4 {len(vals)} 3 0\n" + "\n".join(texts))
+        expect = [[float(x) for x in t.split()] for t in texts]
+        got = mesh.read_sfm(path).values
+        assert np.array_equal(got.view(np.int64),
+                              np.array(expect).view(np.int64))

@@ -260,7 +260,8 @@ def test_refine_hints_each_step_with_the_last_steps_faces(monkeypatch):
     monkeypatch.setattr(mesh, "nearest_vertex", count_nearest)
     monkeypatch.setattr(warp, "locate_warped_faces", count_locate)
     model.refine(*pair)
-    assert calls[0] == (642, False, 642)
+    # the first step walks from the identity warp's faces
+    assert calls[0] == (642, True, 0)
     hinted = calls[1:]
     assert len(hinted) == 3 and all(h for _, h, _ in hinted)
     assert sum(c for _, _, c in hinted) < 0.2 * sum(n for n, _, _ in hinted)
@@ -279,9 +280,9 @@ def _interpolation_weights(ends, sphere, faces):
 
 
 def test_refine_warps_locate_warm_as_cold(monkeypatch):
-    # every hinted location of an order-4 refine run, and one of a folded
-    # warp, gives the cold search's faces and the interpolation weights of
-    # those faces, bitwise
+    # every location of an order-4 refine run, each hinted (the first by
+    # the identity warp's faces), and one of a folded warp, gives the cold
+    # search's faces and the interpolation weights of those faces, bitwise
     pair = _tiny_pairs(1, order=4)[0]
     stage = _tiny_stage(input_order=4, control_order=1, label_order=3,
                         lam_sm=1.0, use_crf=True, refine_steps=6)
@@ -296,7 +297,7 @@ def test_refine_warps_locate_warm_as_cold(monkeypatch):
     monkeypatch.setattr(warp, "locate_warped_faces", record)
     StageModel(stage, seed=4).refine(*pair)
     monkeypatch.undo()
-    assert len(seen) == 5
+    assert len(seen) == 6
     sphere = build_icosphere(4)
     folded = seen[-1][0].copy()
     # swapping a vertex with its neighbour turns their shared faces over
@@ -358,10 +359,12 @@ def test_refine_without_steps_returns_none():
 def test_desk_scale_tape_sizes():
     # tape nodes of a plain refine step, a CRF refine step and a training
     # step of the desk-scale first stage: a change that grows the tape
-    # updates these counts and says why.  The training step's 255 nodes
+    # updates these counts and says why.  The training step's 249 nodes
     # count no constant parent of a node that needs no gradient: the six
     # leaky_relu skip branches of the feature blocks (three blocks, two
-    # paths) are built from constants, so they are leaves
+    # paths) are built from constants, so they are leaves.  The two shared
+    # blocks form each convolution's kernel weights once for both
+    # surfaces: six weight nodes, not twelve
     moving, fixed, _ = generate_synthetic_pair(SyntheticWarpSpec(seed=10000),
                                                4)
     model = StageModel(desk_scale_stages()[0], seed=7)
@@ -369,7 +372,28 @@ def test_desk_scale_tape_sizes():
     sizes = [len(ad._toposort(model._loss(moving, fixed, logits, crf)[0]))
              for crf in (False, True)]
     sizes.append(len(ad._toposort(model.pair_loss(moving, fixed))))
-    assert sizes == [10, 81, 255]
+    assert sizes == [10, 81, 249]
+
+
+def test_desk_scale_training_steps_search_no_face(monkeypatch):
+    # a training step and a validation registration of each desk-scale
+    # stage locate every warped face by a walk from the identity warp's
+    # faces: no query reaches the cold search
+    moving, fixed, _ = generate_synthetic_pair(SyntheticWarpSpec(seed=10001),
+                                               4)
+    models = [StageModel(stage, seed=8) for stage in desk_scale_stages()]
+    for model in models:
+        model.register(moving, fixed)  # builds the cached transfer maps
+    cold = []
+    nearest = mesh.nearest_vertex
+    monkeypatch.setattr(mesh, "nearest_vertex", lambda points, queries, cell:
+                        cold.append(len(queries))
+                        or nearest(points, queries, cell))
+    for model in models:
+        model.pair_loss(moving, fixed).backward()
+        model.store.adam_step(model.stage.lr)
+        model.register(moving, fixed)
+    assert cold == []
 
 
 def test_refine_and_register_run_the_network_off_the_tape(monkeypatch):

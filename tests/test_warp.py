@@ -344,8 +344,10 @@ def test_hinted_location_matches_cold_location(order, monkeypatch):
         for name, hint in hints.items():
             got, w = locate_warped_faces(ends, sphere, q, hint=hint)
             assert np.array_equal(got, cold), name
-            # the walk and the search share one arithmetic
-            assert np.array_equal(w, cold_w), name
+            # the walk and the search share one arithmetic: each weight
+            # array is bitwise the search's
+            assert all(np.array_equal(a, b) for a, b in zip(w, cold_w)), \
+                name
         # on a mesh that does not fold, an exact hint settles every query
         # strictly inside its face, which is all but those near an edge
         score = mesh.best_face(_normals(ends, sphere), q, cold[:, None])[1]
@@ -398,11 +400,9 @@ def test_hint_changes_nothing_on_a_folded_warp(monkeypatch):
     assert seen == [sphere.n_vertices]
 
 
-def test_hint_changes_nothing_on_a_double_cover():
-    # z -> z^2 in a stereographic chart through vertex 0: every face keeps
-    # its orientation, but the warped mesh wraps the sphere twice, so most
-    # queries lie inside two faces and a hint may name the wrong one
-    sphere = build_icosphere(3)
+def _double_cover(sphere):
+    """z -> z^2 in a stereographic chart through vertex 0: every face
+    keeps its orientation, but the warped mesh wraps the sphere twice."""
     z = sphere.vertices[0]
     x = np.cross(z, [0.0, 0.0, 1.0])
     x /= np.linalg.norm(x)
@@ -410,8 +410,15 @@ def test_hint_changes_nothing_on_a_double_cover():
     p = sphere.vertices @ frame.T
     theta = 2 * np.arctan(np.tan(np.arccos(np.clip(p[:, 2], -1, 1)) / 2) ** 2)
     phi = 2 * np.arctan2(p[:, 1], p[:, 0])
-    ends = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+    return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
                      np.cos(theta)], axis=1) @ frame
+
+
+def test_hint_changes_nothing_on_a_double_cover():
+    # most queries lie inside two faces of the double cover, and a hint
+    # may name the wrong one
+    sphere = build_icosphere(3)
+    ends = _double_cover(sphere)
     normals = _normals(ends, sphere)
     det = np.einsum("ji,ji->i", ends[sphere.faces[:, 0]].T, normals[0])
     assert (det > 0).all()
@@ -425,6 +432,80 @@ def test_hint_changes_nothing_on_a_double_cover():
     assert (other != cold).sum() > len(q) // 2
     got, _ = locate_warped_faces(ends, sphere, q, hint=other)
     assert np.array_equal(got, cold)
+
+
+def _spy_locations(monkeypatch):
+    """A list that collects, per ``locate_warped_faces`` call through
+    ``warp``, its endpoints, queries, hint and result."""
+    seen = []
+    locate = warp.locate_warped_faces
+
+    def spy(endpoints, sphere, queries, hint=None):
+        found = locate(endpoints, sphere, queries, hint)
+        seen.append((endpoints, queries, hint, found))
+        return found
+
+    monkeypatch.setattr(warp, "locate_warped_faces", spy)
+    return seen
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_resample_without_hint_locates_as_the_cold_search(order,
+                                                          monkeypatch):
+    # fixed vertex v walks from its face under the identity warp; faces
+    # and weights are the cold search's, bitwise, on warps that keep every
+    # face the right way round, on one that folds, and on a double cover
+    sphere = build_icosphere(order)
+    rng = np.random.Generator(np.random.Philox(order))
+    warps = [_jitter(sphere, share * mesh.longest_edge(order), rng)
+             for share in (0.02, 0.1, 0.3)]
+    folded = warps[0].copy()
+    # swapping a vertex with its neighbour turns their shared faces over
+    folded[[0, sphere.nbr_pad[0, 1]]] = folded[[sphere.nbr_pad[0, 1], 0]]
+    warps += [folded] + ([_double_cover(sphere)] if order == 3 else [])
+    values = rng.standard_normal((sphere.n_vertices, 2))
+    seen = _spy_locations(monkeypatch)
+    cold_queries = _count_cold_queries(monkeypatch)
+    for ends in warps:
+        seen.clear()
+        cold_queries.clear()
+        _, faces = resample_tensor(values, ad.constant(ends), order)
+        (_, queries, hint, (got, w)), = seen
+        assert np.array_equal(hint, sphere.vertex_faces[:, 0])
+        assert queries is sphere.vertices and np.array_equal(got, faces)
+        walked = sum(cold_queries)
+        cold, cold_w = locate_warped_faces(ends, sphere, sphere.vertices)
+        assert np.array_equal(faces, cold)
+        assert all(np.array_equal(a, b) for a, b in zip(w, cold_w))
+        if ends is warps[0]:
+            # a slight warp leaves few queries to the search: those within
+            # HINT_MARGIN of an edge
+            assert walked <= 0.001 * sphere.n_vertices
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_compose_locates_as_the_cold_search(order, monkeypatch):
+    # endpoint v of the first warp walks from the face of vertex v; the
+    # composition equals one located by the cold search, bitwise
+    from spherereg.pipeline import SyntheticWarpSpec, _random_warp
+
+    sphere = build_icosphere(order)
+    rng = np.random.Generator(np.random.Philox(order + 10))
+    spec = SyntheticWarpSpec(max_angle=0.55)
+    first, second = (DeformationField(order, _random_warp(sphere.vertices,
+                                                          spec, rng))
+                     for _ in range(2))
+    cold_queries = _count_cold_queries(monkeypatch)
+    got = compose(first, second)
+    walked = sum(cold_queries)
+    bary = mesh.barycentric_map
+    monkeypatch.setattr(warp, "barycentric_map",
+                        lambda sphere, queries, hint: bary(sphere, queries))
+    cold = compose(first, second)
+    assert np.array_equal(got.endpoints, cold.endpoints)
+    # the walk settles some queries; a displacement of many edges leaves
+    # the rest to the search
+    assert sum(cold_queries) - walked == sphere.n_vertices > walked
 
 
 def test_resample_moving_locates_masked_map_once(monkeypatch):
@@ -543,8 +624,8 @@ def test_interpolate_warped_grad_check():
 
     def loss_fn(params):
         # the weights the search would return with these faces
-        w = mesh.triple_products(sphere.vertices.T, *mesh.corner_rows(
-            params["end"].value.T, sphere.faces[faces]))
+        w = mesh.triple_products(sphere.vertices.T, mesh.face_normals(
+            *mesh.corner_rows(params["end"].value.T, sphere.faces[faces])))
         out = warp._interpolate_warped(vals, params["end"], sphere, faces, w)
         return ad.sum_(out * probe)
 
