@@ -364,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "deformation learning.",
     )
     parser.add_argument("--threads", type=int, default=0,
-                        help="cap numerical worker threads (1 = bitwise "
-                             "deterministic)")
+                        help="cap numerical worker threads (0 = no cap, 1 = "
+                             "bitwise deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mesh", help="generate an icosphere")
@@ -416,6 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser, args) -> None:
+    if args.threads < 0:
+        parser.error("--threads must be >= 0 (0 = no cap)")
     if args.command == "mesh" and not 0 <= args.order <= 8:
         parser.error("mesh order must be between 0 and 8")
     if args.command == "synth":

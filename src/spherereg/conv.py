@@ -1,6 +1,7 @@
 """Mixture-of-Gaussians surface convolutions and the two networks built
 from them: the per-surface feature extractor (stacked feature convolution
-blocks) and the label classifier (residual blocks with upsampling).
+blocks) and the label classifier (residual blocks with upsampling, the
+last one computing only the control grid's rows).
 
 Kernel weights are Gaussians of learnable mean/covariance evaluated on
 spherical-polar pseudo-coordinates of each one-ring edge; aggregation is
@@ -11,11 +12,12 @@ A convolution is two tape nodes.  ``_gaussian_weights`` forms the kernel
 exponent, a quadratic in the fixed offsets, as one GEMM of per-order
 quadratic features against a (6, J) parameter matrix.  ``_aggregate``
 gathers the ring a block of rows at a time, forms the weighted patches
-and mixes them with one GEMM; its backward sums the features' gradient
-over the sphere's reverse ring table (``Icosphere.ring_sum``).  A layer
-shared by the two surfaces forms its weight node once and aggregates
-both surfaces with it (``MoNetLayer.forward_each``).  The resolution
-transfers, ``tape_maxpool`` and ``tape_upsample``, are one tape node each.
+and mixes them with one GEMM, for all vertices or a row prefix; its
+backward sums the features' gradient over the sphere's reverse ring table
+(``Icosphere.ring_sum``).  A layer shared by the two surfaces forms its
+weight node once and aggregates both surfaces with it
+(``MoNetLayer.forward_each``).  The resolution transfers, ``tape_maxpool``
+and ``tape_upsample``, are one tape node each.
 
 ``NetConfig`` is a stage network's architecture.  ``parse_settings`` and
 ``build_config`` turn setting text (the run INI, a ``.cfg`` or an
@@ -164,47 +166,60 @@ RING_BUDGET = 1 << 17
 
 
 def _aggregate(coords: PseudoCoords, features: Tensor, w: Tensor, g: Tensor,
-               b: Tensor) -> Tensor:
+               b: Tensor, rows: int | None = None) -> Tensor:
     """One tape node: the ring mean of the kernel-weighted features, mixed
-    by ``g`` (J, C_in, C_out) with one GEMM, plus ``b``.  The ring gather
-    (V, 7, C_in) is formed ``RING_BUDGET`` values at a time, each block
-    weighted into its rows of the (V, J, C_in) patches (each row's product
-    is its own, so the bits do not depend on the blocks), and the weights'
-    VJP gathers the ring again.  The backward forms ``g_out @ mixing^T``
-    once for all four VJPs and takes the ring gather of the features back
-    with ``Icosphere.ring_sum``."""
+    by ``g`` (J, C_in, C_out) with one GEMM, plus ``b``, at the first
+    ``rows`` vertices (all of them by default).  The ring gather
+    (rows, 7, C_in) is formed ``RING_BUDGET`` values at a time, each block
+    weighted into its rows of the (rows, J, C_in) patches (each row's
+    product is its own, so the bits depend neither on the blocks nor on
+    ``rows``), and the weights' VJP gathers the ring again.  The backward
+    forms ``g_out @ mixing^T`` once for all four VJPs and takes the ring
+    gather of the features back with ``Icosphere.ring_sum``, or for a row
+    prefix with ``autodiff.scatter_rows``, which adds in the same order
+    without forming the (V, 7, C_in) slots; the features' and the weights'
+    gradients are full height, zero where no computed row reads them."""
     sphere = build_icosphere(coords.order)
     n, _, n_k = w.shape
+    rows = n if rows is None else rows
     c_in = features.shape[1]
     mixing = g.value.reshape(n_k * c_in, -1)
-    counts = coords.counts[:, None]
-    weights_t = w.value.transpose(0, 2, 1)
-    patches = np.empty((n, n_k, c_in))
+    counts = coords.counts[:rows, None]
+    ring = sphere.nbr_pad[:rows]
+    w_rows = w.value[:rows]
+    weights_t = w_rows.transpose(0, 2, 1)
+    patches = np.empty((rows, n_k, c_in))
     step = max(1, RING_BUDGET // (7 * c_in))
-    for a in range(0, n, step):
+    for a in range(0, rows, step):
         np.matmul(weights_t[a:a + step],
-                  np.take(features.value, sphere.nbr_pad[a:a + step], axis=0),
+                  np.take(features.value, ring[a:a + step], axis=0),
                   out=patches[a:a + step])
-    patches = patches.reshape(n, -1)
+    patches = patches.reshape(rows, -1)
     out = patches @ mixing
     out /= counts
     out += b.value
     shared = []
 
     def back(g_out):
-        # the mean's 1/count, and d loss / d patches as (V, J, C_in)
+        # the mean's 1/count, and d loss / d patches as (rows, J, C_in)
         if not shared or shared[0] is not g_out:
             g_mean = g_out / counts
             shared[:] = [g_out, g_mean,
-                         (g_mean @ mixing.T).reshape(n, n_k, c_in)]
+                         (g_mean @ mixing.T).reshape(rows, n_k, c_in)]
         return shared[1], shared[2]
 
     def vjp_features(g_out):
-        return sphere.ring_sum(np.matmul(w.value, back(g_out)[1]))
+        slots = np.matmul(w_rows, back(g_out)[1])
+        if rows < n:
+            return ad.scatter_rows(ring, slots, n)
+        return sphere.ring_sum(slots)
 
     def vjp_weights(g_out):
-        gathered = np.take(features.value, sphere.nbr_pad, axis=0)
-        return np.matmul(gathered, back(g_out)[1].transpose(0, 2, 1))
+        gathered = np.take(features.value, ring, axis=0)
+        g_w = np.matmul(gathered, back(g_out)[1].transpose(0, 2, 1))
+        if rows < n:
+            g_w = np.concatenate([g_w, np.zeros((n - rows,) + g_w.shape[1:])])
+        return g_w
 
     def vjp_g(g_out):
         return (patches.T @ back(g_out)[0]).reshape(g.shape)
@@ -251,8 +266,10 @@ class MoNetLayer:
                                  self.store[f"{self.prefix}.lraw"])
 
     def forward(self, coords: PseudoCoords, features: Tensor,
-                weights: Tensor | None = None) -> Tensor:
-        """The convolution of ``features``; ``weights`` are the layer's
+                weights: Tensor | None = None,
+                rows: int | None = None) -> Tensor:
+        """The convolution of ``features`` at the first ``rows`` vertices
+        (all of them by default); ``weights`` are the layer's
         ``kernel_weights`` at ``coords`` when ``forward_each`` has formed
         them for several surfaces."""
         if features.shape[1] != self.c_in:
@@ -264,7 +281,7 @@ class MoNetLayer:
             weights = self.kernel_weights(coords)
         return _aggregate(coords, features, weights,
                           self.store[f"{self.prefix}.g"],
-                          self.store[f"{self.prefix}.b"])
+                          self.store[f"{self.prefix}.b"], rows)
 
     def forward_each(self, coords: PseudoCoords, surfaces) -> list:
         """The convolution of each surface's features, with the kernel
@@ -360,7 +377,9 @@ class FcbBlock:
 
 class ResBlock:
     """Two convolutions with a residual skip (1x1 projection when channel
-    counts differ); vertex count is unchanged."""
+    counts differ), at the first ``rows`` vertices of the block's order
+    (all of them by default).  The second convolution reads the first's
+    one-ring, so only it and the skip are cut to the row prefix."""
 
     def __init__(self, store, prefix, order, c_in, c_out, n_kernels, rng):
         self.order = order
@@ -377,13 +396,15 @@ class ResBlock:
             store.ensure(self.proj_name, (c_in, c_out),
                          lambda: rng.uniform(-bound, bound, (c_in, c_out)))
 
-    def forward(self, features: Tensor) -> Tensor:
+    def forward(self, features: Tensor, rows: int | None = None) -> Tensor:
         coords = pseudo_coords(self.order)
         h = ad.leaky_relu(self.conv1.forward(coords, features))
-        h = self.conv2.forward(coords, h)
+        h = self.conv2.forward(coords, h, rows=rows)
         skip = features
+        if rows is not None:
+            skip = ad.gather(features, np.arange(rows))
         if self.proj_name is not None:
-            skip = features @ self.store[self.proj_name]
+            skip = skip @ self.store[self.proj_name]
         return ad.leaky_relu(h + skip)
 
 
@@ -502,8 +523,11 @@ class FeatureExtractor:
 
 class Classifier:
     """Residual blocks with upsampling between them, ending in per-label
-    logits one order below the input, row-extracted to the control
-    grid."""
+    logits at the control grid.  Icosphere vertices are numbered coarse
+    orders first, so the control grid is a row prefix at any finer order:
+    the last block computes only those rows when the control grid lies at
+    or below its order, and runs in full and upsamples once when the
+    control grid is at the input order."""
 
     def __init__(self, store: ParamStore, cfg: NetConfig, rng):
         self.cfg = cfg
@@ -520,15 +544,12 @@ class Classifier:
         if latent.shape[0] != vertex_count(self.cfg.latent_order):
             raise ValueError("latent is not at the feature-extractor output order")
         x = latent
-        order = self.cfg.latent_order
-        for i, block in enumerate(self.blocks):
-            x = block.forward(x)
-            # upsampling keeps the coarse rows, so after the last block it
-            # is needed only for a control grid at the input order
-            if i + 1 < len(self.blocks) or self.cfg.control_order > order:
-                x = tape_upsample(x, order)
-                order += 1
-        return ad.gather(x, np.arange(vertex_count(self.cfg.control_order)))
+        *inner, last = self.blocks
+        for block in inner:
+            x = tape_upsample(block.forward(x), block.order)
+        if self.cfg.control_order > last.order:
+            return tape_upsample(last.forward(x), last.order)
+        return last.forward(x, vertex_count(self.cfg.control_order))
 
 
 class RegistrationNet:

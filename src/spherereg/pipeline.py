@@ -50,6 +50,10 @@ class SyntheticWarpSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_angle", "smoothness", "noise"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"synthetic warp: {name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
         if not self.smoothness > 0:
             raise ValueError("synthetic warp: smoothness must be positive, "
                              f"got {self.smoothness!r}")

@@ -64,6 +64,17 @@ def test_threads_after_numpy_import_warns(pinned):
     assert "MKL_NUM_THREADS=unset" in lines[0]
 
 
+def test_negative_threads_is_a_usage_error():
+    # 0 means no cap; a negative count is refused before any command runs
+    out = run_cli("--threads", "-3", "mesh", "--order", "2")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: --threads must be >= 0 (0 = no cap)\n"
+                                 "usage: spherereg ")
+    assert out.stderr.count("error") == 1
+    assert run_cli("--threads", "0", "mesh", "--order", "0").returncode == 0
+
+
 def test_threads_after_numpy_import_pinned_is_silent():
     # the benchmark's case: every BLAS variable pinned before numpy loads
     env = dict(os.environ, **{var: "1" for var in BLAS_VARS})
@@ -113,7 +124,9 @@ def test_synth_order_out_of_range(tmp_path):
     ("--smoothness", "0", "smoothness"), ("--max-angle", "-1", "max_angle"),
     ("--components", "-1", "n_components"),
     ("--field-degree", "0", "field_degree"), ("--channels", "0", "n_channels"),
-    ("--noise", "-1", "noise"), ("--seed", "-5", "seed")])
+    ("--noise", "-1", "noise"), ("--seed", "-5", "seed"),
+    ("--noise", "inf", "noise"), ("--max-angle", "inf", "max_angle"),
+    ("--smoothness", "inf", "smoothness")])
 def test_synth_rejects_settings_it_cannot_generate(tmp_path, capsys, flag,
                                                    value, field):
     from spherereg import cli

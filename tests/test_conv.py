@@ -194,6 +194,26 @@ def test_aggregate_grad_check():
     assert grad_check(loss_fn, store, n_probes=20, seed=13) < 1e-4
 
 
+def test_aggregate_row_prefix_grad_check():
+    # the same four parents over a row prefix: every VJP returns a
+    # full-height gradient, and the features' gradient reaches rows
+    # outside the prefix through the ring
+    pc = pseudo_coords(2)
+    rng = np.random.Generator(np.random.Philox(14))
+    store = ParamStore()
+    layer = MoNetLayer(store, "m", 3, 2, 4, pc.box, rng)
+    store["m.b"].value = rng.standard_normal(2)
+    store.add("x", rng.standard_normal((vertex_count(2), 3)))
+    probe = rng.standard_normal((42, 2))
+
+    def loss_fn(params):
+        out = conv._aggregate(pc, params["x"], layer.kernel_weights(pc),
+                              params["m.g"], params["m.b"], 42)
+        return ad.sum_(out * probe)
+
+    assert grad_check(loss_fn, store, n_probes=20, seed=15) < 1e-4
+
+
 def test_ring_tables_read_only_and_reverse_complete():
     from spherereg.mesh import gradient_coefficients
     from spherereg.warp import _transfer_map
@@ -299,6 +319,33 @@ def test_resblock_identity_skip_when_convs_zeroed():
     x = rng.standard_normal((42, 3))
     out = blk.forward(ad.constant(x)).value
     assert np.allclose(out, np.where(x > 0, x, 0.2 * x), atol=1e-15)
+
+
+@pytest.mark.parametrize("c_in", [3, 5])
+def test_resblock_row_prefix_grad_check(c_in):
+    # a block cut to a row prefix, with an identity skip (3 -> 3) and a
+    # projection skip (5 -> 3): the features' gradient reaches the rows
+    # outside the prefix through the first convolution's ring
+    store = ParamStore()
+    rng = np.random.Generator(np.random.Philox(6))
+    blk = ResBlock(store, "r0", 2, c_in, 3, 4, rng)
+    store.add("x", rng.standard_normal((vertex_count(2), c_in)))
+    probe = rng.standard_normal((42, 3))
+
+    def loss_fn(params):
+        return ad.sum_(blk.forward(params["x"], 42) * probe)
+
+    assert grad_check(loss_fn, store, n_probes=20, seed=19) < 1e-4
+
+
+def test_resblock_row_prefix_is_the_prefix_of_the_full_block():
+    store = ParamStore()
+    rng = np.random.Generator(np.random.Philox(7))
+    for c_in in (3, 5):
+        blk = ResBlock(store, f"r{c_in}", 2, c_in, 3, 4, rng)
+        x = ad.constant(rng.standard_normal((vertex_count(2), c_in)))
+        assert np.array_equal(blk.forward(x, 42).value,
+                              blk.forward(x).value[:42])
 
 
 def test_resblock_projection_created_only_when_needed():
@@ -441,6 +488,89 @@ def test_order5_constant_pass_peaks_below_the_path_by_path_pass():
         finally:
             tracemalloc.stop()
     assert peaks[0] < 33_028_845 and peaks[1] < 18_341_622
+
+
+def _unpruned_logits(classifier, latent):
+    """The classifier's logits with its last block run over every vertex
+    and the control grid's rows sliced out afterwards."""
+    x = latent
+    for block in classifier.blocks:
+        x = block.forward(x)
+        if block is not classifier.blocks[-1] \
+                or classifier.cfg.control_order > block.order:
+            x = tape_upsample(x, block.order)
+    return x.value[:vertex_count(classifier.cfg.control_order)]
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_classifier_computes_the_control_rows_of_an_unpruned_pass(order):
+    # the last block computes only the control grid's rows, and they are
+    # bitwise the rows an unpruned last block gives
+    rng = np.random.Generator(np.random.Philox(24))
+    moving, fixed = rng.standard_normal((2, vertex_count(order), 1))
+    for cfg, store in _desk_scale_nets(order):
+        net = RegistrationNet(store.constants(), cfg, None)
+        latent = net.extractor.forward(moving, fixed)
+        logits = net.classifier.forward(latent).value
+        assert logits.shape == (vertex_count(cfg.control_order), cfg.n_labels)
+        assert np.array_equal(logits, _unpruned_logits(net.classifier, latent))
+
+
+def test_classifier_with_control_grid_at_the_input_order_upsamples():
+    # a control grid at the input order lies above the last block, which
+    # then runs in full and upsamples once, as before
+    cfg = _tiny_cfg(control_order=2, label_order=3)
+    store = ParamStore()
+    rng = np.random.Generator(np.random.Philox(25))
+    net = RegistrationNet(store, cfg, rng)
+    moving, fixed = rng.standard_normal((2, vertex_count(2), 2))
+    latent = net.extractor.forward(moving, fixed)
+    logits = net.classifier.forward(latent).value
+    assert logits.shape == (vertex_count(2), cfg.n_labels)
+    assert np.array_equal(logits, _unpruned_logits(net.classifier, latent))
+
+
+def test_last_classifier_convolution_emits_only_control_rows(monkeypatch):
+    # in a constant pass and on the tape, each desk-scale stage's last
+    # convolution forms the control grid's rows and no others
+    heights = []
+    aggregate = conv._aggregate
+
+    def recording(*args):
+        out = aggregate(*args)
+        heights.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(conv, "_aggregate", recording)
+    rng = np.random.Generator(np.random.Philox(26))
+    moving, fixed = rng.standard_normal((2, vertex_count(4), 1))
+    for cfg, store in _desk_scale_nets(4):
+        for view in (store.constants(), store):
+            heights.clear()
+            logits = RegistrationNet(view, cfg, None).logits(moving, fixed)
+            assert heights[-2:] == [vertex_count(3),
+                                    vertex_count(cfg.control_order)]
+            assert logits.requires_grad == (view is store)
+
+
+def test_order5_stage1_constant_pass_peaks_below_the_row_extracting_pass():
+    # the first desk-scale stage's last block forms 42 of its 642 rows, so
+    # its order-5 constant pass peaks below the 21,550,509 bytes it took
+    # when that block ran over every vertex and its rows were extracted
+    import tracemalloc
+
+    rng = np.random.Generator(np.random.Philox(23))
+    moving, fixed = rng.standard_normal((2, vertex_count(5), 1))
+    cfg, store = next(_desk_scale_nets(5))
+    net = RegistrationNet(store.constants(), cfg, None)
+    net.logits(moving, fixed)  # builds the cached coordinate tables
+    tracemalloc.start()
+    try:
+        net.logits(moving, fixed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 21_550_509
 
 
 def test_network_initialization_deterministic():
