@@ -1,10 +1,14 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A ``Tensor`` wraps an ndarray and remembers how it was produced; calling
-``backward`` on a scalar walks the tape in reverse topological order and
-accumulates gradients into every reachable node.  A node that needs no
+A ``Tensor`` wraps an ndarray and remembers how it was produced: its
+parents and one VJP, which maps the node's cotangent to one gradient per
+parent, in parent order, with ``None`` for a parent that needs none.
+Calling ``backward`` on a scalar walks the tape in reverse topological
+order, calls each node's VJP once and accumulates the gradients into every
+reachable node.  Work that several parents' gradients share is a local of
+that one call, so it goes when the call returns.  A node that needs no
 gradient (every input is a constant) keeps no tape: it holds neither its
-parents nor its VJPs, so the arrays those close over are freed once the
+parents nor its VJP, so the arrays the VJP closes over are freed once the
 next operation has read its value, and a network pass over constant
 weights holds one layer's intermediates at a time.  Only the operations the
 program composes on the tape are provided; its stages with hand-written
@@ -20,17 +24,18 @@ LEAKY_SLOPE = 0.2  # negative-side slope of leaky_relu
 
 
 class Tensor:
-    __slots__ = ("value", "grad", "parents", "vjps", "requires_grad", "name")
+    __slots__ = ("value", "grad", "parents", "vjp", "requires_grad", "name")
 
-    # make numpy defer to the reflected operators instead of building
-    # object arrays when an ndarray appears on the left-hand side
+    # an ndarray on the left of an operator defers to the Tensor's
+    # reflected one instead of building an object array; only ``__rmul__``
+    # exists, since the program puts a constant first only in a product
     __array_ufunc__ = None
 
-    def __init__(self, value, parents=(), vjps=(), requires_grad=True, name=None):
+    def __init__(self, value, parents=(), vjp=None, requires_grad=True, name=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.parents = parents if requires_grad else ()
-        self.vjps = vjps if requires_grad else ()
+        self.vjp = vjp if requires_grad else None
         self.requires_grad = requires_grad
         self.name = name
 
@@ -45,13 +50,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -61,20 +61,13 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
     def backward(self, seed=None):
-        """Accumulate gradients of this (scalar) tensor w.r.t. the tape."""
+        """Accumulate gradients of this (scalar) tensor w.r.t. the tape:
+        each node's VJP runs once, and its gradients are added into the
+        parents in parent order."""
         if seed is None:
             if self.value.size != 1:
                 raise ValueError("backward() without a seed needs a scalar output")
@@ -83,12 +76,11 @@ class Tensor:
         self.grad = np.asarray(seed, dtype=np.float64)
         for node in order:
             g = node.grad
-            if g is None:
+            if g is None or node.vjp is None:
                 continue
-            for parent, vjp in zip(node.parents, node.vjps):
-                if not parent.requires_grad:
+            for parent, contrib in zip(node.parents, node.vjp(g)):
+                if contrib is None:
                     continue
-                contrib = vjp(g)
                 # out of place: a VJP may return a view of ``g`` or an array
                 # its node still holds, so no gradient is written into
                 if parent.grad is None:
@@ -134,59 +126,58 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _binary(a, b, out, vjp_a, vjp_b):
+def _binary(a, b, out, grad_a, grad_b):
+    """A node of two operands: ``grad_a(g, x, y)`` and ``grad_b(g, x, y)``
+    are the operands' gradients given the cotangent and the operand values,
+    each evaluated only when its operand needs a gradient."""
     a, b = as_tensor(a), as_tensor(b)
-    need = a.requires_grad or b.requires_grad
-    return Tensor(out(a.value, b.value), (a, b), (vjp_a(a, b), vjp_b(a, b)),
-                  requires_grad=need)
+
+    def vjp(g):
+        return (grad_a(g, a.value, b.value) if a.requires_grad else None,
+                grad_b(g, a.value, b.value) if b.requires_grad else None)
+
+    return Tensor(out(a.value, b.value), (a, b), vjp,
+                  requires_grad=a.requires_grad or b.requires_grad)
 
 
 def add(a, b):
-    return _binary(
-        a, b, np.add,
-        lambda a, b: lambda g: _unbroadcast(g, a.value.shape),
-        lambda a, b: lambda g: _unbroadcast(g, b.value.shape),
-    )
+    return _binary(a, b, np.add,
+                   lambda g, x, y: _unbroadcast(g, x.shape),
+                   lambda g, x, y: _unbroadcast(g, y.shape))
 
 
 def sub(a, b):
-    return _binary(
-        a, b, np.subtract,
-        lambda a, b: lambda g: _unbroadcast(g, a.value.shape),
-        lambda a, b: lambda g: _unbroadcast(-g, b.value.shape),
-    )
+    return _binary(a, b, np.subtract,
+                   lambda g, x, y: _unbroadcast(g, x.shape),
+                   lambda g, x, y: _unbroadcast(-g, y.shape))
 
 
 def mul(a, b):
-    return _binary(
-        a, b, np.multiply,
-        lambda a, b: lambda g: _unbroadcast(g * b.value, a.value.shape),
-        lambda a, b: lambda g: _unbroadcast(g * a.value, b.value.shape),
-    )
+    return _binary(a, b, np.multiply,
+                   lambda g, x, y: _unbroadcast(g * y, x.shape),
+                   lambda g, x, y: _unbroadcast(g * x, y.shape))
 
 
 def div(a, b):
-    return _binary(
-        a, b, np.divide,
-        lambda a, b: lambda g: _unbroadcast(g / b.value, a.value.shape),
-        lambda a, b: lambda g: _unbroadcast(-g * a.value / b.value**2, b.value.shape),
-    )
+    return _binary(a, b, np.divide,
+                   lambda g, x, y: _unbroadcast(g / y, x.shape),
+                   lambda g, x, y: _unbroadcast(-g * x / y**2, y.shape))
 
 
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise ValueError("matmul supports 2-D operands only")
-    return Tensor(a.value @ b.value, (a, b),
-                  (lambda g: g @ b.value.T, lambda g: a.value.T @ g),
-                  requires_grad=a.requires_grad or b.requires_grad)
+    return _binary(a, b, np.matmul,
+                   lambda g, x, y: g @ y.T,
+                   lambda g, x, y: x.T @ g)
 
 
 def leaky_relu(a):
     a = as_tensor(a)
     pos = a.value > 0
     factor = np.where(pos, 1.0, LEAKY_SLOPE)
-    return Tensor(a.value * factor, (a,), (lambda g: g * factor,),
+    return Tensor(a.value * factor, (a,), lambda g: (g * factor,),
                   requires_grad=a.requires_grad)
 
 
@@ -195,12 +186,10 @@ def sum_(a, axis=None, keepdims=False):
     out = a.value.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, a.value.shape).copy()
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, a.value.shape).copy()
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, a.value.shape).copy(),)
 
-    return Tensor(out, (a,), (vjp,), requires_grad=a.requires_grad)
+    return Tensor(out, (a,), vjp, requires_grad=a.requires_grad)
 
 
 def concat(tensors, axis=0):
@@ -208,13 +197,13 @@ def concat(tensors, axis=0):
     sizes = [t.value.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
-    def make_vjp(i):
-        return lambda g: np.split(g, splits, axis=axis)[i]
+    def vjp(g):
+        return tuple(part if t.requires_grad else None
+                     for t, part in zip(tensors, np.split(g, splits, axis=axis)))
 
     return Tensor(
         np.concatenate([t.value for t in tensors], axis=axis),
-        tuple(tensors),
-        tuple(make_vjp(i) for i in range(len(tensors))),
+        tuple(tensors), vjp,
         requires_grad=any(t.requires_grad for t in tensors),
     )
 
@@ -236,10 +225,11 @@ def gather(a, index):
     index = np.asarray(index)
 
     def vjp(g):
-        return scatter_rows(index, g, a.value.shape[0]).reshape(a.value.shape)
+        return (scatter_rows(index, g, a.value.shape[0])
+                .reshape(a.value.shape),)
 
     # np.take gathers rows several times faster than fancy indexing
-    return Tensor(np.take(a.value, index, axis=0), (a,), (vjp,),
+    return Tensor(np.take(a.value, index, axis=0), (a,), vjp,
                   requires_grad=a.requires_grad)
 
 
@@ -252,9 +242,9 @@ def softmax_rows(a):
 
     def vjp(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
-        return out * (g - dot)
+        return (out * (g - dot),)
 
-    return Tensor(out, (a,), (vjp,), requires_grad=a.requires_grad)
+    return Tensor(out, (a,), vjp, requires_grad=a.requires_grad)
 
 
 # -- primitive registry for gradient verification -------------------------

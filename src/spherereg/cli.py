@@ -22,6 +22,7 @@ when the process's thread variables differ from the request.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import warnings
@@ -425,6 +426,8 @@ def _validate(parser, args) -> None:
             parser.error("pair count must be nonnegative")
         if not 0 <= args.order <= 6:
             parser.error("synth order must be between 0 and 6")
+    if args.command == "eval" and not 0 <= args.threshold < math.inf:
+        parser.error("--threshold must be finite and >= 0")
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,7 @@ exponent, a quadratic in the fixed offsets, as one GEMM of per-order
 quadratic features against a (6, J) parameter matrix.  ``_aggregate``
 gathers the ring a block of rows at a time, forms the weighted patches
 and mixes them with one GEMM, for all vertices or a row prefix; its
-backward sums the features' gradient over the sphere's reverse ring table
+VJP sums the features' gradient over the sphere's reverse ring table
 (``Icosphere.ring_sum``).  A layer shared by the two surfaces forms its
 weight node once and aggregates both surfaces with it
 (``MoNetLayer.forward_each``).  The resolution transfers, ``tape_maxpool``
@@ -115,9 +115,9 @@ def _gaussian_weights(coords: PseudoCoords, mu: Tensor, lraw: Tensor) -> Tensor:
     the fixed offsets ``o``, so it is ``coords.quad @ R``: the cached rows
     ``[ox^2, 2 ox oy, oy^2, ox, oy, 1]`` per ring slot against a (6, J)
     matrix ``R`` of the precision entries and their products with ``mu``.
-    The forward is one GEMM, one ``exp`` and the mask; the backward is one
-    GEMM, ``quad^T @ (g w)``, shared by both parents, after which the chain
-    rule to ``mu`` and ``lraw`` runs on (6, J) arrays.
+    The forward is one GEMM, one ``exp`` and the mask; the one VJP is one
+    GEMM, ``quad^T @ (g w)``, after which the chain rule to ``mu`` and
+    ``lraw`` runs on (6, J) arrays.
     """
     a_, b_, c_ = lraw.value[:, 0], lraw.value[:, 1], lraw.value[:, 2]
     mx, my = mu.value[:, 0], mu.value[:, 1]
@@ -134,29 +134,27 @@ def _gaussian_weights(coords: PseudoCoords, mu: Tensor, lraw: Tensor) -> Tensor:
     np.exp(w, out=w)
     w[coords.pad] = 0.0
     w = w.reshape(coords.offsets.shape[0], 7, -1)
-    shared = []
 
-    def back(g):
+    def vjp(g):
         # d loss / d R is one GEMM, quad^T (g w); the chain rule to mu and
-        # lraw runs on its rows, once for both VJPs
-        if not shared or shared[0] is not g:
-            gr = coords.quad.T @ (g * w).reshape(-1, w.shape[2])
-            hx = gr[3] - 0.5 * mx * gr[5]  # d loss / d (P mu)
-            hy = gr[4] - 0.5 * my * gr[5]
-            g_pa = -0.5 * gr[0] + hx * mx
-            g_pb = -0.5 * gr[1] + hx * my + hy * mx
-            g_pc = -0.5 * gr[2] + hy * my
-            g_mu = np.stack([gr[3] * p_a + gr[4] * p_b - gr[5] * lin_x,
-                             gr[3] * p_b + gr[4] * p_c - gr[5] * lin_y], axis=1)
-            g_lraw = np.stack([
-                -2 * p_a * g_pa - p_b * g_pb,
-                2 * b_ * e_2a2c * g_pa - e_a2c * g_pb,
-                -2 * b_**2 * e_2a2c * g_pa - 2 * p_b * g_pb - 2 * p_c * g_pc,
-            ], axis=1)
-            shared[:] = [g, g_mu, g_lraw]
-        return shared
+        # lraw runs on its rows
+        gr = coords.quad.T @ (g * w).reshape(-1, w.shape[2])
+        hx = gr[3] - 0.5 * mx * gr[5]  # d loss / d (P mu)
+        hy = gr[4] - 0.5 * my * gr[5]
+        g_pa = -0.5 * gr[0] + hx * mx
+        g_pb = -0.5 * gr[1] + hx * my + hy * mx
+        g_pc = -0.5 * gr[2] + hy * my
+        g_mu = np.stack([gr[3] * p_a + gr[4] * p_b - gr[5] * lin_x,
+                         gr[3] * p_b + gr[4] * p_c - gr[5] * lin_y], axis=1)
+        g_lraw = np.stack([
+            -2 * p_a * g_pa - p_b * g_pb,
+            2 * b_ * e_2a2c * g_pa - e_a2c * g_pb,
+            -2 * b_**2 * e_2a2c * g_pa - 2 * p_b * g_pb - 2 * p_c * g_pc,
+        ], axis=1)
+        return (g_mu if mu.requires_grad else None,
+                g_lraw if lraw.requires_grad else None)
 
-    return Tensor(w, (mu, lraw), (lambda g: back(g)[1], lambda g: back(g)[2]),
+    return Tensor(w, (mu, lraw), vjp,
                   requires_grad=mu.requires_grad or lraw.requires_grad)
 
 
@@ -173,12 +171,14 @@ def _aggregate(coords: PseudoCoords, features: Tensor, w: Tensor, g: Tensor,
     (rows, 7, C_in) is formed ``RING_BUDGET`` values at a time, each block
     weighted into its rows of the (rows, J, C_in) patches (each row's
     product is its own, so the bits depend neither on the blocks nor on
-    ``rows``), and the weights' VJP gathers the ring again.  The backward
-    forms ``g_out @ mixing^T`` once for all four VJPs and takes the ring
-    gather of the features back with ``Icosphere.ring_sum``, or for a row
-    prefix with ``autodiff.scatter_rows``, which adds in the same order
-    without forming the (V, 7, C_in) slots; the features' and the weights'
-    gradients are full height, zero where no computed row reads them."""
+    ``rows``).  The one VJP forms ``g_out @ mixing^T`` once for the
+    features and the weights, and only when one of them needs a gradient
+    (the first convolution's raw input does not); it takes the ring gather
+    of the features back with ``Icosphere.ring_sum``, or for a row prefix
+    with ``autodiff.scatter_rows``, which adds in the same order without
+    forming the (V, 7, C_in) slots, and gathers the ring again for the
+    weights.  The features' and the weights' gradients are full height,
+    zero where no computed row reads them."""
     sphere = build_icosphere(coords.order)
     n, _, n_k = w.shape
     rows = n if rows is None else rows
@@ -198,37 +198,28 @@ def _aggregate(coords: PseudoCoords, features: Tensor, w: Tensor, g: Tensor,
     out = patches @ mixing
     out /= counts
     out += b.value
-    shared = []
 
-    def back(g_out):
-        # the mean's 1/count, and d loss / d patches as (rows, J, C_in)
-        if not shared or shared[0] is not g_out:
-            g_mean = g_out / counts
-            shared[:] = [g_out, g_mean,
-                         (g_mean @ mixing.T).reshape(rows, n_k, c_in)]
-        return shared[1], shared[2]
+    def vjp(g_out):
+        g_mean = g_out / counts  # the mean's 1/count
+        g_features = g_w = None
+        if features.requires_grad or w.requires_grad:
+            g_patches = (g_mean @ mixing.T).reshape(rows, n_k, c_in)
+        if w.requires_grad:
+            g_w = np.matmul(np.take(features.value, ring, axis=0),
+                            g_patches.transpose(0, 2, 1))
+            if rows < n:
+                g_w = np.concatenate([g_w,
+                                      np.zeros((n - rows,) + g_w.shape[1:])])
+        if features.requires_grad:
+            slots = np.matmul(w_rows, g_patches)
+            g_features = (ad.scatter_rows(ring, slots, n) if rows < n
+                          else sphere.ring_sum(slots))
+        return (g_features, g_w,
+                (patches.T @ g_mean).reshape(g.shape) if g.requires_grad
+                else None,
+                g_out.sum(axis=0) if b.requires_grad else None)
 
-    def vjp_features(g_out):
-        slots = np.matmul(w_rows, back(g_out)[1])
-        if rows < n:
-            return ad.scatter_rows(ring, slots, n)
-        return sphere.ring_sum(slots)
-
-    def vjp_weights(g_out):
-        gathered = np.take(features.value, ring, axis=0)
-        g_w = np.matmul(gathered, back(g_out)[1].transpose(0, 2, 1))
-        if rows < n:
-            g_w = np.concatenate([g_w, np.zeros((n - rows,) + g_w.shape[1:])])
-        return g_w
-
-    def vjp_g(g_out):
-        return (patches.T @ back(g_out)[0]).reshape(g.shape)
-
-    def vjp_b(g_out):
-        return g_out.sum(axis=0)
-
-    return Tensor(out, (features, w, g, b),
-                  (vjp_features, vjp_weights, vjp_g, vjp_b),
+    return Tensor(out, (features, w, g, b), vjp,
                   requires_grad=(features.requires_grad or w.requires_grad
                                  or g.requires_grad or b.requires_grad))
 
@@ -306,9 +297,9 @@ def tape_upsample(x: Tensor, order: int) -> Tensor:
     def vjp(g):
         half = g[n:] * 0.5
         return (g[:n] + ad.scatter_rows(e[:, 0], half, n)
-                + ad.scatter_rows(e[:, 1], half, n))
+                + ad.scatter_rows(e[:, 1], half, n),)
 
-    return Tensor(np.concatenate([x.value, mids]), (x,), (vjp,),
+    return Tensor(np.concatenate([x.value, mids]), (x,), vjp,
                   requires_grad=x.requires_grad)
 
 
@@ -324,11 +315,11 @@ def tape_maxpool(x: Tensor, order: int) -> Tensor:
         ring, np.take(x.value, ring, axis=0).argmax(axis=1), axis=1)  # (n, C)
 
     def vjp(g):
-        return np.stack([np.bincount(source[:, k], weights=g[:, k],
-                                     minlength=x.shape[0])
-                         for k in range(c)], axis=1)
+        return (np.stack([np.bincount(source[:, k], weights=g[:, k],
+                                      minlength=x.shape[0])
+                          for k in range(c)], axis=1),)
 
-    return Tensor(x.value[source, np.arange(c)], (x,), (vjp,),
+    return Tensor(x.value[source, np.arange(c)], (x,), vjp,
                   requires_grad=x.requires_grad)
 
 

@@ -107,11 +107,11 @@ def gaussian_message(q: Tensor, partner_endpoints: Tensor, labels: LabelSpace,
 
     ``omega`` is used as given, minus its diagonal; ``crf_forward_tensor``
     passes the row-normalized weights.  The message is one node on the tape
-    with hand-written VJPs.  The forward forms the dense (N_l, N_c, N_c)
+    with a hand-written VJP.  The forward forms the dense (N_l, N_c, N_c)
     kernel's exponent with one matrix product, the cached label rows of
     ``_label_rows`` against ``[p; 1; |p|^2]`` for the partner displacements
     ``p``, and filters the kernel by ``omega`` in place, so the tape keeps
-    only the filtered kernel.  The backward reads it once for ``q`` and the
+    only the filtered kernel.  The VJP reads it once for ``q`` and the
     endpoints together.
     """
     q, partner_endpoints = ad.as_tensor(q), ad.as_tensor(partner_endpoints)
@@ -131,27 +131,22 @@ def gaussian_message(q: Tensor, partner_endpoints: Tensor, labels: LabelSpace,
     filtered *= omega
     qt = q.value.T  # (N_l, N_c)
     msg = (filtered @ qt[:, :, None])[:, :, 0].T
-    shared = []
 
-    def back(g):
+    def vjp(g):
         # [k, 0, j] = sum_i g[i, k] filtered[k, i, j], and rows 1-3 the
-        # same sum weighted by disp[k, :, i]: one pass over the kernel per
-        # cotangent, shared by vjp_q and vjp_endpoints
-        if not shared or shared[0] is not g:
-            gt = g.T[:, None, :]
-            shared[:] = [g, np.concatenate([gt, gt * disp], axis=1) @ filtered]
-        return shared[1]
+        # same sum weighted by disp[k, :, i]: one pass over the kernel
+        gt = g.T[:, None, :]
+        sums = np.concatenate([gt, gt * disp], axis=1) @ filtered
+        g_endpoints = None
+        if partner_endpoints.requires_grad:
+            # d kernel[k, i, j] / d partner_disp[j]
+            #   = kernel * (disp[k, i] - partner_disp[j]) / gamma^2
+            s = (qt[:, None, :] * sums).sum(axis=0)  # (4, N_c)
+            g_endpoints = (s[1:].T - partner_disp * s[0][:, None]) \
+                * (2.0 * scale)
+        return sums[:, 0, :].T if q.requires_grad else None, g_endpoints
 
-    def vjp_q(g):
-        return back(g)[:, 0, :].T
-
-    def vjp_endpoints(g):
-        # d kernel[k, i, j] / d partner_disp[j]
-        #   = kernel * (disp[k, i] - partner_disp[j]) / gamma^2
-        sums = (qt[:, None, :] * back(g)).sum(axis=0)  # (4, N_c)
-        return (sums[1:].T - partner_disp * sums[0][:, None]) * (2.0 * scale)
-
-    return Tensor(msg, (q, partner_endpoints), (vjp_q, vjp_endpoints),
+    return Tensor(msg, (q, partner_endpoints), vjp,
                   requires_grad=(q.requires_grad
                                  or partner_endpoints.requires_grad))
 

@@ -83,9 +83,9 @@ def similarity_loss(fixed: SphericalFeatureMap, warped, mask=None) -> Tensor:
         if kept:
             step -= cc_grad / kept
         grad[idx] = g * step
-        return grad
+        return (grad,)
 
-    return Tensor(loss, (warped_t,), (vjp,),
+    return Tensor(loss, (warped_t,), vjp,
                   requires_grad=warped_t.requires_grad)
 
 
@@ -109,9 +109,9 @@ def smoothness_loss(endpoints, order: int) -> Tensor:
 
     def vjp(g):
         ggathered = coef.transpose(0, 2, 1) @ (gvec * ((g / n) / mag)[:, None])
-        return sphere.ring_sum(ggathered)
+        return (sphere.ring_sum(ggathered),)
 
-    return Tensor(loss, (endpoints_t,), (vjp,),
+    return Tensor(loss, (endpoints_t,), vjp,
                   requires_grad=endpoints_t.requires_grad)
 
 

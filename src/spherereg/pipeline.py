@@ -330,6 +330,7 @@ class StageModel:
                 raise FloatingPointError("non-finite refinement loss")
             loss.backward()
             opt.adam_step(self.stage.refine_lr)
+            del loss  # the step's tape goes before the next one is built
         return logits.value, faces
 
 
@@ -416,6 +417,7 @@ def train_stage(stage: StageConfig, train_pairs, val_pairs, seed: int,
             loss.backward()
             model.store.adam_step(stage.lr)
             losses.append(float(loss.value))
+            del loss  # the step's tape goes before the next one is built
         val_cc = _validation_cc(model, val_pairs)
         record = EpochRecord(epoch, float(np.mean(losses)), val_cc)
         trace.append(record)

@@ -131,11 +131,11 @@ def soft_deform_tensor(labels: LabelSpace, q: Tensor) -> Tensor:
     out = expect / norm
 
     def vjp(g):
-        return np.einsum("id,ikd->ik",
-                         np.where(ok, _unit_rows_vjp(g, out, norm), 0.0),
-                         labels.endpoints)
+        return (np.einsum("id,ikd->ik",
+                          np.where(ok, _unit_rows_vjp(g, out, norm), 0.0),
+                          labels.endpoints),)
 
-    return Tensor(out, (q,), (vjp,), requires_grad=q.requires_grad)
+    return Tensor(out, (q,), vjp, requires_grad=q.requires_grad)
 
 
 @lru_cache(maxsize=None)
@@ -168,10 +168,10 @@ def upsample_deformation_tensor(endpoints: Tensor, coarse_order: int,
 
     def vjp(g):
         g_moved = _unit_rows_vjp(g, out, norm)
-        return ad.scatter_rows(corner_idx, bmap.weights[:, :, None]
-                               * g_moved[:, None, :], len(endpoints.value))
+        return (ad.scatter_rows(corner_idx, bmap.weights[:, :, None]
+                                * g_moved[:, None, :], len(endpoints.value)),)
 
-    return Tensor(out, (endpoints,), (vjp,),
+    return Tensor(out, (endpoints,), vjp,
                   requires_grad=endpoints.requires_grad)
 
 
@@ -238,10 +238,10 @@ def _interpolate_warped(moving_values: np.ndarray, endpoints: Tensor,
                           cross_rows(q, gw[2] * a - gw[0] * c),
                           cross_rows(q, gw[0] * b - gw[1] * a)],
                          axis=1)  # (3 components, 3 corners, V)
-        return ad.scatter_rows(corner_idx.T, grads.reshape(3, -1).T,
-                               len(endpoints.value))
+        return (ad.scatter_rows(corner_idx.T, grads.reshape(3, -1).T,
+                                len(endpoints.value)),)
 
-    return Tensor(out, (endpoints,), (vjp,),
+    return Tensor(out, (endpoints,), vjp,
                   requires_grad=endpoints.requires_grad)
 
 

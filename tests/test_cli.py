@@ -505,6 +505,30 @@ def test_eval_reports_cluster_mass(eval_inputs):
     assert "cluster_mass = " in out.stdout
 
 
+def _eval_threshold(root, threshold):
+    return run_cli("eval", "--fixed", str(root / "fixed.sfm"),
+                   "--warped", str(root / "warped.sfm"),
+                   "--sphere", str(root / "sphere.ico"),
+                   "--zmap", str(root / "zmap.sfm"),
+                   f"--threshold={threshold}")
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-1"])
+def test_eval_rejects_a_threshold_that_is_not_finite_and_nonnegative(
+        eval_inputs, threshold):
+    out = _eval_threshold(eval_inputs, threshold)
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.startswith("error: --threshold must be finite and "
+                                 ">= 0\nusage: spherereg ")
+    assert out.stderr.count("error") == 1
+
+
+def test_eval_takes_a_zero_threshold(eval_inputs):
+    out = _eval_threshold(eval_inputs, "0")
+    assert out.returncode == 0, out.stderr
+    assert "cluster_mass = " in out.stdout
+
+
 def test_eval_missing_zmap_is_an_io_error(eval_inputs):
     out = _eval(eval_inputs, zmap="absent.sfm")
     assert out.returncode == 2

@@ -123,9 +123,9 @@ def test_frozen_filter_weights_free_the_kernel_and_change_no_bits():
     q = ad.Tensor(_softmax(u))
     msg = gaussian_message(q, soft_deform_tensor(labels, q), labels, omega,
                            CrfConfig())
-    assert len(msg.parents) == len(msg.vjps) == 2
+    assert len(msg.parents) == 2
     kernels = {id(cell.cell_contents): cell.cell_contents
-               for vjp in msg.vjps for cell in _closure(vjp)
+               for cell in _closure(msg.vjp)
                if np.shape(cell.cell_contents) == (4, 12, 12)}
     assert len(kernels) == 1
     (kernel,) = kernels.values()

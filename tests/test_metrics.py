@@ -244,7 +244,7 @@ def test_smoothness_equals_the_reduction_formula_bitwise(order):
         coef.transpose(0, 2, 1) @ (gvec * ((g / n) / mag)[:, None]), n)
     loss = smoothness_loss(ad.Tensor(end), order)
     assert np.array_equal(loss.value, mag.sum(axis=1).sum() * (1.0 / n))
-    assert np.array_equal(loss.vjps[0](g), expect_grad)
+    assert np.array_equal(loss.vjp(g)[0], expect_grad)
 
 
 def test_total_loss_combines_terms():

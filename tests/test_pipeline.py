@@ -1,5 +1,6 @@
 """Tests for synthetic data, stage models, training, and run configs."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -375,6 +376,44 @@ def test_desk_scale_tape_sizes():
     assert sizes == [10, 81, 249]
 
 
+def _spy_on_losses(monkeypatch):
+    """Wrap ``StageModel._loss``, through which every training and refine
+    loss is built, to check that the previous loss (and so its tape) is
+    gone when the next one starts; returns a weak reference per loss."""
+    refs = []
+    build = StageModel._loss
+
+    def spy(self, *args, **kw):
+        assert [ref() for ref in refs] == [None] * len(refs)
+        loss, faces = build(self, *args, **kw)
+        refs.append(weakref.ref(loss.value))
+        return loss, faces
+
+    monkeypatch.setattr(StageModel, "_loss", spy)
+    return refs
+
+
+def test_desk_scale_training_epoch_frees_each_step_tape(monkeypatch):
+    pairs = [generate_synthetic_pair(SyntheticWarpSpec(seed=10000 + k), 4)[:2]
+             for k in range(3)]
+    refs = _spy_on_losses(monkeypatch)
+    train_stage(replace(desk_scale_stages()[0], epochs=2), pairs[:2],
+                pairs[2:], seed=3)
+    assert len(refs) == 4 and [ref() for ref in refs] == [None] * 4
+
+
+def test_refine_frees_each_step_tape(monkeypatch):
+    # two plain steps, then two through the CRF decode
+    monkeypatch.setattr(pipeline, "CRF_REFINE_STEPS", 2)
+    moving, fixed, _ = generate_synthetic_pair(SyntheticWarpSpec(seed=10002),
+                                               4)
+    model = StageModel(replace(desk_scale_stages()[1], refine_steps=4),
+                       seed=4)
+    refs = _spy_on_losses(monkeypatch)
+    model.refine(moving, fixed)
+    assert len(refs) == 4 and [ref() for ref in refs] == [None] * 4
+
+
 def test_desk_scale_training_steps_search_no_face(monkeypatch):
     # a training step and a validation registration of each desk-scale
     # stage locate every warped face by a walk from the identity warp's
@@ -414,7 +453,7 @@ def test_refine_and_register_run_the_network_off_the_tape(monkeypatch):
     model.register(*pair, *model.refine(*pair))
     model.register(*pair)
     assert len(passes) == 2
-    assert all(not p.requires_grad and p.parents == () and p.vjps == ()
+    assert all(not p.requires_grad and p.parents == () and p.vjp is None
                for p in passes)
     for name in model.store.names():
         assert model.store[name].grad is None

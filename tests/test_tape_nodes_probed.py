@@ -1,7 +1,7 @@
 """Every hand-written tape node is finite-difference probed.
 
 A function outside ``autodiff.py`` that builds a ``Tensor`` with parents
-(``Tensor(value, parents, vjps)``) writes its own VJPs.  Such a function
+(``Tensor(value, parents, vjp)``) writes its own VJP.  Such a function
 passes when a test that runs ``grad_check`` or ``check_registered_ops``
 reads its name, or when an ``autodiff.OP_REGISTRY`` entry does.
 Matching is by name, as in ``test_no_dead_code.py``.
@@ -23,12 +23,16 @@ def _reads(tree):
 
 
 def _builds_node(call):
-    """Whether ``call`` is ``Tensor(...)`` given parents or VJPs."""
+    """Whether ``call`` is ``Tensor(...)`` given parents or a VJP."""
+    return _is_tensor(call) and (
+        len(call.args) >= 2
+        or any(k.arg in ("parents", "vjp") for k in call.keywords))
+
+
+def _is_tensor(call):
     func = call.func
     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    return name == "Tensor" and (
-        len(call.args) >= 2
-        or any(k.arg in ("parents", "vjps") for k in call.keywords))
+    return name == "Tensor"
 
 
 def _fused_nodes(source):
@@ -77,13 +81,37 @@ def test_every_hand_written_node_is_probed():
 def test_fused_nodes_sees_nodes_not_leaves():
     source = (
         "def fused(a):\n"
-        "    return Tensor(a.value, (a,), (lambda g: g,))\n"
+        "    return Tensor(a.value, (a,), lambda g: (g,))\n"
         "def keyword(a):\n"
-        "    return ad.Tensor(a.value, parents=(a,), vjps=(lambda g: g,))\n"
+        "    return ad.Tensor(a.value, parents=(a,), vjp=lambda g: (g,))\n"
         "class Store:\n"
         "    def leaf(self, v):\n"
         "        return Tensor(v, name='w')\n"
         "    def method(self, a):\n"
-        "        return Tensor(a.value, (a,), (lambda g: g,))\n"
+        "        return Tensor(a.value, (a,), lambda g: (g,))\n"
     )
     assert _fused_nodes(source) == {"fused", "keyword", "method"}
+
+
+def _vjp_tuples(source):
+    """Lines of ``source`` where a ``Tensor(...)`` passes a tuple as its
+    VJP."""
+    lines = []
+    for call in ast.walk(ast.parse(source)):
+        if isinstance(call, ast.Call) and _is_tensor(call):
+            given = call.args[2:3] + [k.value for k in call.keywords
+                                      if k.arg == "vjp"]
+            if any(isinstance(v, ast.Tuple) for v in given):
+                lines.append(call.lineno)
+    return lines
+
+
+def test_every_node_passes_one_vjp():
+    # a node's VJP is one function returning every parent's gradient, not
+    # a tuple of per-parent functions
+    assert _vjp_tuples("Tensor(a.value, (a,), (lambda g: g,))\n") == [1]
+    assert _vjp_tuples("ad.Tensor(a.value, parents=(a,), vjp=(f, h))\n") \
+        == [1]
+    assert _vjp_tuples("Tensor(a.value, (a,), lambda g: (g,))\n") == []
+    for path in PACKAGE.glob("*.py"):
+        assert _vjp_tuples(path.read_text()) == [], path.name

@@ -686,7 +686,7 @@ def test_upsample_deformation_equals_the_reduction_formula_bitwise(
     got = warp.upsample_deformation_tensor(ad.Tensor(end), coarse_order,
                                            order)
     assert np.array_equal(got.value, out)
-    assert np.array_equal(got.vjps[0](g), expect_grad)
+    assert np.array_equal(got.vjp(g)[0], expect_grad)
 
 
 @pytest.mark.parametrize("label_order", [3, 4])
@@ -700,7 +700,7 @@ def test_soft_deform_equals_the_reduction_formula_bitwise(label_order):
     out, _, g_expect = _unit_rows_reference(expect, g)
     got = soft_deform_tensor(labels, ad.Tensor(q))
     assert np.array_equal(got.value, out)
-    assert np.array_equal(got.vjps[0](g),
+    assert np.array_equal(got.vjp(g)[0],
                           np.einsum("id,ikd->ik", g_expect, labels.endpoints))
 
 
