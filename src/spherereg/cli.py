@@ -413,21 +413,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
     p.set_defaults(func=cmd_selftest)
+    for command in sub.choices.values():
+        command.set_defaults(command_parser=command)
     return parser
 
 
 def _validate(parser, args) -> None:
+    """Range checks; an error shows the usage of the parser that owns the
+    flag, as argparse's own errors do."""
     if args.threads < 0:
         parser.error("--threads must be >= 0 (0 = no cap)")
+    command = args.command_parser
     if args.command == "mesh" and not 0 <= args.order <= 8:
-        parser.error("mesh order must be between 0 and 8")
+        command.error("mesh order must be between 0 and 8")
     if args.command == "synth":
         if args.pairs < 0:
-            parser.error("pair count must be nonnegative")
+            command.error("pair count must be nonnegative")
         if not 0 <= args.order <= 6:
-            parser.error("synth order must be between 0 and 6")
+            command.error("synth order must be between 0 and 6")
     if args.command == "eval" and not 0 <= args.threshold < math.inf:
-        parser.error("--threshold must be finite and >= 0")
+        command.error("--threshold must be finite and >= 0")
 
 
 def main(argv=None) -> int:

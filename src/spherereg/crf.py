@@ -1,13 +1,16 @@
 """Fully connected CRF over control-point label distributions, solved by
 unrolled mean-field iterations so it trains end to end.
 
-The pairwise potential couples control-point displacements through a
-Gaussian kernel with fixed per-pair filter weights, a geodesic falloff
-between control points, and a fixed Potts label compatibility: two
-control points agree when they move the same way, not when they move to
-the same place.  During message passing the partner's displacement is
-taken to its current probability-weighted (expected) endpoint, which
-keeps every stage differentiable in the label scores.
+Each label of a control point is a rotation: the smallest one carrying the
+point to the label's endpoint.  The pairwise potential, after MSM
+(Robinson et al., NeuroImage 2014), penalizes the squared Frobenius
+distance between two points' rotations, with fixed per-pair filter weights
+(a geodesic falloff between control points) and a fixed Potts label
+compatibility: two control points agree when they move the same way, not
+when they move to the same place.  The coupling ``gamma`` scales it in
+logit units.  The message is linear in the label probabilities: it reads
+each partner's expected rotation, so every stage stays differentiable in
+the label scores.
 
 The filter weights enter inference row-normalized, so each message is a
 weighted average over partners rather than a sum, and successive plain
@@ -39,13 +42,12 @@ MIX_FLOOR = 1e-30
 @dataclass
 class CrfConfig:
     iterations: int = 5
-    gamma: float = 0.2
+    gamma: float = 4.0  # the coupling, in logit units
 
     def __post_init__(self):
         require(self.iterations >= 1, "iterations",
                 "the mean-field iteration count must be >= 1")
-        require(self.gamma > 0, "gamma",
-                "the kernel bandwidth must be positive")
+        require(self.gamma > 0, "gamma", "the coupling must be positive")
 
 
 @lru_cache(maxsize=None)
@@ -75,90 +77,61 @@ def _normalized_filter(omega: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _label_rows(labels: LabelSpace, gamma: float):
-    """The label side of the message, fixed by the label space and the
-    bandwidth: the exponent rows ``[2s d, -s |d|^2, -s]`` per (label k,
-    point i), (N_l * N_c, 5) with ``s = 1 / (2 gamma^2)`` and ``d`` the
-    label's displacement, and the displacements as (N_l, 3, N_c)
-    component rows.  Built once per key; the arrays are read-only because
-    every caller shares them."""
-    scale = 1.0 / (2.0 * gamma**2)
-    centers = build_icosphere(labels.control_order).vertices
-    # label-major layout: arrays indexed [label k, point i, partner j] make
-    # every contraction over points a batched matrix product
-    disp = np.swapaxes(labels.endpoints - centers[:, None, :], 0, 1)
-    n_l, n_c, _ = disp.shape
-    rows = np.empty((n_l, n_c, 5))
-    rows[:, :, :3] = (2.0 * scale) * disp
-    rows[:, :, 3] = -scale * (disp * disp).sum(axis=2)
-    rows[:, :, 4] = -scale
-    rows = rows.reshape(-1, 5)
-    disp = np.ascontiguousarray(disp.transpose(0, 2, 1))
-    rows.setflags(write=False)
-    disp.setflags(write=False)
-    return rows, disp
+def _label_rotations(labels: LabelSpace) -> np.ndarray:
+    """R_ik, the smallest rotation carrying control point c_i to label
+    endpoint e_ik, as (N_c, N_l, 9) row-major matrices: Rodrigues' formula
+    about c_i x e_ik, ``R = I + K + K^2 / (1 + c_i . e_ik)`` with ``K`` the
+    cross-product matrix of ``c_i x e_ik``, which is the identity where
+    e_ik = c_i.  Built once per label space; read-only because every
+    caller shares it."""
+    centers = build_icosphere(labels.control_order).vertices[:, None, :]
+    ends = labels.endpoints
+    cos = (centers * ends).sum(axis=2)
+    if np.any(cos <= -1.0 + 1e-12):
+        raise ValueError("no smallest rotation carries a control point "
+                         "to its antipode, a label endpoint")
+    ax, ay, az = np.moveaxis(np.cross(centers, ends), 2, 0)
+    zero = np.zeros_like(cos)
+    k = np.stack([zero, -az, ay, az, zero, -ax, -ay, ax, zero],
+                 axis=2).reshape(cos.shape + (3, 3))
+    rot = (np.eye(3) + k + (k @ k) / (1.0 + cos)[..., None, None]).reshape(
+        cos.shape + (9,))
+    rot.setflags(write=False)
+    return rot
 
 
-def gaussian_message(q: Tensor, partner_endpoints: Tensor, labels: LabelSpace,
-                     omega: np.ndarray, config: CrfConfig) -> Tensor:
-    """Message passing: for each (control point, label), the filter-weighted
-    sum over partners of kernel(label displacement, partner's current
-    expected displacement) times the partner's probability of that label.
+def rotation_message(q: Tensor, labels: LabelSpace, weights: np.ndarray,
+                     coupling: float) -> Tensor:
+    """The rotation-agreement message, linear in the label probabilities:
+    ``msg[i, k] = 2 coupling <R_ik, M_i>_F`` with ``M = weights @ Rbar``
+    and ``Rbar_j = sum_l q[j, l] R_jl`` each partner's expected rotation
+    (``_label_rotations``).  Up to a per-row constant, which softmax
+    ignores, it is ``-coupling sum_j weights[i, j] E||R_ik - R_j||_F^2``.
 
-    ``omega`` is used as given, minus its diagonal; ``crf_forward_tensor``
-    passes the row-normalized weights.  The message is one node on the tape
-    with a hand-written VJP.  The forward forms the dense (N_l, N_c, N_c)
-    kernel's exponent with one matrix product, the cached label rows of
-    ``_label_rows`` against ``[p; 1; |p|^2]`` for the partner displacements
-    ``p``, and filters the kernel by ``omega`` in place, so the tape keeps
-    only the filtered kernel.  The VJP reads it once for ``q`` and the
-    endpoints together.
-    """
-    q, partner_endpoints = ad.as_tensor(q), ad.as_tensor(partner_endpoints)
-    scale = 1.0 / (2.0 * config.gamma**2)
-    rows, disp = _label_rows(labels, config.gamma)
-    n_l, _, n_c = disp.shape
-    partner_disp = partner_endpoints.value - \
-        build_icosphere(labels.control_order).vertices
-    partner = np.empty((5, n_c))
-    partner[:3] = partner_disp.T
-    partner[3] = 1.0
-    partner[4] = (partner_disp * partner_disp).sum(axis=1)
-    # kernel = exp(-scale |d - p|^2), no message from a point to itself
-    filtered = (rows @ partner).reshape(n_l, n_c, n_c)
-    np.exp(filtered, out=filtered)
-    filtered.reshape(n_l, -1)[:, ::n_c + 1] = 0.0
-    filtered *= omega
-    qt = q.value.T  # (N_l, N_c)
-    msg = (filtered @ qt[:, :, None])[:, :, 0].T
+    ``weights`` is used as given; ``crf_forward_tensor`` passes the
+    row-normalized filter, with a zero diagonal.  One tape node on ``q``
+    with a hand-written VJP."""
+    q = ad.as_tensor(q)
+    rot = _label_rotations(labels)
+    scale = 2.0 * coupling
+    field = weights @ (q.value[:, None, :] @ rot)[:, 0]  # M, (N_c, 9)
+    msg = scale * (rot @ field[:, :, None])[:, :, 0]
 
     def vjp(g):
-        # [k, 0, j] = sum_i g[i, k] filtered[k, i, j], and rows 1-3 the
-        # same sum weighted by disp[k, :, i]: one pass over the kernel
-        gt = g.T[:, None, :]
-        sums = np.concatenate([gt, gt * disp], axis=1) @ filtered
-        g_endpoints = None
-        if partner_endpoints.requires_grad:
-            # d kernel[k, i, j] / d partner_disp[j]
-            #   = kernel * (disp[k, i] - partner_disp[j]) / gamma^2
-            s = (qt[:, None, :] * sums).sum(axis=0)  # (4, N_c)
-            g_endpoints = (s[1:].T - partner_disp * s[0][:, None]) \
-                * (2.0 * scale)
-        return sums[:, 0, :].T if q.requires_grad else None, g_endpoints
+        g_field = scale * (g[:, None, :] @ rot)[:, 0]
+        return ((rot @ (weights.T @ g_field)[:, :, None])[:, :, 0],)
 
-    return Tensor(msg, (q, partner_endpoints), vjp,
-                  requires_grad=(q.requires_grad
-                                 or partner_endpoints.requires_grad))
+    return Tensor(msg, (q,), vjp, requires_grad=q.requires_grad)
 
 
 def meanfield_step(u: Tensor, k1: Tensor, labels: LabelSpace,
-                   omega: np.ndarray, mu: np.ndarray,
+                   weights: np.ndarray, mu: np.ndarray,
                    config: CrfConfig) -> Tensor:
     """One plain mean-field update: the logits ``u - message @ mu`` that
-    the current row-stochastic estimate ``k1`` induces, with the messages
-    mixed across labels by the compatibility matrix ``mu``."""
-    endpoints = soft_deform_tensor(labels, k1)
-    msg = gaussian_message(k1, endpoints, labels, omega, config)
+    the current row-stochastic estimate ``k1`` induces, with the rotation
+    messages mixed across labels by the compatibility matrix ``mu``.  For
+    the Potts ``mu`` this is ``u + message`` less a per-row constant."""
+    msg = rotation_message(k1, labels, weights, config.gamma)
     updated = u - msg @ mu
     if not np.all(np.isfinite(updated.value)):
         raise FloatingPointError("non-finite values after the CRF update stage")
@@ -214,22 +187,21 @@ def crf_forward(u: np.ndarray, labels: LabelSpace, store: ParamStore,
 
 
 def crf_energy(assignment: np.ndarray, q: np.ndarray, labels: LabelSpace,
-               omega: np.ndarray, mu: np.ndarray, config: CrfConfig) -> float:
-    """Energy of a hard label assignment: negative log unaries plus the
-    pairwise compatibility-weighted Gaussian kernel over assigned
-    displacements."""
+               weights: np.ndarray, config: CrfConfig) -> float:
+    """Energy of a hard label assignment: negative log unaries plus, for
+    each unordered pair of points, ``gamma w_ij ||R_i - R_j||_F^2`` over
+    their assigned rotations, with ``w`` the symmetric part of
+    ``weights``.  For symmetric weights and the Potts compatibility this
+    is the energy whose mean-field update ``meanfield_step`` takes."""
     n = len(assignment)
     idx = np.arange(n)
     energy = float(-np.log(q[idx, assignment]).sum())
-    centers = build_icosphere(labels.control_order).vertices[:n]
-    pts = labels.endpoints[idx, assignment] - centers  # (N_c, 3)
+    rot = _label_rotations(labels)[idx, assignment]  # (N_c, 9)
     for i in range(n):
         for j in range(n):
-            if i == j:
-                continue
-            d = pts[i] - pts[j]
-            k_g = omega[i, j] * np.exp(-(d * d).sum() / (2 * config.gamma**2))
-            energy += mu[assignment[i], assignment[j]] * k_g
+            if i != j:
+                d = rot[i] - rot[j]
+                energy += 0.5 * config.gamma * weights[i, j] * (d * d).sum()
     return energy
 
 
@@ -257,32 +229,34 @@ def meanfield_reference(u: np.ndarray, labels: LabelSpace, omega: np.ndarray,
         for j in range(n_c):
             if j != i:
                 weights[i, j] = omega[i, j] / (row if row != 0.0 else 1.0)
+    rot = np.empty((n_c, n_l, 3, 3))
+    for i in range(n_c):
+        for kk in range(n_l):
+            # Rodrigues' formula about the unit axis of c_i x e_ik
+            c, e = centers[i], labels.endpoints[i, kk]
+            axis = np.cross(c, e)
+            sin = np.linalg.norm(axis)
+            ux, uy, uz = axis / sin if sin > 0.0 else axis
+            k_x = np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
+            rot[i, kk] = np.eye(3) + sin * k_x + (1.0 - c @ e) * (k_x @ k_x)
     z = u.copy()
     g_prev = r_prev = None
     trace = []
     for _ in range(t_total):
         k = softmax(z)
-        # expected endpoints under the current estimate
-        endpoints = np.empty((n_c, 3))
+        # each partner's expected rotation under the current estimate
+        expected = np.zeros((n_c, 3, 3))
         for j in range(n_c):
-            e = (k[j][:, None] * labels.endpoints[j]).sum(axis=0)
-            norm = np.linalg.norm(e)
-            if norm < 1e-6:
-                e = labels.endpoints[j, np.argmax(k[j])]
-                norm = 1.0
-            endpoints[j] = e / norm
+            for ll in range(n_l):
+                expected[j] += k[j, ll] * rot[j, ll]
         msg = np.zeros((n_c, n_l))
         for i in range(n_c):
             for kk in range(n_l):
                 total = 0.0
                 for j in range(n_c):
-                    if j == i:
-                        continue
-                    d = (labels.endpoints[i, kk] - centers[i]) \
-                        - (endpoints[j] - centers[j])
-                    kern = np.exp(-(d * d).sum() / (2 * config.gamma**2))
-                    total += weights[i, j] * kern * k[j, kk]
-                msg[i, kk] = total
+                    if j != i:
+                        total += weights[i, j] * (rot[i, kk] * expected[j]).sum()
+                msg[i, kk] = 2.0 * config.gamma * total
         g = u - msg @ mu
         r = g - z
         z = g

@@ -476,7 +476,10 @@ def _block_nearest(points, order, queries, start, stop):
     return found
 
 
-HINT_MARGIN = 1e-6  # score that settles a query in a hinted or walked face
+# score that settles a query in a hinted or walked face: it need only
+# clear the search's 1e-9 tolerance by a rounding and face-shape cushion,
+# and a larger one sends more queries near a warped edge to the search
+HINT_MARGIN = 1e-7
 # faces a walk visits past the hinted one before a search: on the
 # benchmark's calls 16 steps send at most 5 of 10,242 queries of a walk
 # from the identity faces to the search, and 8 steps up to 669
@@ -697,7 +700,9 @@ def read_ico(path) -> Icosphere:
     """Read an ICO1 file and return the matching constructed icosphere.
 
     The file must describe an icosphere this library generates; the stored
-    vertices are checked against the reconstruction.
+    vertices are checked against the reconstruction and the faces must
+    equal it exactly.  A malformed or short row, or a face that differs,
+    raises ValueError naming the file and line.
     """
     with open(path) as fh:
         order, nv, nf = read_header(fh, path, "ICO1", 3)
@@ -706,17 +711,14 @@ def read_ico(path) -> Icosphere:
         sphere = build_icosphere(order)
         if nv != sphere.n_vertices or nf != sphere.n_faces:
             raise ValueError(f"{path}: vertex/face counts do not match order {order}")
-        verts = np.empty((nv, 3))
-        for i in range(nv):
-            parts = fh.readline().split()
-            try:
-                if len(parts) != 4 or parts[0] != "v":
-                    raise ValueError("expected a 'v x y z' vertex")
-                verts[i] = [float(x) for x in parts[1:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {i + 2}: {exc}") from None
+        verts = _parse_rows(fh, path, nv, 3, "v")
+        faces = _parse_rows(fh, path, nf, 3, "f", nv + 2)
     if not np.allclose(verts, sphere.vertices, atol=1e-9):
         raise ValueError(f"{path}: vertices differ from the canonical icosphere")
+    bad = (faces != sphere.faces).any(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}: line {int(np.argmax(bad)) + nv + 2}: "
+                         "face differs from the canonical icosphere")
     return sphere
 
 
@@ -773,17 +775,20 @@ def read_rows(fh, path, n: int, width: int) -> np.ndarray:
     return rows
 
 
-def _parse_rows(fh, path, n, width):
-    """``read_rows`` line by line, through ``float``."""
+def _parse_rows(fh, path, n, width, tag="", first=2):
+    """``read_rows`` line by line, through ``float``; with a ``tag``, each
+    line starts with it.  ``first`` is the file line of the first row."""
+    head = [tag] if tag else []
+    expected = f"expected {width} columns" + (f" after '{tag}'" if tag else "")
     rows = np.empty((n, width))
     for i in range(n):
         parts = fh.readline().split()
         try:
-            if len(parts) != width:
-                raise ValueError(f"expected {width} columns")
-            rows[i] = [float(x) for x in parts]
+            if len(parts) != len(head) + width or parts[:len(head)] != head:
+                raise ValueError(expected)
+            rows[i] = [float(x) for x in parts[len(head):]]
         except ValueError as exc:
-            raise ValueError(f"{path}: line {i + 2}: {exc}") from None
+            raise ValueError(f"{path}: line {first + i}: {exc}") from None
     return rows
 
 

@@ -29,7 +29,7 @@ from .warp import DeformationField, build_label_space, compose, control_grid, \
 # refine steps per stage that run through the CRF decode (the last ones).
 # On the acceptance cohort 20 steps bring the CRF decode's similarity back
 # to that of the plain decode and lower areal distortion below it; running
-# every step through the CRF costs about 3.6 s more per order-4 pair.
+# every step through the CRF costs about 0.35 s more per order-4 pair.
 CRF_REFINE_STEPS = 20
 # synthetic warps drawn per pair before giving up on a fold-free one
 WARP_RETRIES = 20
@@ -151,7 +151,7 @@ class StageConfig(NetConfig):
     ``conv.NetConfig``), loss, optimizer and CRF settings."""
 
     in_channels: int = 1
-    gamma: float = 0.2
+    gamma: float = 4.0  # the CRF coupling, in logit units
     lam_sm: float = 0.1
     lr: float = 1e-3
     epochs: int = 20

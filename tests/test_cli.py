@@ -523,6 +523,28 @@ def test_eval_rejects_a_threshold_that_is_not_finite_and_nonnegative(
     assert out.stderr.count("error") == 1
 
 
+@pytest.mark.parametrize("command, message", [
+    ("mesh", "mesh order must be between 0 and 8"),
+    ("synth", "synth order must be between 0 and 6"),
+    ("eval", "--threshold must be finite and >= 0"),
+])
+def test_range_errors_show_the_subcommand_usage(eval_inputs, tmp_path,
+                                                command, message):
+    # like argparse's own errors, a range check is followed by the usage
+    # of the subcommand whose flag it checks (--threads alone is a
+    # top-level flag)
+    args = {"mesh": ["mesh", "--order", "9"],
+            "synth": ["synth", "--order", "7", "--pairs", "1", "--seed", "1",
+                      "--out", str(tmp_path / "d")]}
+    out = (_eval_threshold(eval_inputs, "nan") if command == "eval"
+           else run_cli(*args[command]))
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.startswith(
+        f"error: {message}\nusage: spherereg {command} ")
+    assert out.stderr.count("error") == 1
+    assert not (tmp_path / "d").exists()
+
+
 def test_eval_takes_a_zero_threshold(eval_inputs):
     out = _eval_threshold(eval_inputs, "0")
     assert out.returncode == 0, out.stderr
@@ -559,6 +581,26 @@ def test_eval_rejects_garbled_sphere_row(eval_inputs, tmp_path):
     assert out.returncode == 1
     assert out.stderr == (f"error: {tmp_path / 'sphere.ico'}: line 5: "
                           "could not convert string to float: 'x'\n")
+
+
+@pytest.mark.parametrize("edit, line, message", [
+    # the order-2 sphere's 162 vertex rows are lines 2-163, its faces 164-
+    (lambda lines: lines[:163], 164, "expected 3 columns after 'f'"),
+    (lambda lines: lines[:200] + ["f nonsense\n"] + lines[201:], 201,
+     "expected 3 columns after 'f'"),
+    (lambda lines: lines[:200] + ["f 0 1 x\n"] + lines[201:], 201,
+     "could not convert string to float: 'x'"),
+    (lambda lines: lines[:200] + [lines[201]] + lines[201:], 201,
+     "face differs from the canonical icosphere"),
+])
+def test_eval_rejects_truncated_or_garbled_faces(eval_inputs, tmp_path, edit,
+                                                 line, message):
+    lines = (eval_inputs / "sphere.ico").read_text().splitlines(True)
+    (tmp_path / "sphere.ico").write_text("".join(edit(lines)))
+    out = _eval(eval_inputs, sphere=tmp_path / "sphere.ico")
+    assert out.returncode == 1
+    assert out.stderr == (f"error: {tmp_path / 'sphere.ico'}: line {line}: "
+                          f"{message}\n")
 
 
 def test_eval_rejects_channel_mismatch(eval_inputs):

@@ -9,14 +9,16 @@ from spherereg.crf import (
     crf_energy,
     crf_forward,
     crf_forward_tensor,
+    _label_rotations,
+    _normalized_filter,
     default_weights,
-    gaussian_message,
     meanfield_reference,
     meanfield_step,
+    rotation_message,
 )
 from spherereg.mesh import build_icosphere
 from spherereg.optim import ParamStore, grad_check
-from spherereg.warp import build_label_space, control_grid, soft_deform_tensor
+from spherereg.warp import build_label_space, control_grid
 
 
 def _softmax(x):
@@ -96,41 +98,62 @@ def _store(omega, mu):
     return store
 
 
+def test_label_rotations_carry_each_point_to_its_labels():
+    # R_ik is a proper rotation taking c_i to e_ik; the nearest label of a
+    # point is the point itself, whose rotation is the identity
+    labels = build_label_space(control_grid(1), 3, 80)
+    table = _label_rotations(labels)
+    assert _label_rotations(labels) is table
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 2.0
+    rot = table.reshape(42, 80, 3, 3)
+    centers = build_icosphere(1).vertices
+    assert np.abs(rot @ np.swapaxes(rot, 2, 3) - np.eye(3)).max() < 1e-14
+    assert np.abs(np.linalg.det(rot) - 1.0).max() < 1e-14
+    assert np.abs(np.einsum("ikab,ib->ika", rot, centers)
+                  - labels.endpoints).max() < 1e-14
+    assert np.array_equal(labels.endpoints[:, 0], centers)
+    assert np.array_equal(rot[:, 0], np.broadcast_to(np.eye(3), (42, 3, 3)))
+    # the smallest rotation turns about c_i x e_ik, which it keeps fixed
+    axis = np.cross(centers[:, None, :], labels.endpoints)
+    assert np.abs(np.einsum("ikab,ikb->ika", rot, axis) - axis).max() < 1e-14
+    # a control point's antipode has no smallest rotation
+    with pytest.raises(ValueError, match="antipode"):
+        _label_rotations(build_label_space(control_grid(0), 1, 42))
+
+
 def test_message_diagonal_excluded():
-    # [DERIVED] with a single off-diagonal pair the message reduces to one
-    # kernel evaluation; the self term must not contribute
+    # [DERIVED] with a single off-diagonal pair the message of point 0 is
+    # 2 gamma w <R_0k, Rbar_1>_F and every other row is zero; the self
+    # weights, dropped by the filter, must not contribute
     labels, u, _, _ = _instance(3, n_l=3)
     cfg = CrfConfig()
     q = _softmax(u[:, :3])
-    omega = np.zeros((12, 12))
+    omega = np.eye(12)
     omega[0, 1] = 0.7
-    qt = ad.constant(q)
-    endpoints = soft_deform_tensor(labels, qt)
-    msg = gaussian_message(qt, endpoints, labels, omega, cfg).value
-    assert np.allclose(msg[1:], 0.0, atol=1e-15)
-    centers = build_icosphere(0).vertices
-    d = (labels.endpoints[0] - centers[0]) \
-        - (endpoints.value[1] - centers[1])  # (N_l, 3)
-    kern = np.exp(-(d**2).sum(axis=1) / (2 * cfg.gamma**2))
-    assert np.allclose(msg[0], 0.7 * kern * q[1], atol=1e-12)
+    msg = rotation_message(ad.constant(q), labels, _normalized_filter(omega),
+                           cfg.gamma).value
+    assert np.all(msg[1:] == 0.0)
+    rot = _label_rotations(labels)
+    expect = 2 * cfg.gamma * rot[0] @ (q[1] @ rot[1])
+    assert np.allclose(msg[0], expect, atol=1e-12, rtol=0)
+    # a point does not hear itself
+    labels, u, _, mu = _instance(4)
+    q, _ = crf_forward(u, labels, _store(np.eye(12), mu), cfg)
+    assert np.allclose(q, _softmax(u), atol=1e-15)
 
 
-def test_frozen_filter_weights_free_the_kernel_and_change_no_bits():
-    # the filter weights are constants: the tape holds the filtered kernel
-    # alone, with no unfiltered copy, and takes no gradient in omega
+def test_message_keeps_only_shared_arrays():
+    # the weights are constants: the node's one parent is q, and its VJP
+    # holds the shared rotation table and the weights, no per-call kernel
     labels, u, omega, _ = _instance(5)
-    omega[3] = 0.0  # point 3 hears no partner
     q = ad.Tensor(_softmax(u))
-    msg = gaussian_message(q, soft_deform_tensor(labels, q), labels, omega,
-                           CrfConfig())
-    assert len(msg.parents) == 2
-    kernels = {id(cell.cell_contents): cell.cell_contents
-               for cell in _closure(msg.vjp)
-               if np.shape(cell.cell_contents) == (4, 12, 12)}
-    assert len(kernels) == 1
-    (kernel,) = kernels.values()
-    # the filtered kernel: zero where omega is
-    assert np.all(kernel[:, 3] == 0.0) and np.all(kernel[:, 4, 5] > 0.0)
+    msg = rotation_message(q, labels, omega, CrfConfig().gamma)
+    assert msg.parents == (q,)
+    arrays = [cell.cell_contents for cell in _closure(msg.vjp)
+              if isinstance(cell.cell_contents, np.ndarray)]
+    assert sorted(a.size for a in arrays) == [12 * 12, 12 * 4 * 9]
+    assert any(a is _label_rotations(labels) for a in arrays)
 
 
 def _closure(fn):
@@ -141,37 +164,27 @@ def _closure(fn):
     return cells
 
 
-@pytest.mark.parametrize("partner_grad", [True, False])
-def test_message_vjps_match_explicit_formulas(partner_grad):
-    # msg[i, k] = sum_{j != i} omega[i, j] K[i, j, k] q[j, k] with
-    # K = exp(-|d_ik - p_j|^2 / (2 gamma^2)): the q and endpoint VJPs of
-    # the one shared backward pass against their einsum expansions; with
-    # constant endpoints the q VJP runs alone
+@pytest.mark.parametrize("q_grad", [True, False])
+def test_message_vjps_match_explicit_formulas(q_grad):
+    # msg[i, k] = 2 gamma sum_{j, l} w[i, j] q[j, l] <R_ik, R_jl>_F: the
+    # forward and the q VJP against their einsum expansions; with a
+    # constant q the node keeps no tape
     labels, u, omega, _ = _instance(37)
     cfg = CrfConfig(gamma=0.7)
     rng = np.random.Generator(np.random.Philox(38))
-    q = ad.Tensor(_softmax(u))
-    partner = ad.Tensor(soft_deform_tensor(labels, ad.constant(q.value)).value,
-                        requires_grad=partner_grad)
-    msg = gaussian_message(q, partner, labels, omega, cfg)
+    q = ad.Tensor(_softmax(u), requires_grad=q_grad)
+    msg = rotation_message(q, labels, omega, cfg.gamma)
+    rot = _label_rotations(labels).reshape(12, 4, 3, 3)
+    inner = np.einsum("ikab,jlab->ikjl", rot, rot)
+    expect = 2 * cfg.gamma * np.einsum("ij,jl,ikjl->ik", omega, q.value, inner)
+    assert np.abs(msg.value - expect).max() < 1e-12
+    if not q_grad:
+        assert not msg.requires_grad and msg.parents == ()
+        return
     g = rng.standard_normal(u.shape)
     ad.sum_(msg * g).backward()
-    centers = build_icosphere(0).vertices
-    d = labels.endpoints - centers[:, None, :]  # (N_c, N_l, 3)
-    p = partner.value - centers
-    diff = d[:, None, :, :] - p[None, :, None, :]  # [i, j, k, :]
-    kern = np.exp(-(diff**2).sum(axis=3) / (2 * cfg.gamma**2))
-    w = omega * (1.0 - np.eye(len(omega)))
-    assert np.abs(msg.value - np.einsum("ij,ijk,jk->ik", w, kern, q.value)
-                  ).max() < 1e-12
-    grad_q = np.einsum("ik,ij,ijk->jk", g, w, kern)
-    grad_p = np.einsum("ik,ij,jk,ijk,ijkd->jd", g, w, q.value, kern,
-                       diff) / cfg.gamma**2
+    grad_q = 2 * cfg.gamma * np.einsum("ik,ij,ikjl->jl", g, omega, inner)
     assert np.abs(q.grad - grad_q).max() < 1e-12
-    if partner_grad:
-        assert np.abs(partner.grad - grad_p).max() < 1e-12
-    else:
-        assert partner.grad is None
 
 
 # -- staged implementation vs the naive oracle -----------------------------
@@ -215,20 +228,19 @@ def test_nonfinite_update_raises():
 # -- energy ----------------------------------------------------------------
 
 def test_energy_oracle_two_points():
-    # [DERIVED] hand-computed energy of a 2-point assignment
+    # [DERIVED] hand-computed energy of a 2-point assignment: each
+    # unordered pair costs gamma times its mean weight times the squared
+    # distance between the assigned rotations
     labels, u, _, _ = _instance(19, n_l=2)
     cfg = CrfConfig()
     q = _softmax(u[:2, :2])
-    omega = np.array([[0.0, 0.5], [0.5, 0.0]])
-    mu = np.array([[0.0, -1.0], [2.0, 0.0]])
+    weights = np.array([[0.0, 0.5], [0.3, 0.0]])
     assign = np.array([0, 1])
-    got = crf_energy(assign, q, labels, omega, mu, cfg)
-    centers = build_icosphere(0).vertices
-    d = (labels.endpoints[0, 0] - centers[0]) \
-        - (labels.endpoints[1, 1] - centers[1])
-    kern = np.exp(-(d**2).sum() / (2 * cfg.gamma**2))
+    got = crf_energy(assign, q, labels, weights, cfg)
+    rot = _label_rotations(labels)
+    d = rot[0, 0] - rot[1, 1]
     expect = -np.log(q[0, 0]) - np.log(q[1, 1]) \
-        + mu[0, 1] * 0.5 * kern + mu[1, 0] * 0.5 * kern
+        + cfg.gamma * 0.4 * (d**2).sum()
     assert got == pytest.approx(expect, abs=1e-12)
 
 
@@ -243,8 +255,9 @@ def test_meanfield_lowers_argmax_energy_on_average():
         mu = 1.0 - np.eye(4)
         q0 = _softmax(u)
         q1, _ = crf_forward(u, labels, _store(omega, mu), cfg)
-        e0 = crf_energy(np.argmax(q0, axis=1), q0, labels, omega, mu, cfg)
-        e1 = crf_energy(np.argmax(q1, axis=1), q0, labels, omega, mu, cfg)
+        weights = _normalized_filter(omega)
+        e0 = crf_energy(np.argmax(q0, axis=1), q0, labels, weights, cfg)
+        e1 = crf_energy(np.argmax(q1, axis=1), q0, labels, weights, cfg)
         if e1 <= e0 + 1e-9:
             better += 1
     assert better >= 7
@@ -253,8 +266,8 @@ def test_meanfield_lowers_argmax_energy_on_average():
 # -- gradients -------------------------------------------------------------
 
 def test_crf_gradients_finite_difference():
-    # a wide kernel keeps every pairwise term well away from underflow so
-    # the finite-difference probes are well-conditioned
+    # a moderate coupling keeps the mean-field map smooth, so the
+    # finite-difference probes are well-conditioned
     labels, u, omega, mu = _instance(23, n_l=3)
     cfg = CrfConfig(iterations=2, gamma=0.7)
     rng = np.random.Generator(np.random.Philox(23))
@@ -269,19 +282,17 @@ def test_crf_gradients_finite_difference():
     assert grad_check(loss_fn, store, n_probes=25, seed=29) < 1e-4
 
 
-def test_gaussian_message_grad_check():
-    # the message node alone, in both of its inputs
+def test_rotation_message_grad_check():
+    # the message node alone
     labels, u, omega, _ = _instance(31, n_l=3)
     cfg = CrfConfig(gamma=0.7)
     rng = np.random.Generator(np.random.Philox(31))
     store = ParamStore()
     store.add("q", _softmax(u))
-    store.add("partner", soft_deform_tensor(labels, ad.constant(_softmax(u))).value)
     probe = rng.standard_normal((12, 3))
 
     def loss_fn(params):
-        msg = gaussian_message(params["q"], params["partner"], labels, omega,
-                               cfg)
+        msg = rotation_message(params["q"], labels, omega, cfg.gamma)
         return ad.sum_(msg * probe)
 
     assert grad_check(loss_fn, store, n_probes=20, seed=32) < 1e-4

@@ -71,7 +71,7 @@ def test_every_hand_written_node_is_probed():
         if path.name != "autodiff.py":
             fused |= _fused_nodes(path.read_text())
     # the check must see the nodes it guards
-    assert {"gaussian_message", "_gaussian_weights", "_aggregate",
+    assert {"rotation_message", "_gaussian_weights", "_aggregate",
             "_interpolate_warped", "similarity_loss", "smoothness_loss",
             "tape_maxpool", "tape_upsample", "soft_deform_tensor",
             "upsample_deformation_tensor"} <= fused
